@@ -7,12 +7,14 @@ whatever float dtype the caller builds them with (float64 in tests,
 float32 in production training).
 
 A tape belongs to one thread; run concurrent models on separate
-instances.
+instances.  Whether operations record at all is per-thread too
+(``no_grad`` in one thread leaves every other thread taping).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,19 +24,18 @@ class NonFiniteGradient(FloatingPointError):
     """A NaN or infinity reached the optimizer."""
 
 
-_GRAD_ENABLED = True
+# a context variable, so each thread (and each asyncio task) has its own flag
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording (inference, finite differences)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording in this thread (inference, finite differences)."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -63,8 +64,12 @@ def param(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def _recording(parents) -> bool:
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _recording(parents):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
     return Tensor(data)
 
@@ -74,6 +79,14 @@ def _accum(p: Tensor, g):
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
         p.grad += g
+
+
+def _accum_fresh(p: Tensor, g):
+    """``_accum`` for a ``g`` nothing else holds: it becomes the buffer."""
+    if p.requires_grad and p.grad is None and g.dtype == p.data.dtype:
+        p.grad = g
+    else:
+        _accum(p, g)
 
 
 def _unbroadcast(g, shape):
@@ -178,20 +191,6 @@ def slice_axis(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
             t.grad[index] += g
 
     return _make(data, (t,), bw)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    x = t.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def bw(g):
-        _accum(t, g * out * (1.0 - out))
-
-    return _make(out, (t,), bw)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -311,7 +310,7 @@ def masked_cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.nd
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell
+# LSTM
 
 
 @dataclass
@@ -329,12 +328,6 @@ class LstmParams:
         return {f"{prefix}.wx": self.wx, f"{prefix}.wh": self.wh, f"{prefix}.b": self.b}
 
 
-@dataclass
-class LstmState:
-    h: Tensor
-    c: Tensor
-
-
 def init_lstm(input_size: int, hidden_size: int, rng, dtype, scale: float = 0.1,
               forget_bias: float = 1.0) -> LstmParams:
     wx = param(rng.uniform(-scale, scale, (input_size, 4 * hidden_size)).astype(dtype))
@@ -344,36 +337,130 @@ def init_lstm(input_size: int, hidden_size: int, rng, dtype, scale: float = 0.1,
     return LstmParams(wx, wh, param(b_data), input_size, hidden_size)
 
 
-def zero_state(batch: int, hidden_size: int, dtype) -> LstmState:
-    return LstmState(
-        Tensor(np.zeros((batch, hidden_size), dtype=dtype)),
-        Tensor(np.zeros((batch, hidden_size), dtype=dtype)),
-    )
+def _activate_gates(z, n: int) -> None:
+    """In place: sigmoid on the i, f and o blocks of ``z``, tanh on g.
+
+    The sigmoid is taken as 0.5*(1 + tanh(x/2)): in-place ufuncs with no
+    boolean masks, and exactly 0 or 1 once tanh saturates.
+    """
+    z[:, : 2 * n] *= 0.5
+    z[:, 3 * n :] *= 0.5
+    np.tanh(z, out=z)
+    for block in (z[:, : 2 * n], z[:, 3 * n :]):
+        block += 1.0
+        block *= 0.5
 
 
-def lstm_step(x: Tensor, prev: LstmState, p: LstmParams) -> LstmState:
-    """Standard gated update: c' = f*c + i*g, h' = o*tanh(c')."""
-    if x.data.shape[-1] != p.input_size:
-        raise ValueError(f"input width {x.data.shape[-1]}, expected {p.input_size}")
+def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a whole padded sequence, as a single op.
+
+    ``x`` is flat time-major, shape (T*B, input_size): step t lives at
+    rows [t*B, (t+1)*B).  ``mask`` is (T, B).  Starting from a zero state
+    the steps run in order (last to first when ``reverse``) through the
+    standard gated update c' = f*c + i*g, h' = o*tanh(c'); where ``mask``
+    is 0 the previous h and c carry through bit-exactly.  Returns the
+    carried h of every step, shape (T*B, hidden).
+
+    Backward is hand-written BPTT over the whole sequence; the gradients
+    of x, wx, wh and b are each one GEMM or reduction over all steps.
+    Per-step gate and cell history is kept only when the result is
+    taped, and backward overwrites it with the gate gradients, so it
+    can run once per forward.
+    """
+    n_steps, batch = mask.shape
     n = p.hidden_size
-    z = add(add(matmul(x, p.wx), matmul(prev.h, p.wh)), p.b)
-    i = sigmoid(slice_axis(z, -1, 0, n))
-    f = sigmoid(slice_axis(z, -1, n, 2 * n))
-    g = tanh(slice_axis(z, -1, 2 * n, 3 * n))
-    o = sigmoid(slice_axis(z, -1, 3 * n, 4 * n))
-    c = add(mul(f, prev.c), mul(i, g))
-    h = mul(o, tanh(c))
-    return LstmState(h, c)
+    if x.data.shape != (n_steps * batch, p.input_size):
+        raise ValueError(
+            f"input shape {x.data.shape}, expected {(n_steps * batch, p.input_size)}"
+        )
+    parents = (x, p.wx, p.wh, p.b)
+    taped = _recording(parents)
+    xs, wx, wh, b = x.data, p.wx.data, p.wh.data, p.b.data
+    dtype = np.result_type(xs, wx)
+    keep = (mask > 0)[..., None]
+    out = np.empty((n_steps * batch, n), dtype=dtype)
+    if taped:
+        gates = np.empty((n_steps * batch, 4 * n), dtype=dtype)
+        cells = np.empty_like(out)
+    else:
+        scratch = np.empty((batch, 4 * n), dtype=dtype)
+    h = np.zeros((batch, n), dtype=dtype)
+    c = np.zeros((batch, n), dtype=dtype)
+    order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
+    for t in order:
+        rows = slice(t * batch, (t + 1) * batch)
+        z = gates[rows] if taped else scratch
+        np.matmul(xs[rows], wx, out=z)
+        z += h @ wh
+        z += b
+        _activate_gates(z, n)
+        c_new = z[:, n : 2 * n] * c
+        c_new += z[:, :n] * z[:, 2 * n : 3 * n]
+        c = np.where(keep[t], c_new, c)
+        h = np.where(keep[t], z[:, 3 * n :] * np.tanh(c_new), h)
+        out[rows] = h
+        if taped:
+            cells[rows] = c
+    if not taped:
+        return Tensor(out)
 
+    def bw(g_out):
+        nonlocal gates, cells
+        if gates is None:
+            raise RuntimeError("lstm_seq backward already ran for this forward")
+        dz_all, cells_all = gates, cells
+        gates = cells = None
+        dh = np.zeros((batch, n), dtype=dtype)
+        dc = np.zeros((batch, n), dtype=dtype)
+        for t in reversed(order):
+            rows = slice(t * batch, (t + 1) * batch)
+            prev = t + 1 if reverse else t - 1
+            c_prev = cells_all[prev * batch : (prev + 1) * batch] if 0 <= prev < n_steps else 0.0
+            # the step's activated gates, replaced below by the gradients
+            # of their pre-activations
+            dz = dz_all[rows]
+            i, f, g, o = (dz[:, j * n : (j + 1) * n] for j in range(4))
+            # a padded step's carried c is not its c', but dh_new is 0 there
+            tc = np.tanh(cells_all[rows])
+            dh += g_out[rows]
+            k = keep[t]
+            dh_new = np.where(k, dh, 0.0)
+            dc_new = np.where(k, dc, 0.0)
+            tmp = tc * tc
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= o
+            tmp *= dh_new
+            dc_new += tmp
+            dc = np.where(k, dc_new * f, dc)
+            i_dc = i * dc_new
+            tmp = 1.0 - i  # i: i(1-i) * g * dc'
+            tmp *= g
+            tmp *= dc_new
+            i *= tmp
+            tmp = 1.0 - f  # f: f(1-f) * c * dc'
+            tmp *= c_prev
+            tmp *= dc_new
+            f *= tmp
+            g *= g  # g: (1-g^2) * i * dc'
+            np.subtract(1.0, g, out=g)
+            g *= i_dc
+            tmp = 1.0 - o  # o: o(1-o) * tanh(c') * dh'
+            tmp *= tc
+            tmp *= dh_new
+            o *= tmp
+            dh = np.where(k, 0.0, dh)
+            dh += dz @ wh.T
+        if x.requires_grad:
+            _accum_fresh(x, dz_all @ wx.T)
+        _accum_fresh(p.wx, xs.T @ dz_all)
+        # each step's previous h is the neighbouring block of ``out``
+        if reverse:
+            _accum_fresh(p.wh, out[batch:].T @ dz_all[:-batch])
+        else:
+            _accum_fresh(p.wh, out[:-batch].T @ dz_all[batch:])
+        _accum_fresh(p.b, dz_all.sum(axis=0))
 
-def masked_state(new: LstmState, prev: LstmState, mask: np.ndarray) -> LstmState:
-    """Keep the previous state where mask is 0 (padding steps)."""
-    m = Tensor(mask)
-    inv = Tensor(1.0 - mask)
-    return LstmState(
-        add(mul(new.h, m), mul(prev.h, inv)),
-        add(mul(new.c, m), mul(prev.c, inv)),
-    )
+    return _make(out, parents, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -169,37 +169,28 @@ def build_arrays(
     return BatchArrays(word_idx, char_idx, char_mask, mask, lengths)
 
 
-def _run_bilstm(steps, fwd: LstmParams, bwd: LstmParams, mask, dtype):
-    """Run both directions over a list of per-step input Tensors.
-
-    ``mask`` has one column of shape (rows, 1) per step; masked steps
-    carry the previous state through unchanged.  Returns per-step hidden
-    Tensors for each direction.
-    """
-    n = len(steps)
-    rows = steps[0].data.shape[0]
-    h_fwd = [None] * n
-    state = ad.zero_state(rows, fwd.hidden_size, dtype)
-    for t in range(n):
-        state = ad.masked_state(ad.lstm_step(steps[t], state, fwd), state, mask[t])
-        h_fwd[t] = state.h
-    h_bwd = [None] * n
-    state = ad.zero_state(rows, bwd.hidden_size, dtype)
-    for t in reversed(range(n)):
-        state = ad.masked_state(ad.lstm_step(steps[t], state, bwd), state, mask[t])
-        h_bwd[t] = state.h
-    return h_fwd, h_bwd
+def _run_bilstm(x: Tensor, mask, fwd: LstmParams, bwd: LstmParams):
+    """Both directions over flat time-major input ``x`` (T*B rows) with a
+    (T, B) ``mask``; masked steps carry the previous state through
+    unchanged.  Returns each direction's (T*B, hidden) states."""
+    return ad.lstm_seq(x, mask, fwd), ad.lstm_seq(x, mask, bwd, reverse=True)
 
 
 def _encode_chars(params: ModelParams, char_idx, char_mask, dtype) -> Tensor:
-    """(V, N) character indices -> (N, 2*char_hidden) word encodings."""
-    v_max = char_idx.shape[0]
-    steps = [ad.embedding(params.char_embed, char_idx[v]) for v in range(v_max)]
-    cols = [char_mask[v][:, None] for v in range(v_max)]
-    h_fwd, h_bwd = _run_bilstm(steps, params.char_fwd, params.char_bwd, cols, dtype)
+    """(V, N) character indices -> (N, 2*char_hidden) word encodings.
+
+    ``dtype`` is the model's float type, which ``params`` and
+    ``char_mask`` already carry.
+    """
+    v_max, n = char_idx.shape
+    x = ad.embedding(params.char_embed, char_idx.reshape(-1))
+    h_fwd, h_bwd = _run_bilstm(x, char_mask, params.char_fwd, params.char_bwd)
     # forward freezes at each word's last character; backward ends after
     # consuming the first
-    return ad.concat([h_fwd[-1], h_bwd[0]], axis=1)
+    return ad.concat(
+        [ad.slice_axis(h_fwd, 0, (v_max - 1) * n, v_max * n), ad.slice_axis(h_bwd, 0, 0, n)],
+        axis=1,
+    )
 
 
 def _word_vectors(params: ModelParams, table: EmbeddingTable, word_flat, dtype) -> Tensor:
@@ -222,19 +213,13 @@ def encode_batch(
 ) -> Tensor:
     """Token context vectors, flat time-major shape (T*B, 2*word_hidden)."""
     dtype = params.dtype
-    t_max, b = arrays.word_idx.shape
-
     a = _encode_chars(params, arrays.char_idx, arrays.char_mask, dtype)
     x = _word_vectors(params, tables.words, arrays.word_idx.reshape(-1), dtype)
     u = ad.concat([x, a], axis=1)
     u = ad.dropout(u, dropout_rate, training, rng)
 
-    steps = [ad.slice_axis(u, 0, t * b, (t + 1) * b) for t in range(t_max)]
-    cols = [arrays.mask[t][:, None] for t in range(t_max)]
-    h_fwd, h_bwd = _run_bilstm(steps, params.word_fwd, params.word_bwd, cols, dtype)
-    c = ad.concat(
-        [ad.concat([h_fwd[t], h_bwd[t]], axis=1) for t in range(t_max)], axis=0
-    )
+    h_fwd, h_bwd = _run_bilstm(u, arrays.mask, params.word_fwd, params.word_bwd)
+    c = ad.concat([h_fwd, h_bwd], axis=1)
     return ad.dropout(c, dropout_rate, training, rng)
 
 

@@ -9,9 +9,12 @@ improve for ``patience`` consecutive epochs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -383,9 +386,20 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         payload += raw
     header.append(f"payload {len(payload)}")
     header.append("end")
-    with open(path, "wb") as fp:
-        fp.write("\n".join(header).encode("utf-8") + b"\n")
-        fp.write(bytes(payload))
+    # write beside the target and rename over it, so a reader or a crash
+    # mid-write never sees a partial checkpoint at ``path``
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fp:
+            fp.write("\n".join(header).encode("utf-8") + b"\n")
+            fp.write(bytes(payload))
+            fp.flush()
+            os.fsync(fp.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -401,24 +415,35 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"bad magic {header_lines[0]!r}")
 
     meta = None
+    meta_line = None
     tensor_specs = []
     vocab_specs = {}
     declared = None
-    for line in header_lines[1:]:
+    for number, line in enumerate(header_lines[1:], start=2):
         kind, _, rest = line.partition(" ")
-        if kind == "meta":
-            meta = json.loads(rest)
-        elif kind == "tensor":
-            name, shape_s, offset_s = rest.rsplit(" ", 2)
-            shape = tuple(int(n) for n in shape_s.split(","))
-            tensor_specs.append((name, shape, int(offset_s)))
-        elif kind == "vocab":
-            name, count_s, offset_s = rest.split(" ")
-            vocab_specs[name] = (int(count_s), int(offset_s))
-        elif kind == "payload":
-            declared = int(rest)
-        else:
-            raise CheckpointError(f"unrecognized header line {line!r}")
+        try:
+            if kind == "meta":
+                meta = json.loads(rest)
+                meta_line = number
+            elif kind == "tensor":
+                name, shape_s, offset_s = rest.rsplit(" ", 2)
+                shape = tuple(int(n) for n in shape_s.split(","))
+                offset = int(offset_s)
+                if min(shape + (offset,)) < 0:
+                    raise ValueError("negative size")
+                tensor_specs.append((name, shape, offset))
+            elif kind == "vocab":
+                name, count_s, offset_s = rest.split(" ")
+                count, offset = int(count_s), int(offset_s)
+                if min(count, offset) < 0:
+                    raise ValueError("negative size")
+                vocab_specs[name] = (count, offset)
+            elif kind == "payload":
+                declared = int(rest)
+            else:
+                raise CheckpointError(f"header line {number}: unrecognized {line!r}")
+        except ValueError:
+            raise CheckpointError(f"header line {number}: malformed {kind} line {line!r}") from None
     if meta is None or declared is None or "word" not in vocab_specs or "char" not in vocab_specs:
         raise CheckpointError("incomplete header")
     if len(payload) != declared:
@@ -445,13 +470,17 @@ def load_checkpoint(path) -> Checkpoint:
 
     try:
         cfg = TrainingConfig(**meta["config"])
-    except TypeError as exc:
-        raise CheckpointError(f"bad config block: {exc}") from None
+        dev_score = float(meta["dev_score"])
+        epoch = int(meta["epoch"])
+    except KeyError as exc:
+        raise CheckpointError(f"header line {meta_line}: meta has no {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"header line {meta_line}: bad meta block: {exc}") from None
     return Checkpoint(
         tensors=tensors,
         word_tokens=read_tokens("word"),
         char_list=read_tokens("char"),
         config=cfg,
-        dev_score=float(meta["dev_score"]),
-        epoch=int(meta["epoch"]),
+        dev_score=dev_score,
+        epoch=epoch,
     )

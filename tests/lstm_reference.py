@@ -1,0 +1,67 @@
+"""Per-step LSTM built from the engine's primitive ops: the reference the
+fused ``autodiff.lstm_seq`` is checked against.
+
+Each step tapes its own matmuls, slices, gate activations and masked
+blend, so its gradients come from the generic backward closures rather
+than hand-written BPTT.
+"""
+
+import numpy as np
+
+from csner import autodiff as ad
+
+
+def sigmoid(t):
+    """0.5 + 0.5*tanh(x/2), composed so the tape differentiates it."""
+    half = ad.Tensor(np.asarray(0.5, dtype=t.data.dtype))
+    return ad.add(half, ad.mul(half, ad.tanh(ad.mul(t, half))))
+
+
+def lstm_step(x, h, c, p):
+    """c' = f*c + i*g, h' = o*tanh(c') with gate blocks [i | f | g | o]."""
+    n = p.hidden_size
+    z = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h, p.wh)), p.b)
+    i = sigmoid(ad.slice_axis(z, -1, 0, n))
+    f = sigmoid(ad.slice_axis(z, -1, n, 2 * n))
+    g = ad.tanh(ad.slice_axis(z, -1, 2 * n, 3 * n))
+    o = sigmoid(ad.slice_axis(z, -1, 3 * n, 4 * n))
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    return ad.mul(o, ad.tanh(c_new)), c_new
+
+
+def masked(new, prev, m):
+    """new where m is 1, prev where m is 0, as a taped blend."""
+    return ad.add(ad.mul(new, ad.Tensor(m)), ad.mul(prev, ad.Tensor(1.0 - m)))
+
+
+def lstm_seq(x, mask, p, reverse=False):
+    """Same contract as ``autodiff.lstm_seq``, one taped step at a time."""
+    n_steps, batch = mask.shape
+    dtype = x.data.dtype
+    h = ad.Tensor(np.zeros((batch, p.hidden_size), dtype=dtype))
+    c = ad.Tensor(np.zeros((batch, p.hidden_size), dtype=dtype))
+    outs = [None] * n_steps
+    for t in (reversed(range(n_steps)) if reverse else range(n_steps)):
+        x_t = ad.slice_axis(x, 0, t * batch, (t + 1) * batch)
+        h_new, c_new = lstm_step(x_t, h, c, p)
+        m = mask[t][:, None].astype(dtype)
+        h, c = masked(h_new, h, m), masked(c_new, c, m)
+        outs[t] = h
+    return ad.concat(outs, axis=0)
+
+
+def run_bilstm(x, mask, fwd, bwd):
+    """Drop-in for ``model._run_bilstm`` on the per-step reference."""
+    return lstm_seq(x, mask, fwd), lstm_seq(x, mask, bwd, reverse=True)
+
+
+def tape_size(root):
+    """Number of distinct tensors reachable from ``root`` through the tape."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)

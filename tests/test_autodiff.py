@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import lstm_reference
 from csner import autodiff as ad
 
 
@@ -15,13 +17,35 @@ def weighted_sum(t, rng):
     return ad.sum_all(ad.mul(t, w))
 
 
+def gate_probe(preactivations, hidden=1):
+    """Hidden states of an LSTM whose gate pre-activations are the rows of
+    ``preactivations`` (T, 4*hidden), blocked [i | f | g | o]."""
+    z = np.asarray(preactivations, dtype=np.float64)
+    p = ad.LstmParams(
+        ad.param(np.eye(4 * hidden)),
+        ad.param(np.zeros((hidden, 4 * hidden))),
+        ad.param(np.zeros(4 * hidden)),
+        4 * hidden,
+        hidden,
+    )
+    return ad.lstm_seq(ad.tensor(z), np.ones((len(z), 1)), p).data
+
+
 class TestPrimitives:
     def test_sigmoid_at_zero(self):
-        assert float(ad.sigmoid(ad.tensor(0.0)).data) == 0.5
+        # i = f = o = sigmoid(0), g = 1: c = 0.5, h = 0.5*tanh(0.5), exactly
+        h = gate_probe([[0.0, 0.0, 1e4, 0.0]])
+        assert h[0, 0] == 0.5 * np.tanh(0.5)
 
     def test_sigmoid_saturation_is_finite(self):
-        out = ad.sigmoid(ad.tensor(np.array([-1e4, 1e4]))).data
-        assert out[0] == 0.0 and out[1] == 1.0
+        # gates at +-1e4 are exactly 1 or 0: write c = 1, hold it with the
+        # output closed, then read it back
+        h = gate_probe([
+            [1e4, -1e4, 1e4, 1e4],
+            [-1e4, 1e4, 1e4, -1e4],
+            [-1e4, 1e4, 0.0, 1e4],
+        ])
+        assert np.array_equal(h[:, 0], [np.tanh(1.0), 0.0, np.tanh(1.0)])
 
     def test_concat_values(self):
         out = ad.concat([ad.tensor(np.array([1.0, 2.0])), ad.tensor(np.array([3.0]))], axis=0)
@@ -46,13 +70,16 @@ class TestPrimitives:
         row = ad.param(rng.normal(size=(1, 5)))
         table = ad.param(rng.normal(size=(7, 3)))
         idx = rng.integers(0, 7, size=4)
+        lstm = ad.init_lstm(5, 3, rng, np.float64)
         cases = {
             "add": lambda: weighted_sum(ad.add(x, y), np.random.default_rng(2)),
             "add_broadcast": lambda: weighted_sum(ad.add(x, row), np.random.default_rng(3)),
             "mul": lambda: weighted_sum(ad.mul(x, y), np.random.default_rng(4)),
             "concat": lambda: weighted_sum(ad.concat([x, y], axis=1), np.random.default_rng(5)),
             "slice": lambda: weighted_sum(ad.slice_axis(x, 1, 1, 4), np.random.default_rng(6)),
-            "sigmoid": lambda: weighted_sum(ad.sigmoid(x), np.random.default_rng(7)),
+            "lstm_seq": lambda: weighted_sum(
+                ad.lstm_seq(x, np.ones((2, 1)), lstm), np.random.default_rng(7)
+            ),
             "tanh": lambda: weighted_sum(ad.tanh(x), np.random.default_rng(8)),
             "embedding": lambda: weighted_sum(ad.embedding(table, idx), np.random.default_rng(9)),
             "softmax": lambda: weighted_sum(ad.softmax(x), np.random.default_rng(10)),
@@ -79,40 +106,77 @@ class TestLstm:
             n_hidden,
         )
 
+    def padded_case(self, seed):
+        """Random (T*B, 3) input with lengths 4, 2, 1 and junk in the padding."""
+        rng = np.random.default_rng(seed)
+        mask = np.zeros((4, 3))
+        for j, n in enumerate((4, 2, 1)):
+            mask[:n, j] = 1.0
+        x = ad.param(rng.normal(size=(12, 3)))
+        w = ad.Tensor(rng.normal(size=(12, 4)))
+        return ad.init_lstm(3, 4, rng, np.float64), x, mask, w
+
     def test_zero_fixed_point(self):
         p = self.zero_params()
-        state = ad.zero_state(1, 2, np.float64)
-        out = ad.lstm_step(ad.tensor(np.zeros((1, 3))), state, p)
-        assert np.array_equal(out.h.data, np.zeros((1, 2)))
-        assert np.array_equal(out.c.data, np.zeros((1, 2)))
+        for reverse in (False, True):
+            out = ad.lstm_seq(ad.tensor(np.zeros((6, 3))), np.ones((3, 2)), p, reverse)
+            assert np.array_equal(out.data, np.zeros((6, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
-        p = self.zero_params()
-        p.b.data[2:4] = 40.0  # forget block for hidden=2 sits at [h, 2h)
-        c0 = np.array([[0.3, -0.7]])
-        state = ad.LstmState(ad.tensor(np.zeros((1, 2))), ad.tensor(c0))
-        out = ad.lstm_step(ad.tensor(np.zeros((1, 3))), state, p)
-        assert np.allclose(out.c.data, c0, atol=1e-6)
+        # step 0 writes c = (0.3, -0.7) with o = 1; afterwards f = sigmoid(40),
+        # i = 0.5, g = 0, o = 1, so h = tanh(c) shows the cell unchanged
+        write = [1e4, 1e4, -1e4, -1e4, np.arctanh(0.3), np.arctanh(-0.7), 1e4, 1e4]
+        hold = [0.0, 0.0, 40.0, 40.0, 0.0, 0.0, 1e4, 1e4]
+        h = gate_probe([write, hold, hold, hold], hidden=2)
+        assert np.allclose(h[0], np.tanh([0.3, -0.7]), atol=1e-12)
+        assert np.allclose(h[-1], h[0], atol=1e-6)
 
     def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(2)
-        p = ad.init_lstm(3, 4, rng, np.float64)
-        x1 = ad.param(rng.normal(size=(2, 3)))
-        w = ad.Tensor(rng.normal(size=(2, 4)))
+        for reverse in (False, True):
+            p, x, mask, w = self.padded_case(2)
 
-        def loss():
-            state = ad.zero_state(2, 4, np.float64)
-            state = ad.lstm_step(x1, state, p)
-            state = ad.lstm_step(ad.tanh(x1), state, p)
-            return ad.sum_all(ad.mul(state.h, w))
+            def loss():
+                return ad.sum_all(ad.mul(ad.lstm_seq(x, mask, p, reverse), w))
 
-        params = {"x": x1, **p.tensors("lstm")}
-        assert fd_check(loss, params) < 1e-4
+            params = {"x": x, **p.tensors("lstm")}
+            assert fd_check(loss, params) < 1e-4
+            assert np.all(x.grad[mask.reshape(-1) == 0.0] == 0.0)
+
+    def test_matches_per_step_reference(self):
+        for reverse in (False, True):
+            p, x, mask, w = self.padded_case(3)
+            params = {"x": x, **p.tensors("lstm")}
+            results = []
+            for op in (ad.lstm_seq, lstm_reference.lstm_seq):
+                ad.zero_grads(params)
+                loss = ad.sum_all(ad.mul(op(x, mask, p, reverse), w))
+                ad.backward(loss)
+                results.append((float(loss.data), {k: t.grad.copy() for k, t in params.items()}))
+            (fused_loss, fused), (ref_loss, ref) = results
+            assert abs(fused_loss - ref_loss) < 1e-10
+            for name in params:
+                assert np.max(np.abs(fused[name] - ref[name])) < 1e-10, name
+
+    def test_taped_and_untaped_forward_identical(self):
+        for reverse in (False, True):
+            p, x, mask, _ = self.padded_case(4)
+            taped = ad.lstm_seq(x, mask, p, reverse)
+            with ad.no_grad():
+                untaped = ad.lstm_seq(x, mask, p, reverse)
+            assert taped.requires_grad and not untaped.requires_grad
+            assert np.array_equal(taped.data, untaped.data)
+
+    def test_backward_runs_once_per_forward(self):
+        p, x, mask, _ = self.padded_case(5)
+        out = ad.lstm_seq(x, mask, p)
+        out._backward(np.ones_like(out.data))
+        with pytest.raises(RuntimeError):
+            out._backward(np.ones_like(out.data))
 
     def test_input_width_contract(self):
         p = self.zero_params()
         with pytest.raises(ValueError):
-            ad.lstm_step(ad.tensor(np.zeros((1, 5))), ad.zero_state(1, 2, np.float64), p)
+            ad.lstm_seq(ad.tensor(np.zeros((1, 5))), np.ones((1, 1)), p)
 
     def test_forget_bias_initialized_to_one(self):
         p = ad.init_lstm(3, 4, np.random.default_rng(0), np.float64)
@@ -283,3 +347,30 @@ def test_no_grad_blocks_taping():
     assert not out.requires_grad
     out2 = ad.mul(x, x)
     assert out2.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    x = ad.param(np.ones((2, 3)))
+    p = ad.init_lstm(3, 2, np.random.default_rng(0), np.float64)
+    inside, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def infer():
+        with ad.no_grad():
+            inside.set()
+            release.wait(timeout=10)
+            seen["other_thread"] = ad.mul(x, x).requires_grad
+
+    worker = threading.Thread(target=infer)
+    worker.start()
+    try:
+        assert inside.wait(timeout=10)
+        out = ad.lstm_seq(x, np.ones((2, 1)), p)
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen["other_thread"] is False
+    assert out.requires_grad
+    ad.backward(ad.sum_all(out))
+    assert x.grad is not None and p.wh.grad is not None

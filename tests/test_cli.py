@@ -94,6 +94,19 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_checkpoint_without_config_fails_cleanly(self, workdir, capsys):
+        tmp_path, config = workdir
+        bad = tmp_path / "bad.ck"
+        bad.write_text(
+            'CSNER1\nmeta {"dev_score": 0.0, "epoch": 1}\n'
+            "vocab word 0 0\nvocab char 0 0\npayload 0\nend\n"
+        )
+        code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config),
+                     "--checkpoint", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: header line 2: meta has no 'config'\n"
+
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 1\n")

@@ -15,6 +15,7 @@ from csner.model import (
     tag_logits,
 )
 
+import lstm_reference
 from conftest import small_model
 
 
@@ -188,6 +189,39 @@ class TestEndToEndGradient:
 
         err = ad.finite_diff_check(loss, params.tensors(), h=1e-4)
         assert err < 1e-4
+
+    def test_full_model_matches_per_step_reference(self, micro_setup, monkeypatch):
+        corpus, tables, params = micro_setup
+        from csner import model
+        from csner.trainer import make_batches
+
+        batch = make_batches(corpus, 4, tables, np.float64)[0]
+        tensors = params.tensors()
+
+        def run():
+            ad.zero_grads(tensors)
+            loss = batch_loss(batch.arrays, batch.gold_flat % 5, tables, params,
+                              training=True, rng=np.random.default_rng(0))
+            ad.backward(loss)
+            return float(loss.data), {k: t.grad.copy() for k, t in tensors.items()}
+
+        fused_loss, fused = run()
+        monkeypatch.setattr(model, "_run_bilstm", lstm_reference.run_bilstm)
+        ref_loss, ref = run()
+        assert abs(fused_loss - ref_loss) < 1e-10
+        for name in tensors:
+            assert np.max(np.abs(fused[name] - ref[name])) < 1e-10, name
+
+    def test_tape_size_independent_of_length(self, tiny_tables):
+        params = small_model(n_chars=len(tiny_tables.chars))
+        sizes = []
+        for sent in (["el", "rio"], ["Ana", "come", "pan", "el", "rio", "azul", "azul"]):
+            arrays = build_arrays([sent, sent[:1]], tiny_tables, np.float64)
+            gold = np.zeros(arrays.mask.size, dtype=np.int64)
+            loss = batch_loss(arrays, gold, tiny_tables, params,
+                              training=True, rng=np.random.default_rng(0))
+            sizes.append(lstm_reference.tape_size(loss))
+        assert sizes[0] == sizes[1]
 
     def test_unk_fallback_path(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -326,6 +327,43 @@ class TestCheckpointIO:
         vocab_bytes = sum(4 + len(t.encode()) for t in ckpt.word_tokens)
         vocab_bytes += sum(4 + len(c.encode()) for c in ckpt.char_list)
         assert declared == tensor_bytes + vocab_bytes
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("meta", lambda rest: json.dumps({k: v for k, v in json.loads(rest).items()
+                                          if k != "config"}), "meta has no 'config'"),
+        ("meta", lambda rest: rest[:-1], "malformed meta line"),
+        ("tensor", lambda rest: rest.rsplit(" ", 1)[0] + " x", "malformed tensor line"),
+        ("vocab", lambda rest: rest + " 7", "malformed vocab line"),
+    ])
+    def test_malformed_header_line_located(self, small_setup, tmp_path, kind, edit, message):
+        path = tmp_path / "model.ck"
+        save_checkpoint(self.make_checkpoint(small_setup), path)
+        header, sep, payload = path.read_bytes().partition(b"\nend\n")
+        lines = header.decode().split("\n")
+        number = next(i for i, line in enumerate(lines, start=1) if line.startswith(kind + " "))
+        lines[number - 1] = kind + " " + edit(lines[number - 1].partition(" ")[2])
+        path.write_bytes("\n".join(lines).encode() + sep + payload)
+        with pytest.raises(CheckpointError, match=f"^header line {number}: {message}"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, small_setup, tmp_path, monkeypatch):
+        path = tmp_path / "model.ck"
+        save_checkpoint(self.make_checkpoint(small_setup), path)
+        before = path.read_bytes()
+        cfg, model, _ = small_setup
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer_mod.os, "replace", refuse)
+        with pytest.raises(OSError):
+            save_checkpoint(snapshot(model, cfg, 0.9, 7), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ck"]
+        monkeypatch.undo()
+        save_checkpoint(snapshot(model, cfg, 0.9, 7), path)
+        assert load_checkpoint(path).epoch == 7
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ck"]
 
     def test_shape_disagreement_rejected(self, small_setup, tmp_path):
         ckpt = self.make_checkpoint(small_setup)
