@@ -48,16 +48,8 @@ class Tensor:
         self._parents = parents
         self._backward = backward
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad=False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def param(data) -> Tensor:
@@ -241,49 +233,9 @@ def dropout(t: Tensor, rate: float, training: bool, rng=None) -> Tensor:
     return mul(t, Tensor(mask))
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    z = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accum(t, (g - inner) * out)
-
-    return _make(out, (t,), bw)
-
-
-def masked_cross_entropy(probs: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean negative log probability of the target over unmasked steps.
-
-    ``probs`` holds probabilities (last axis over tags); ``targets`` and
-    ``mask`` share its leading shape.  Padding steps (mask 0) contribute
-    nothing to either the value or the gradient.
-    """
-    total = float(mask.sum())
-    if total == 0:
-        raise ValueError("mask selects no positions")
-    gathered = np.take_along_axis(probs.data, targets[..., None], axis=-1)[..., 0]
-    logp = np.where(mask > 0, np.log(np.where(mask > 0, gathered, 1.0)), 0.0)
-    data = np.asarray(-(logp * mask).sum() / total, dtype=probs.data.dtype)
-
-    def bw(g):
-        if probs.requires_grad:
-            dp = np.zeros_like(probs.data)
-            denom = np.where(mask > 0, gathered * total, 1.0)
-            np.put_along_axis(
-                dp,
-                targets[..., None],
-                np.where(mask > 0, -mask / denom, 0.0)[..., None],
-                axis=-1,
-            )
-            _accum(probs, g * dp)
-
-    return _make(data, (probs,), bw)
-
-
 def masked_cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Fused log-softmax cross-entropy; the stable path used in training."""
+    """Mean cross-entropy of log-softmax(logits) over unmasked steps; padding
+    steps (mask 0) contribute nothing to either the value or the gradient."""
     total = float(mask.sum())
     if total == 0:
         raise ValueError("mask selects no positions")
@@ -328,12 +280,11 @@ class LstmParams:
         return {f"{prefix}.wx": self.wx, f"{prefix}.wh": self.wh, f"{prefix}.b": self.b}
 
 
-def init_lstm(input_size: int, hidden_size: int, rng, dtype, scale: float = 0.1,
-              forget_bias: float = 1.0) -> LstmParams:
+def init_lstm(input_size: int, hidden_size: int, rng, dtype, scale: float = 0.1) -> LstmParams:
     wx = param(rng.uniform(-scale, scale, (input_size, 4 * hidden_size)).astype(dtype))
     wh = param(rng.uniform(-scale, scale, (hidden_size, 4 * hidden_size)).astype(dtype))
     b_data = rng.uniform(-scale, scale, 4 * hidden_size).astype(dtype)
-    b_data[hidden_size : 2 * hidden_size] = forget_bias
+    b_data[hidden_size : 2 * hidden_size] = 1.0
     return LstmParams(wx, wh, param(b_data), input_size, hidden_size)
 
 

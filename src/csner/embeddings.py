@@ -85,7 +85,6 @@ class EmbeddingTable:
 
     vocabulary: Vocabulary
     vectors: np.ndarray
-    trainable: bool = False
     stat_sum: np.ndarray | None = None
     stat_count: int = 0
 
@@ -149,6 +148,14 @@ def load_vec(source, keep: set[str] | None = None) -> EmbeddingTable:
             seen.add(word)
             words.append(word)
             rows.append(vector)
+    except UnicodeDecodeError:
+        if not close:
+            raise VectorLoadError("not valid UTF-8") from None
+        # text decodes in chunks ahead of the loop: find the line in the bytes
+        with open(source, "rb") as raw:
+            bad = next(n for n, row in enumerate(raw, 1)
+                       if row.decode("utf-8", "ignore").encode("utf-8") != row)
+        raise VectorLoadError(f"line {bad}: not valid UTF-8") from None
     finally:
         if close:
             fp.close()

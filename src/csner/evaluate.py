@@ -9,7 +9,7 @@ diverge sharply when a single class fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus_io import Dataset, EntityCategory, Tag
@@ -79,14 +79,6 @@ class EvalReport:
     micro_recall: float
     sentences: int
     tokens: int
-    counts: ClassCounts = field(init=False)
-
-    def __post_init__(self):
-        self.counts = ClassCounts(
-            sum(c.tp for c in self.per_class.values()),
-            sum(c.fp for c in self.per_class.values()),
-            sum(c.fn for c in self.per_class.values()),
-        )
 
 
 def harmonic_mean(values: list[float]) -> float:
@@ -100,15 +92,12 @@ def harmonic_mean(values: list[float]) -> float:
     return len(values) / sum(1.0 / v for v in values)
 
 
-def score(gold: Dataset, pred: Dataset, aggregate=harmonic_mean) -> EvalReport:
+def score(gold: Dataset, pred: Dataset) -> EvalReport:
     """Score predictions against gold, sentence by sentence.
 
     Both datasets must be labeled, with identical sentence counts and
     lengths.  Classes absent from both sides are left out of the report;
-    an entity-free pair of files scores a vacuous 1.0.  ``aggregate``
-    combines the per-class F1 list into the headline number (the official
-    scorer is unavailable, so the aggregation stays swappable and micro
-    F1 is always reported alongside).
+    an entity-free pair of files scores a vacuous 1.0.
     """
     if len(gold) != len(pred):
         raise ValueError(
@@ -145,7 +134,7 @@ def score(gold: Dataset, pred: Dataset, aggregate=harmonic_mean) -> EvalReport:
     micro_r = tp / (tp + fn) if tp + fn else 0.0
     micro_f1 = 2 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r else 0.0
     if per_class:
-        harmonic = aggregate([c.f1 for c in per_class.values()])
+        harmonic = harmonic_mean([c.f1 for c in per_class.values()])
     else:
         harmonic = 1.0  # nothing to find, nothing found
     return EvalReport(

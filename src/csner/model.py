@@ -11,13 +11,13 @@ loss and the gradients exactly (not just approximately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import LstmParams, Tensor
-from .corpus_io import TAGS, Tag
+from .corpus_io import TAGS
 from .embeddings import CharVocabulary, EmbeddingTable
 
 N_TAGS = len(TAGS)
@@ -250,60 +250,3 @@ def predict_batch(arrays: BatchArrays, tables: Tables, params: ModelParams) -> l
         logits = batch_logits(encoded, params)
     ids = logits.data.argmax(axis=-1).reshape(arrays.max_len, arrays.batch_size)
     return [list(ids[: n, j]) for j, n in enumerate(arrays.lengths)]
-
-
-# ---------------------------------------------------------------------------
-# single-sentence views of the same machinery
-
-
-def char_encode(word: str, chars: CharVocabulary, params: ModelParams) -> np.ndarray:
-    """Encode one word from its characters; returns a 2*char_hidden vector."""
-    if not word:
-        raise ValueError("cannot encode an empty word")
-    dtype = params.dtype
-    char_idx = chars.indices(word)[:, None]
-    char_mask = np.ones((len(word), 1), dtype=dtype)
-    with ad.no_grad():
-        out = _encode_chars(params, char_idx, char_mask, dtype)
-    return out.data[0]
-
-
-def encode_sentence(
-    tokens: list[str],
-    tables: Tables,
-    params: ModelParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-    dropout_rate: float = 0.4,
-    surfaces: list[str] | None = None,
-) -> Tensor:
-    """Context vectors for one sentence, shape (N, 2*word_hidden)."""
-    arrays = build_arrays(
-        [tokens], tables, params.dtype,
-        [surfaces] if surfaces is not None else None,
-    )
-    return encode_batch(arrays, tables, params, training, rng, dropout_rate)
-
-
-def tag_logits(encoded: Tensor, params: ModelParams) -> Tensor:
-    """(N, n_tags) affine scores; softmax only happens inside the loss."""
-    return batch_logits(encoded, params)
-
-
-def predict_tags(
-    tokens: list[str],
-    tables: Tables,
-    params: ModelParams,
-    surfaces: list[str] | None = None,
-) -> list[Tag]:
-    arrays = build_arrays(
-        [tokens], tables, params.dtype,
-        [surfaces] if surfaces is not None else None,
-    )
-    ids = predict_batch(arrays, tables, params)[0]
-    return [TAGS[i] for i in ids]
-
-
-def swap_directions(params: ModelParams) -> ModelParams:
-    """Word-level forward/backward weights exchanged (symmetry checks)."""
-    return replace(params, word_fwd=params.word_bwd, word_bwd=params.word_fwd)

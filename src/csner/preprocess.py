@@ -44,30 +44,19 @@ def replace_token(token: str) -> str:
     return token
 
 
-def strip_repeats(token: str, run_length: int = 3, unit_lengths: tuple[int, ...] = (2, 3)) -> str:
+def strip_repeats(token: str) -> str:
     """Collapse repeated characters and short repeated units.
 
     Policy (reverse-engineered from "hellooooo"->"hello" and
-    "lolololol"->"lol", tunable via the keyword arguments): any run of
-    ``run_length`` or more identical characters becomes one character;
-    adjacent repetitions of a unit of ``unit_lengths`` characters
-    collapse to a single copy.  Both steps loop until nothing changes,
-    which makes the whole function idempotent.
+    "lolololol"->"lol"): any run of 3 or more identical characters
+    becomes one character; adjacent repetitions of a 2- or 3-character
+    unit collapse to a single copy.  Both steps loop until nothing
+    changes, which makes the whole function idempotent.
     """
-    run_re = (
-        _RUN_RE
-        if run_length == 3
-        else re.compile(r"(.)\1{%d,}" % (run_length - 1), re.DOTALL)
-    )
-    unit_res = (
-        _UNIT_RES
-        if unit_lengths == (2, 3)
-        else tuple(re.compile(r"(.{%d})\1+" % n, re.DOTALL) for n in unit_lengths)
-    )
     while True:
         before = token
-        token = run_re.sub(r"\1", token)
-        for unit_re in unit_res:
+        token = _RUN_RE.sub(r"\1", token)
+        for unit_re in _UNIT_RES:
             token = unit_re.sub(r"\1", token)
         if token == before:
             return token

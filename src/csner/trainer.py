@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,11 @@ class TrainingConfig:
     float64: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # exact types: a bool is not a size, and an int is not a flag
+            if type(value) not in {"int": (int,), "float": (int, float), "bool": (bool,)}[f.type]:
+                raise ValueError(f"{f.name} must be {f.type}, not {value!r}")
         for name in ("hidden", "char_hidden", "word_dim", "char_dim",
                      "batch_size", "max_epochs", "seed"):
             if getattr(self, name) < (0 if name == "seed" else 1):
@@ -470,6 +475,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     try:
         cfg = TrainingConfig(**meta["config"])
+        cfg.validate()
         dev_score = float(meta["dev_score"])
         epoch = int(meta["epoch"])
     except KeyError as exc:

@@ -208,10 +208,10 @@ def test_criterion_6_masking_neutrality(overfit_corpus, overfit_tables):
         z = np.random.default_rng(1).normal(size=(6, 19))
         mask = np.array([1.0, 1, 1, 0, 0, 0])
         targets = np.arange(6) % 19
-        l1 = ad.masked_cross_entropy_logits(ad.tensor(z), targets, mask)
+        l1 = ad.masked_cross_entropy_logits(ad.Tensor(z), targets, mask)
         z2 = z.copy()
         z2[3:] += 1e9
-        l2 = ad.masked_cross_entropy_logits(ad.tensor(z2), targets, mask)
+        l2 = ad.masked_cross_entropy_logits(ad.Tensor(z2), targets, mask)
         assert abs(float(l1.data) - float(l2.data)) < 1e-12
 
 

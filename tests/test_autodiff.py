@@ -28,7 +28,7 @@ def gate_probe(preactivations, hidden=1):
         4 * hidden,
         hidden,
     )
-    return ad.lstm_seq(ad.tensor(z), np.ones((len(z), 1)), p).data
+    return ad.lstm_seq(ad.Tensor(z), np.ones((len(z), 1)), p).data
 
 
 class TestPrimitives:
@@ -48,7 +48,7 @@ class TestPrimitives:
         assert np.array_equal(h[:, 0], [np.tanh(1.0), 0.0, np.tanh(1.0)])
 
     def test_concat_values(self):
-        out = ad.concat([ad.tensor(np.array([1.0, 2.0])), ad.tensor(np.array([3.0]))], axis=0)
+        out = ad.concat([ad.Tensor(np.array([1.0, 2.0])), ad.Tensor(np.array([3.0]))], axis=0)
         assert np.array_equal(out.data, [1.0, 2.0, 3.0])
 
     def test_matmul_gradient_oracle(self):
@@ -61,7 +61,7 @@ class TestPrimitives:
 
     def test_matmul_shape_contract(self):
         with pytest.raises(ValueError):
-            ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((4, 5))))
+            ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 5))))
 
     def test_all_ops_pass_randomized_gradcheck(self):
         rng = np.random.default_rng(1)
@@ -82,7 +82,6 @@ class TestPrimitives:
             ),
             "tanh": lambda: weighted_sum(ad.tanh(x), np.random.default_rng(8)),
             "embedding": lambda: weighted_sum(ad.embedding(table, idx), np.random.default_rng(9)),
-            "softmax": lambda: weighted_sum(ad.softmax(x), np.random.default_rng(10)),
         }
         params = {"x": x, "y": y, "row": row, "table": table}
         for name, loss in cases.items():
@@ -119,7 +118,7 @@ class TestLstm:
     def test_zero_fixed_point(self):
         p = self.zero_params()
         for reverse in (False, True):
-            out = ad.lstm_seq(ad.tensor(np.zeros((6, 3))), np.ones((3, 2)), p, reverse)
+            out = ad.lstm_seq(ad.Tensor(np.zeros((6, 3))), np.ones((3, 2)), p, reverse)
             assert np.array_equal(out.data, np.zeros((6, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
@@ -176,7 +175,7 @@ class TestLstm:
     def test_input_width_contract(self):
         p = self.zero_params()
         with pytest.raises(ValueError):
-            ad.lstm_seq(ad.tensor(np.zeros((1, 5))), np.ones((1, 1)), p)
+            ad.lstm_seq(ad.Tensor(np.zeros((1, 5))), np.ones((1, 1)), p)
 
     def test_forget_bias_initialized_to_one(self):
         p = ad.init_lstm(3, 4, np.random.default_rng(0), np.float64)
@@ -186,15 +185,15 @@ class TestLstm:
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        x = ad.tensor(np.ones((3, 3)))
+        x = ad.Tensor(np.ones((3, 3)))
         assert ad.dropout(x, 0.0, True, np.random.default_rng(0)) is x
 
     def test_inference_identity(self):
-        x = ad.tensor(np.ones((3, 3)))
+        x = ad.Tensor(np.ones((3, 3)))
         assert ad.dropout(x, 0.9, False) is x
 
     def test_rate_contract(self):
-        x = ad.tensor(np.ones(2))
+        x = ad.Tensor(np.ones(2))
         with pytest.raises(ValueError):
             ad.dropout(x, 1.0, True, np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -202,50 +201,62 @@ class TestDropout:
 
     def test_expectation_preserved(self):
         rng = np.random.default_rng(11)
-        x = ad.tensor(np.full(100_000, 2.5))
+        x = ad.Tensor(np.full(100_000, 2.5))
         out = ad.dropout(x, 0.4, True, rng)
         assert abs(out.data.mean() - 2.5) / 2.5 < 0.01
 
 
+def cross_entropy(z, targets, mask):
+    """The fused loss's value and its gradient times the unmasked count."""
+    logits = ad.param(np.asarray(z, dtype=np.float64))
+    loss = ad.masked_cross_entropy_logits(logits, np.asarray(targets), mask)
+    ad.backward(loss)
+    return float(loss.data), logits.grad * np.sum(mask)
+
+
 class TestSoftmax:
+    """The log-softmax inside the fused loss: an unmasked row's gradient
+    (times the unmasked count) is softmax(z) - onehot(target)."""
+
     def test_uniform_over_19(self):
-        out = ad.softmax(ad.tensor(np.zeros((1, 19)))).data
-        assert np.allclose(out, 1.0 / 19.0, atol=1e-15)
+        value, grad = cross_entropy(np.zeros((1, 19)), [4], np.ones(1))
+        assert value == pytest.approx(math.log(19.0), abs=1e-15)
+        assert np.allclose(grad + np.eye(19)[4], 1.0 / 19.0, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         z = rng.normal(size=(4, 19))
-        a = ad.softmax(ad.tensor(z)).data
-        b = ad.softmax(ad.tensor(z + 123.456)).data
-        assert np.max(np.abs(a - b)) < 1e-12
+        a, _ = cross_entropy(z, [0, 5, 11, 18], np.ones(4))
+        b, _ = cross_entropy(z + 123.456, [0, 5, 11, 18], np.ones(4))
+        assert abs(a - b) < 1e-12
 
     def test_closed_form(self):
-        out = ad.softmax(ad.tensor(np.array([[0.0, math.log(3.0)]]))).data
-        assert np.allclose(out, [[0.25, 0.75]], atol=1e-12)
+        # softmax([0, log 3]) = [0.25, 0.75]
+        value, grad = cross_entropy([[0.0, math.log(3.0)]], [1], np.ones(1))
+        assert value == pytest.approx(-math.log(0.75), abs=1e-12)
+        assert np.allclose(grad, [[0.25, -0.25]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
-        out = ad.softmax(ad.tensor(rng.normal(scale=30, size=(50, 19)))).data
-        assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
-        assert np.all(out >= 0) and np.all(out <= 1)
+        targets = rng.integers(0, 19, size=50)
+        value, grad = cross_entropy(rng.normal(scale=30, size=(50, 19)), targets, np.ones(50))
+        assert math.isfinite(value)
+        assert np.allclose(grad.sum(axis=-1), 0.0, atol=1e-12)
+        probs = grad + np.eye(19)[targets]
+        assert np.all(probs >= 0) and np.all(probs <= 1)
 
 
 class TestMaskedCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        probs = np.full((3, 4), 1e-9)
         targets = np.array([0, 1, 2])
-        for i, t in enumerate(targets):
-            probs[i, t] = 1.0
-        loss = ad.masked_cross_entropy(ad.tensor(probs), targets, np.ones(3))
+        logits = ad.Tensor(1e3 * np.eye(4)[targets])
+        loss = ad.masked_cross_entropy_logits(logits, targets, np.ones(3))
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_loss_is_log19(self):
-        probs = ad.tensor(np.full((5, 19), 1.0 / 19.0))
-        loss = ad.masked_cross_entropy(probs, np.zeros(5, dtype=int), np.ones(5))
+        logits = ad.Tensor(np.zeros((5, 19)))
+        loss = ad.masked_cross_entropy_logits(logits, np.zeros(5, dtype=int), np.ones(5))
         assert float(loss.data) == pytest.approx(math.log(19.0), abs=1e-12)
-        logits = ad.tensor(np.zeros((5, 19)))
-        loss2 = ad.masked_cross_entropy_logits(logits, np.zeros(5, dtype=int), np.ones(5))
-        assert float(loss2.data) == pytest.approx(math.log(19.0), abs=1e-12)
 
     def test_padded_gradient_exactly_zero(self):
         rng = np.random.default_rng(5)
@@ -260,36 +271,34 @@ class TestMaskedCrossEntropy:
         z = rng.normal(size=(4, 7))
         targets = np.array([1, 2, 3, 4])
         mask = np.array([1.0, 1.0, 0.0, 1.0])
-        a = ad.masked_cross_entropy_logits(ad.tensor(z), targets, mask)
+        a = ad.masked_cross_entropy_logits(ad.Tensor(z), targets, mask)
         z2 = z.copy()
         z2[2] = 1e6  # arbitrary junk at the padded step
-        b = ad.masked_cross_entropy_logits(ad.tensor(z2), targets, mask)
+        b = ad.masked_cross_entropy_logits(ad.Tensor(z2), targets, mask)
         assert abs(float(a.data) - float(b.data)) < 1e-12
 
     def test_two_loss_routes_agree(self):
         rng = np.random.default_rng(7)
-        z = ad.param(rng.normal(size=(6, 5)))
+        z = rng.normal(size=(6, 5))
         targets = rng.integers(0, 5, size=6)
         mask = np.array([1.0, 1, 0, 1, 1, 0])
-        via_probs = ad.masked_cross_entropy(ad.softmax(z), targets, mask)
-        via_logits = ad.masked_cross_entropy_logits(z, targets, mask)
-        assert float(via_probs.data) == pytest.approx(float(via_logits.data), abs=1e-12)
+        fused = ad.masked_cross_entropy_logits(ad.Tensor(z), targets, mask)
+        probs = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)  # reference softmax
+        reference = -(np.log(probs[np.arange(6), targets]) * mask).sum() / mask.sum()
+        assert float(fused.data) == pytest.approx(reference, abs=1e-12)
 
     def test_loss_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         z = ad.param(rng.normal(size=(5, 6)))
         targets = rng.integers(0, 6, size=5)
         mask = np.array([1.0, 1, 1, 0, 1])
-        for loss in (
-            lambda: ad.masked_cross_entropy_logits(z, targets, mask),
-            lambda: ad.masked_cross_entropy(ad.softmax(z), targets, mask),
-        ):
-            assert fd_check(loss, {"z": z}) < 1e-4
+        loss = lambda: ad.masked_cross_entropy_logits(z, targets, mask)
+        assert fd_check(loss, {"z": z}) < 1e-4
 
     def test_empty_mask_contract(self):
         with pytest.raises(ValueError):
             ad.masked_cross_entropy_logits(
-                ad.tensor(np.zeros((2, 3))), np.zeros(2, dtype=int), np.zeros(2)
+                ad.Tensor(np.zeros((2, 3))), np.zeros(2, dtype=int), np.zeros(2)
             )
 
 

@@ -94,18 +94,25 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_checkpoint_without_config_fails_cleanly(self, workdir, capsys):
+    def predict_with_meta(self, workdir, capsys, meta):
+        """Exit code and stderr of ``predict`` on an empty checkpoint with ``meta``."""
         tmp_path, config = workdir
         bad = tmp_path / "bad.ck"
-        bad.write_text(
-            'CSNER1\nmeta {"dev_score": 0.0, "epoch": 1}\n'
-            "vocab word 0 0\nvocab char 0 0\npayload 0\nend\n"
-        )
+        bad.write_text(f"CSNER1\nmeta {meta}\nvocab word 0 0\nvocab char 0 0\npayload 0\nend\n")
         code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config),
                      "--checkpoint", str(bad)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err == "error: header line 2: meta has no 'config'\n"
+        return code, capsys.readouterr().err
+
+    def test_checkpoint_without_config_fails_cleanly(self, workdir, capsys):
+        assert self.predict_with_meta(workdir, capsys, '{"dev_score": 0.0, "epoch": 1}') == (
+            1, "error: header line 2: meta has no 'config'\n"
+        )
+
+    def test_checkpoint_with_mistyped_config_fails_cleanly(self, workdir, capsys):
+        meta = '{"config": {"char_hidden": "2"}, "dev_score": 0.0, "epoch": 1}'
+        assert self.predict_with_meta(workdir, capsys, meta) == (
+            1, "error: header line 2: bad meta block: char_hidden must be int, not '2'\n"
+        )
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -41,6 +41,14 @@ class TestLoadVec:
             load_vec(vec_file("1 2\na x 1\n"))
         assert "line 2" in str(err.value)
 
+    def test_non_utf8_row_reports_line(self, tmp_path):
+        # the bad row lies past the first 8 KB, beyond the first decoded chunk
+        rows = "".join(f"w{i} 1 0\n" for i in range(2000)).encode()
+        path = tmp_path / "bad.vec"
+        path.write_bytes(b"2001 2\n" + rows + b"caf\xe9 1 0\n")
+        with pytest.raises(VectorLoadError, match="^line 2002: not valid UTF-8$"):
+            load_vec(path)
+
     def test_bad_header(self):
         with pytest.raises(VectorLoadError):
             load_vec(vec_file("hello\n"))

@@ -1,18 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from csner import autodiff as ad
-from csner.corpus_io import TAG_INDEX, TAGS, Tag
+from csner.corpus_io import TAG_INDEX, TAGS
 from csner.embeddings import CharVocabulary, EmbeddingTable, Vocabulary
 from csner.model import (
     Tables,
+    _encode_chars,
+    batch_logits,
     batch_loss,
     build_arrays,
-    char_encode,
-    encode_sentence,
-    predict_tags,
-    swap_directions,
-    tag_logits,
+    encode_batch,
+    init_params,
+    predict_batch,
 )
 
 import lstm_reference
@@ -29,20 +31,34 @@ def tiny_tables():
     return Tables(EmbeddingTable(vocab, vectors), chars)
 
 
+def char_vectors(words, tables, params):
+    arrays = build_arrays([words], tables, params.dtype)
+    with ad.no_grad():
+        return _encode_chars(params, arrays.char_idx, arrays.char_mask, params.dtype).data
+
+
+def encode(tokens, tables, params, **kwargs):
+    arrays = build_arrays([tokens], tables, params.dtype)
+    return encode_batch(arrays, tables, params, **kwargs)
+
+
+def predict(tokens, tables, params, surfaces=None):
+    arrays = build_arrays([tokens], tables, params.dtype, None if surfaces is None else [surfaces])
+    return predict_batch(arrays, tables, params)[0]
+
+
 class TestCharEncode:
     def test_single_char_word_shape(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        out = char_encode("a", tiny_tables.chars, params)
-        assert out.shape == (2 * params.char_hidden,)
+        out = char_vectors(["a"], tiny_tables, params)
+        assert out.shape == (1, 2 * params.char_hidden)
 
     def test_default_dimensions(self, tiny_tables):
-        from csner.model import init_params
-
         params = init_params(
             n_chars=len(tiny_tables.chars), word_dim=300,
             rng=np.random.default_rng(0),
         )
-        assert char_encode("ab", tiny_tables.chars, params).shape == (300,)
+        assert char_vectors(["ab"], tiny_tables, params).shape == (1, 300)
         assert params.char_embed.data.shape[1] == 150
         assert params.word_fwd.input_size == 600
         assert params.word_fwd.hidden_size == 200
@@ -50,42 +66,37 @@ class TestCharEncode:
 
     def test_distinct_words_distinct_vectors(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        a = char_encode("ane", tiny_tables.chars, params)
-        b = char_encode("ana", tiny_tables.chars, params)
+        a, b = char_vectors(["ane", "ana"], tiny_tables, params)
         assert np.max(np.abs(a - b)) > 1e-9
 
     def test_zero_params_give_zero_vector(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
         for t in params.tensors().values():
             t.data[...] = 0.0
-        out = char_encode("pan", tiny_tables.chars, params)
+        out = char_vectors(["pan"], tiny_tables, params)
         assert np.array_equal(out, np.zeros_like(out))
-
-    def test_empty_word_rejected(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
-        with pytest.raises(ValueError):
-            char_encode("", tiny_tables.chars, params)
 
 
 class TestEncodeSentence:
     def test_single_token_shape(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        enc = encode_sentence(["pan"], tiny_tables, params)
+        enc = encode(["pan"], tiny_tables, params)
         assert enc.data.shape == (1, 2 * params.word_hidden)
 
     def test_inference_deterministic(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
         tokens = ["el", "rio", "azul"]
-        a = encode_sentence(tokens, tiny_tables, params).data
-        b = encode_sentence(tokens, tiny_tables, params).data
+        a = encode(tokens, tiny_tables, params).data
+        b = encode(tokens, tiny_tables, params).data
         assert np.array_equal(a, b)
 
     def test_reversal_swaps_directions(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
+        mirror = dataclasses.replace(params, word_fwd=params.word_bwd, word_bwd=params.word_fwd)
         tokens = ["el", "rio", "azul", "pan"]
         h = params.word_hidden
-        forward = encode_sentence(tokens, tiny_tables, params).data
-        swapped = encode_sentence(tokens[::-1], tiny_tables, swap_directions(params)).data
+        forward = encode(tokens, tiny_tables, params).data
+        swapped = encode(tokens[::-1], tiny_tables, mirror).data
         n = len(tokens)
         for t in range(n):
             assert np.allclose(forward[t, :h], swapped[n - 1 - t, h:], atol=1e-12)
@@ -94,7 +105,7 @@ class TestEncodeSentence:
     def test_training_mode_needs_rng(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
         with pytest.raises(ValueError):
-            encode_sentence(["pan"], tiny_tables, params, training=True)
+            encode(["pan"], tiny_tables, params, training=True)
 
 
 class TestTagLogits:
@@ -102,19 +113,18 @@ class TestTagLogits:
         params = small_model(n_chars=len(tiny_tables.chars))
         params.proj_w.data[...] = 0.0
         params.proj_b.data[...] = 0.0
-        enc = encode_sentence(["el", "pan"], tiny_tables, params)
-        probs = ad.softmax(tag_logits(enc, params)).data
-        assert np.allclose(probs, 1.0 / 19.0, atol=1e-15)
+        logits = batch_logits(encode(["el", "pan"], tiny_tables, params), params)
+        # every tag scores the same, so the softmax is uniform
+        assert np.array_equal(logits.data, np.zeros((2, 19)))
 
     def test_shape(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        enc = encode_sentence(["el", "rio", "azul"], tiny_tables, params)
-        assert tag_logits(enc, params).data.shape == (3, 19)
+        enc = encode(["el", "rio", "azul"], tiny_tables, params)
+        assert batch_logits(enc, params).data.shape == (3, 19)
 
     def test_argmax_shift_invariant(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        enc = encode_sentence(["el", "rio"], tiny_tables, params)
-        logits = tag_logits(enc, params).data
+        logits = batch_logits(encode(["el", "rio"], tiny_tables, params), params).data
         assert np.array_equal(
             logits.argmax(axis=-1), (logits + 7.5).argmax(axis=-1)
         )
@@ -124,26 +134,23 @@ class TestPredict:
     def test_length_and_determinism(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
         tokens = ["Ana", "come", "pan"]
-        tags1 = predict_tags(tokens, tiny_tables, params)
-        tags2 = predict_tags(tokens, tiny_tables, params)
-        assert tags1 == tags2
-        assert len(tags1) == 3
-        assert all(isinstance(t, Tag) for t in tags1)
+        ids1 = predict(tokens, tiny_tables, params)
+        ids2 = predict(tokens, tiny_tables, params)
+        assert ids1 == ids2
+        assert len(ids1) == 3
+        assert all(0 <= i < len(TAGS) for i in ids1)
 
     def test_tie_break_lowest_index(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
         params.proj_w.data[...] = 0.0
         params.proj_b.data[...] = 0.0
-        tags = predict_tags(["pan", "el"], tiny_tables, params)
-        assert tags == [TAGS[0], TAGS[0]]  # all-equal logits resolve to O
+        # all-equal logits resolve to the lowest index, which is O
+        assert predict(["pan", "el"], tiny_tables, params) == [0, 0]
 
     def test_surfaces_drive_char_encoder(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        plain = predict_tags(["pan", "el"], tiny_tables, params)
-        assert (
-            predict_tags(["pan", "el"], tiny_tables, params, surfaces=["pan", "el"])
-            == plain
-        )
+        plain = predict(["pan", "el"], tiny_tables, params)
+        assert predict(["pan", "el"], tiny_tables, params, surfaces=["pan", "el"]) == plain
 
 
 class TestBatchSemantics:
@@ -152,8 +159,6 @@ class TestBatchSemantics:
         sents = [["el", "rio", "azul"], ["pan"], ["Ana", "come"]]
         arrays_a = build_arrays(sents, tiny_tables, np.float64)
         arrays_b = build_arrays(sents[::-1], tiny_tables, np.float64)
-        from csner.model import batch_logits, encode_batch
-
         la = batch_logits(encode_batch(arrays_a, tiny_tables, params), params).data
         lb = batch_logits(encode_batch(arrays_b, tiny_tables, params), params).data
         t_max, bsz = arrays_a.mask.shape
@@ -225,5 +230,4 @@ class TestEndToEndGradient:
 
     def test_unk_fallback_path(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        tags = predict_tags(["nunca_visto"], tiny_tables, params)
-        assert len(tags) == 1
+        assert len(predict(["nunca_visto"], tiny_tables, params)) == 1

@@ -74,10 +74,6 @@ class TestStripRepeats:
     def test_mixed(self):
         assert strip_repeats("holaaaa") == "hola"
 
-    def test_policy_is_tunable(self):
-        assert strip_repeats("aab", run_length=2) == "ab"
-        assert strip_repeats("abcdabcd", unit_lengths=(4,)) == "abcd"
-
     @given(st.text(max_size=14))
     @settings(max_examples=300, deadline=None)
     def test_idempotent(self, token):

@@ -334,6 +334,13 @@ class TestCheckpointIO:
         ("meta", lambda rest: rest[:-1], "malformed meta line"),
         ("tensor", lambda rest: rest.rsplit(" ", 1)[0] + " x", "malformed tensor line"),
         ("vocab", lambda rest: rest + " 7", "malformed vocab line"),
+        # config values of the wrong type or range (quick_cfg's sizes)
+        ("meta", lambda rest: rest.replace('"char_hidden": 4', '"char_hidden": "4"'),
+         "bad meta block: char_hidden must be int"),
+        ("meta", lambda rest: rest.replace('"hidden": 6', '"hidden": true'),
+         "bad meta block: hidden must be int"),
+        ("meta", lambda rest: rest.replace('"batch_size": 4', '"batch_size": -4'),
+         "bad meta block: batch_size must be positive"),
     ])
     def test_malformed_header_line_located(self, small_setup, tmp_path, kind, edit, message):
         path = tmp_path / "model.ck"
