@@ -273,19 +273,9 @@ class LstmParams:
     wx: Tensor  # input_size x 4*hidden
     wh: Tensor  # hidden x 4*hidden
     b: Tensor  # 4*hidden
-    input_size: int
-    hidden_size: int
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.wx": self.wx, f"{prefix}.wh": self.wh, f"{prefix}.b": self.b}
-
-
-def init_lstm(input_size: int, hidden_size: int, rng, dtype, scale: float = 0.1) -> LstmParams:
-    wx = param(rng.uniform(-scale, scale, (input_size, 4 * hidden_size)).astype(dtype))
-    wh = param(rng.uniform(-scale, scale, (hidden_size, 4 * hidden_size)).astype(dtype))
-    b_data = rng.uniform(-scale, scale, 4 * hidden_size).astype(dtype)
-    b_data[hidden_size : 2 * hidden_size] = 1.0
-    return LstmParams(wx, wh, param(b_data), input_size, hidden_size)
 
 
 def _activate_gates(z, n: int) -> None:
@@ -319,11 +309,10 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
     can run once per forward.
     """
     n_steps, batch = mask.shape
-    n = p.hidden_size
-    if x.data.shape != (n_steps * batch, p.input_size):
-        raise ValueError(
-            f"input shape {x.data.shape}, expected {(n_steps * batch, p.input_size)}"
-        )
+    n = p.wh.data.shape[0]
+    expected = (n_steps * batch, p.wx.data.shape[0])
+    if x.data.shape != expected:
+        raise ValueError(f"input shape {x.data.shape}, expected {expected}")
     parents = (x, p.wx, p.wh, p.b)
     taped = _recording(parents)
     xs, wx, wh, b = x.data, p.wx.data, p.wh.data, p.b.data

@@ -66,12 +66,12 @@ class RunConfig:
     no_post: bool = False
 
 
-_INT_KEYS = {"seed", "max_epochs", "hidden", "char_hidden", "word_dim",
-             "char_dim", "batch_size", "patience"}
-_FLOAT_KEYS = {"dropout", "lr0", "decay"}
-_BOOL_KEYS = {"no_post", "float64"}
-_PATH_KEYS = {"train", "dev", "test", "vec_eng", "vec_spa", "checkpoint",
-              "out", "prune_to"}
+# each key is typed by its field's annotation, the types validate() checks
+_FIELDS = fields(TrainingConfig) + fields(RunConfig)
+_INT_KEYS = {f.name for f in _FIELDS if f.type == "int"}
+_FLOAT_KEYS = {f.name for f in _FIELDS if f.type == "float"}
+_BOOL_KEYS = {f.name for f in _FIELDS if f.type == "bool"}
+_PATH_KEYS = {f.name for f in _FIELDS if f.type == "str | None"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _PATH_KEYS
 
 

@@ -9,6 +9,7 @@ is UTF-8 and nothing is case-folded.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -177,9 +178,21 @@ def parse_conll(text: str, split: str = "") -> Dataset:
     return Dataset(sentences, split)
 
 
+def non_utf8_line(path, newline: str | None = None) -> int:
+    """The 1-based number of the first line of ``path`` that is not UTF-8,
+    lines split as ``open(path, newline=newline)`` splits them."""
+    # each undecodable byte becomes a lone surrogate in U+DC80..U+DCFF
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fp:
+        return next(n for n, line in enumerate(fp, 1) if re.search("[\udc80-\udcff]", line))
+
+
 def read_conll(path, split: str = "") -> Dataset:
-    with open(path, encoding="utf-8") as fp:
-        return parse_conll(fp.read(), split or str(path))
+    try:
+        with open(path, encoding="utf-8") as fp:
+            text = fp.read()
+    except UnicodeDecodeError:  # text decodes in chunks: find the line
+        raise ParseError(non_utf8_line(path), "not valid UTF-8") from None
+    return parse_conll(text, split or str(path))
 
 
 def write_conll(dataset: Dataset) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import Dataset
+from .corpus_io import Dataset, non_utf8_line
 from .preprocess import URL, USR, replace_token, strip_repeats
 
 PAD_TOKEN = "<PAD>"
@@ -151,10 +151,7 @@ def load_vec(source, keep: set[str] | None = None) -> EmbeddingTable:
     except UnicodeDecodeError:
         if not close:
             raise VectorLoadError("not valid UTF-8") from None
-        # text decodes in chunks ahead of the loop: find the line in the bytes
-        with open(source, "rb") as raw:
-            bad = next(n for n, row in enumerate(raw, 1)
-                       if row.decode("utf-8", "ignore").encode("utf-8") != row)
+        bad = non_utf8_line(source, newline="\n")
         raise VectorLoadError(f"line {bad}: not valid UTF-8") from None
     finally:
         if close:

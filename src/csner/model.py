@@ -11,7 +11,7 @@ loss and the gradients exactly (not just approximately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,41 +33,57 @@ class Tables:
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor.
+    """Every trainable tensor; ``param_shapes`` gives their shapes.
 
     The pre-trained word matrix is not here (it stays fixed inside
     EmbeddingTable and can never accumulate gradient); its four special
     rows PAD/UNK/USR/URL are trainable and live in ``word_specials``.
     """
 
-    char_embed: Tensor  # |C| x char_dim
+    char_embed: Tensor
     char_fwd: LstmParams
     char_bwd: LstmParams
     word_fwd: LstmParams
     word_bwd: LstmParams
-    proj_w: Tensor  # 2*word_hidden x n_tags
-    proj_b: Tensor  # n_tags
-    word_specials: Tensor  # 4 x word_dim
-    char_dim: int
-    char_hidden: int
-    word_dim: int
-    word_hidden: int
-    n_tags: int
+    proj_w: Tensor
+    proj_b: Tensor
+    word_specials: Tensor
 
     def tensors(self) -> dict[str, Tensor]:
-        out = {"char_embed": self.char_embed}
-        out.update(self.char_fwd.tensors("char_fwd"))
-        out.update(self.char_bwd.tensors("char_bwd"))
-        out.update(self.word_fwd.tensors("word_fwd"))
-        out.update(self.word_bwd.tensors("word_bwd"))
-        out["proj_w"] = self.proj_w
-        out["proj_b"] = self.proj_b
-        out["word_specials"] = self.word_specials
+        """Name -> tensor in field order; LSTM ``d`` gives ``d.wx``, ``d.wh``, ``d.b``."""
+        out = {}
+        for f in fields(self):
+            part = getattr(self, f.name)
+            out.update(part.tensors(f.name) if isinstance(part, LstmParams) else {f.name: part})
         return out
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, Tensor]) -> ModelParams:
+        """The inverse of ``tensors()``."""
+        return cls(**{
+            f.name: LstmParams(*(tensors[f"{f.name}.{k}"] for k in ("wx", "wh", "b")))
+            if f.type == "LstmParams" else tensors[f.name]
+            for f in fields(cls)
+        })
 
     @property
     def dtype(self):
         return self.proj_w.data.dtype
+
+
+def param_shapes(n_chars: int, word_dim: int, char_dim: int, char_hidden: int,
+                 word_hidden: int, n_tags: int = N_TAGS) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor, in ``tensors()`` order.  The
+    word BiLSTM reads a word vector joined to both char directions."""
+    shapes = {"char_embed": (n_chars, char_dim)}
+    for layer, n_in, n in (("char", char_dim, char_hidden),
+                           ("word", word_dim + 2 * char_hidden, word_hidden)):
+        for prefix in (f"{layer}_fwd", f"{layer}_bwd"):
+            shapes[f"{prefix}.wx"] = (n_in, 4 * n)
+            shapes[f"{prefix}.wh"] = (n, 4 * n)
+            shapes[f"{prefix}.b"] = (4 * n,)
+    shapes.update(proj_w=(2 * word_hidden, n_tags), proj_b=(n_tags,), word_specials=(4, word_dim))
+    return shapes
 
 
 def init_params(
@@ -86,33 +102,15 @@ def init_params(
     ``special_rows`` seeds the trainable PAD/UNK/USR/URL word rows,
     normally from the merged table (zero + three mean vectors).
     """
-    scale = 0.1
-    char_embed = ad.param(rng.uniform(-scale, scale, (n_chars, char_dim)).astype(dtype))
-    char_fwd = ad.init_lstm(char_dim, char_hidden, rng, dtype, scale)
-    char_bwd = ad.init_lstm(char_dim, char_hidden, rng, dtype, scale)
-    word_in = word_dim + 2 * char_hidden
-    word_fwd = ad.init_lstm(word_in, word_hidden, rng, dtype, scale)
-    word_bwd = ad.init_lstm(word_in, word_hidden, rng, dtype, scale)
-    proj_w = ad.param(rng.uniform(-scale, scale, (2 * word_hidden, n_tags)).astype(dtype))
-    proj_b = ad.param(rng.uniform(-scale, scale, n_tags).astype(dtype))
-    if special_rows is None:
-        special_rows = np.zeros((4, word_dim))
-    word_specials = ad.param(special_rows.astype(dtype).copy())
-    return ModelParams(
-        char_embed=char_embed,
-        char_fwd=char_fwd,
-        char_bwd=char_bwd,
-        word_fwd=word_fwd,
-        word_bwd=word_bwd,
-        proj_w=proj_w,
-        proj_b=proj_b,
-        word_specials=word_specials,
-        char_dim=char_dim,
-        char_hidden=char_hidden,
-        word_dim=word_dim,
-        word_hidden=word_hidden,
-        n_tags=n_tags,
-    )
+    shapes = param_shapes(n_chars, word_dim, char_dim, char_hidden, word_hidden, n_tags)
+    specials_shape = shapes.pop("word_specials")  # seeded, not drawn
+    arrays = {name: rng.uniform(-0.1, 0.1, shape).astype(dtype) for name, shape in shapes.items()}
+    for name, data in arrays.items():
+        if name.endswith(".b"):  # the forget-gate block of an LSTM bias
+            data[data.size // 4 : data.size // 2] = 1.0
+    specials = np.zeros(specials_shape) if special_rows is None else special_rows
+    arrays["word_specials"] = specials.astype(dtype)
+    return ModelParams.from_tensors({name: ad.param(data) for name, data in arrays.items()})
 
 
 @dataclass

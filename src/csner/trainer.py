@@ -35,6 +35,7 @@ from .model import (
     batch_loss,
     build_arrays,
     init_params,
+    param_shapes,
     predict_batch,
 )
 from .postprocess import postprocess_sentence
@@ -261,40 +262,17 @@ def restore_model(ckpt: Checkpoint) -> TaggerModel:
         raise CheckpointError("vocabulary does not start with PAD/UNK/USR/URL")
     vocab = Vocabulary(ckpt.word_tokens[4:], specials=True)
     chars = CharVocabulary(ckpt.char_list)
-    dtype = cfg.dtype
-    for name in ("char_embed", "proj_w", "proj_b", "word_specials", "word_fixed"):
+    shapes = param_shapes(len(chars), cfg.word_dim, cfg.char_dim, cfg.char_hidden, cfg.hidden)
+    for name, shape in {**shapes, "word_fixed": (len(vocab), cfg.word_dim)}.items():
         if name not in ckpt.tensors:
             raise CheckpointError(f"missing tensor {name!r}")
-    t = {name: ad.param(data.astype(dtype)) for name, data in ckpt.tensors.items()}
-
-    def lstm(prefix, input_size, hidden):
-        try:
-            return ad.LstmParams(
-                t[f"{prefix}.wx"], t[f"{prefix}.wh"], t[f"{prefix}.b"], input_size, hidden
-            )
-        except KeyError as exc:
-            raise CheckpointError(f"missing tensor {exc}") from None
-
-    word_in = cfg.word_dim + 2 * cfg.char_hidden
-    params = ModelParams(
-        char_embed=t["char_embed"],
-        char_fwd=lstm("char_fwd", cfg.char_dim, cfg.char_hidden),
-        char_bwd=lstm("char_bwd", cfg.char_dim, cfg.char_hidden),
-        word_fwd=lstm("word_fwd", word_in, cfg.hidden),
-        word_bwd=lstm("word_bwd", word_in, cfg.hidden),
-        proj_w=t["proj_w"],
-        proj_b=t["proj_b"],
-        word_specials=t["word_specials"],
-        char_dim=cfg.char_dim,
-        char_hidden=cfg.char_hidden,
-        word_dim=cfg.word_dim,
-        word_hidden=cfg.hidden,
-        n_tags=len(TAGS),
+        if ckpt.tensors[name].shape != shape:
+            got = ckpt.tensors[name].shape
+            raise CheckpointError(f"tensor {name!r} has shape {got}, expected {shape}")
+    params = ModelParams.from_tensors(
+        {name: ad.param(ckpt.tensors[name].astype(cfg.dtype)) for name in shapes}
     )
-    for name, tensor in params.tensors().items():
-        if tensor.data.shape != ckpt.tensors[name].shape:
-            raise CheckpointError(f"unexpected shape for {name}")
-    table = EmbeddingTable(vocab, ckpt.tensors["word_fixed"].astype(dtype))
+    table = EmbeddingTable(vocab, ckpt.tensors["word_fixed"].astype(cfg.dtype))
     return TaggerModel(params, Tables(table, chars))
 
 

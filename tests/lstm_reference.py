@@ -19,7 +19,7 @@ def sigmoid(t):
 
 def lstm_step(x, h, c, p):
     """c' = f*c + i*g, h' = o*tanh(c') with gate blocks [i | f | g | o]."""
-    n = p.hidden_size
+    n = p.wh.data.shape[0]
     z = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h, p.wh)), p.b)
     i = sigmoid(ad.slice_axis(z, -1, 0, n))
     f = sigmoid(ad.slice_axis(z, -1, n, 2 * n))
@@ -38,8 +38,9 @@ def lstm_seq(x, mask, p, reverse=False):
     """Same contract as ``autodiff.lstm_seq``, one taped step at a time."""
     n_steps, batch = mask.shape
     dtype = x.data.dtype
-    h = ad.Tensor(np.zeros((batch, p.hidden_size), dtype=dtype))
-    c = ad.Tensor(np.zeros((batch, p.hidden_size), dtype=dtype))
+    n = p.wh.data.shape[0]
+    h = ad.Tensor(np.zeros((batch, n), dtype=dtype))
+    c = ad.Tensor(np.zeros((batch, n), dtype=dtype))
     outs = [None] * n_steps
     for t in (reversed(range(n_steps)) if reverse else range(n_steps)):
         x_t = ad.slice_axis(x, 0, t * batch, (t + 1) * batch)

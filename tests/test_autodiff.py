@@ -6,6 +6,7 @@ import pytest
 
 import lstm_reference
 from csner import autodiff as ad
+from csner.model import init_params
 
 
 def fd_check(loss_fn, params, h=1e-4, floor=1e-3):
@@ -17,6 +18,12 @@ def weighted_sum(t, rng):
     return ad.sum_all(ad.mul(t, w))
 
 
+def lstm_direction(n_in, n, rng):
+    """One float64 LSTM direction, initialized as the model initializes it."""
+    return init_params(n_chars=1, word_dim=1, rng=rng, char_dim=n_in, char_hidden=n,
+                       word_hidden=1, n_tags=1, dtype=np.float64).char_fwd
+
+
 def gate_probe(preactivations, hidden=1):
     """Hidden states of an LSTM whose gate pre-activations are the rows of
     ``preactivations`` (T, 4*hidden), blocked [i | f | g | o]."""
@@ -25,8 +32,6 @@ def gate_probe(preactivations, hidden=1):
         ad.param(np.eye(4 * hidden)),
         ad.param(np.zeros((hidden, 4 * hidden))),
         ad.param(np.zeros(4 * hidden)),
-        4 * hidden,
-        hidden,
     )
     return ad.lstm_seq(ad.Tensor(z), np.ones((len(z), 1)), p).data
 
@@ -70,7 +75,7 @@ class TestPrimitives:
         row = ad.param(rng.normal(size=(1, 5)))
         table = ad.param(rng.normal(size=(7, 3)))
         idx = rng.integers(0, 7, size=4)
-        lstm = ad.init_lstm(5, 3, rng, np.float64)
+        lstm = lstm_direction(5, 3, rng)
         cases = {
             "add": lambda: weighted_sum(ad.add(x, y), np.random.default_rng(2)),
             "add_broadcast": lambda: weighted_sum(ad.add(x, row), np.random.default_rng(3)),
@@ -101,8 +106,6 @@ class TestLstm:
             ad.param(np.zeros((n_in, 4 * n_hidden))),
             ad.param(np.zeros((n_hidden, 4 * n_hidden))),
             ad.param(np.zeros(4 * n_hidden)),
-            n_in,
-            n_hidden,
         )
 
     def padded_case(self, seed):
@@ -113,7 +116,7 @@ class TestLstm:
             mask[:n, j] = 1.0
         x = ad.param(rng.normal(size=(12, 3)))
         w = ad.Tensor(rng.normal(size=(12, 4)))
-        return ad.init_lstm(3, 4, rng, np.float64), x, mask, w
+        return lstm_direction(3, 4, rng), x, mask, w
 
     def test_zero_fixed_point(self):
         p = self.zero_params()
@@ -178,7 +181,7 @@ class TestLstm:
             ad.lstm_seq(ad.Tensor(np.zeros((1, 5))), np.ones((1, 1)), p)
 
     def test_forget_bias_initialized_to_one(self):
-        p = ad.init_lstm(3, 4, np.random.default_rng(0), np.float64)
+        p = lstm_direction(3, 4, np.random.default_rng(0))
         assert np.all(p.b.data[4:8] == 1.0)
         assert np.all(np.abs(p.b.data[:4]) <= 0.1)
 
@@ -360,7 +363,7 @@ def test_no_grad_blocks_taping():
 
 def test_no_grad_is_per_thread():
     x = ad.param(np.ones((2, 3)))
-    p = ad.init_lstm(3, 2, np.random.default_rng(0), np.float64)
+    p = lstm_direction(3, 2, np.random.default_rng(0))
     inside, release = threading.Event(), threading.Event()
     seen = {}
 

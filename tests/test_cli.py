@@ -4,6 +4,7 @@ import pytest
 from csner.cli import ConfigError, build_run_config, main, parse_config_file
 from csner.corpus_io import read_conll
 from csner.postprocess import postprocess_sentence
+from csner.trainer import load_checkpoint, save_checkpoint
 
 from conftest import OVERFIT_SENTENCES, tagged_text, write_vec_file
 
@@ -53,6 +54,30 @@ class TestConfig:
         bad.write_text("seed = lots\n")
         with pytest.raises(ConfigError):
             parse_config_file(bad)
+
+    @pytest.mark.parametrize("line, value", [
+        ("patience = 3", 3),
+        ("decay = 2.5", 2.5),
+        ("float64 = yes", True),
+        ("no_post = 0", False),
+        ("prune_to = corpora/dev.conll", "corpora/dev.conll"),
+    ])
+    def test_value_typed_by_key(self, tmp_path, line, value):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(line + "\n")
+        (key, got), = parse_config_file(cfg).items()
+        assert (key, got, type(got)) == (line.split(" ")[0], value, type(value))
+
+    @pytest.mark.parametrize("line", [
+        "patience = 2.5", "decay = fast", "float64 = maybe", "no_post = 2",
+    ])
+    def test_bad_value_located(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# header\n" + line + "\n")
+        key, _, value = line.partition(" = ")
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(cfg)
+        assert str(err.value) == f"{cfg}:2: bad value {value!r} for {key}"
 
     def test_comments_and_blanks(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
@@ -113,6 +138,26 @@ class TestErrors:
         assert self.predict_with_meta(workdir, capsys, meta) == (
             1, "error: header line 2: bad meta block: char_hidden must be int, not '2'\n"
         )
+
+    def test_checkpoint_shape_mismatch_fails_cleanly(self, workdir, capsys):
+        tmp_path, config = workdir
+        assert main(["train", "--config", str(config)]) == 0
+        path = tmp_path / "model.ck"
+        ckpt = load_checkpoint(path)
+        n_chars = len(ckpt.char_list)
+        ckpt.tensors["char_embed"] = ckpt.tensors["char_embed"][:-1]
+        save_checkpoint(ckpt, path)
+        capsys.readouterr()
+        code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
+        assert (code, capsys.readouterr().err) == (1, (
+            f"error: tensor 'char_embed' has shape ({n_chars - 1}, 4), expected ({n_chars}, 4)\n"
+        ))
+
+    def test_non_utf8_corpus_fails_cleanly(self, tmp_path, capsys):
+        corpus = tmp_path / "c.conll"
+        corpus.write_bytes(b"Ana\tB-PER\n" * 40 + b"Jos\xe9\tB-PER\n\n")
+        assert main(["stats", str(corpus)]) == 1
+        assert capsys.readouterr().err == "error: line 41: not valid UTF-8\n"
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -12,7 +12,9 @@ from csner.corpus_io import (
     Tag,
     TaggedSentence,
     dataset_stats,
+    non_utf8_line,
     parse_conll,
+    read_conll,
     tag_from_string,
     validate_iob,
     write_conll,
@@ -98,6 +100,21 @@ class TestParse:
     def test_empty_token_rejected(self):
         with pytest.raises(ParseError):
             parse_conll("\tO\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_line_located(self, tmp_path, newline):
+        # 40 long lines put the bad byte past the first 8 KB decoded chunk
+        good = "".join(f"{'x' * 300}{i}\tO{newline}" for i in range(40)).encode()
+        path = tmp_path / "bad.conll"
+        path.write_bytes(good + b"caf\xe9\tO" + newline.encode())
+        with pytest.raises(ParseError, match="^line 41: not valid UTF-8$"):
+            read_conll(path)
+
+    def test_non_utf8_line_counts_lines_as_text_mode_does(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"a\rb\r\nc\n\xe9\n")
+        assert non_utf8_line(path) == 4
+        assert non_utf8_line(path, newline="\n") == 3
 
 
 class TestWrite:

@@ -7,6 +7,7 @@ from csner import autodiff as ad
 from csner.corpus_io import TAG_INDEX, TAGS
 from csner.embeddings import CharVocabulary, EmbeddingTable, Vocabulary
 from csner.model import (
+    ModelParams,
     Tables,
     _encode_chars,
     batch_logits,
@@ -14,6 +15,7 @@ from csner.model import (
     build_arrays,
     encode_batch,
     init_params,
+    param_shapes,
     predict_batch,
 )
 
@@ -47,11 +49,27 @@ def predict(tokens, tables, params, surfaces=None):
     return predict_batch(arrays, tables, params)[0]
 
 
+class TestParamShapes:
+    def test_table_describes_init_params(self):
+        # every size distinct, so a swapped dimension shows
+        sizes = dict(n_chars=7, word_dim=6, char_dim=3, char_hidden=4, word_hidden=5)
+        shapes = param_shapes(**sizes)
+        tensors = init_params(rng=np.random.default_rng(0), **sizes).tensors()
+        assert list(shapes) == list(tensors)
+        assert {name: t.data.shape for name, t in tensors.items()} == shapes
+
+    def test_from_tensors_inverts_tensors(self):
+        tensors = small_model().tensors()
+        rebuilt = ModelParams.from_tensors(tensors).tensors()
+        assert list(rebuilt) == list(tensors)
+        assert all(rebuilt[name] is t for name, t in tensors.items())
+
+
 class TestCharEncode:
     def test_single_char_word_shape(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
         out = char_vectors(["a"], tiny_tables, params)
-        assert out.shape == (1, 2 * params.char_hidden)
+        assert out.shape == (1, 2 * params.char_fwd.wh.data.shape[0])
 
     def test_default_dimensions(self, tiny_tables):
         params = init_params(
@@ -60,8 +78,8 @@ class TestCharEncode:
         )
         assert char_vectors(["ab"], tiny_tables, params).shape == (1, 300)
         assert params.char_embed.data.shape[1] == 150
-        assert params.word_fwd.input_size == 600
-        assert params.word_fwd.hidden_size == 200
+        assert params.word_fwd.wx.data.shape == (600, 800)
+        assert params.word_fwd.wh.data.shape == (200, 800)
         assert params.proj_w.data.shape == (400, 19)
 
     def test_distinct_words_distinct_vectors(self, tiny_tables):
@@ -81,7 +99,7 @@ class TestEncodeSentence:
     def test_single_token_shape(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
         enc = encode(["pan"], tiny_tables, params)
-        assert enc.data.shape == (1, 2 * params.word_hidden)
+        assert enc.data.shape == (1, 2 * params.word_fwd.wh.data.shape[0])
 
     def test_inference_deterministic(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
@@ -94,7 +112,7 @@ class TestEncodeSentence:
         params = small_model(n_chars=len(tiny_tables.chars))
         mirror = dataclasses.replace(params, word_fwd=params.word_bwd, word_bwd=params.word_fwd)
         tokens = ["el", "rio", "azul", "pan"]
-        h = params.word_hidden
+        h = params.word_fwd.wh.data.shape[0]
         forward = encode(tokens, tiny_tables, params).data
         swapped = encode(tokens[::-1], tiny_tables, mirror).data
         n = len(tokens)

@@ -372,6 +372,27 @@ class TestCheckpointIO:
         assert load_checkpoint(path).epoch == 7
         assert [p.name for p in tmp_path.iterdir()] == ["model.ck"]
 
+    @pytest.mark.parametrize("name, edit", [
+        ("char_embed", lambda a: a[:-1]),
+        ("word_fwd.wh", lambda a: a[:, :-4]),
+        ("proj_w", lambda a: a[:, :-1]),
+        ("word_fixed", lambda a: a[:-1]),
+        ("char_bwd.b", None),
+    ], ids=["char_embed_rows", "word_fwd.wh_columns", "proj_w_columns", "word_fixed_rows",
+            "char_bwd.b_missing"])
+    def test_restore_checks_every_shape(self, small_setup, name, edit):
+        ckpt = self.make_checkpoint(small_setup)
+        want = ckpt.tensors[name].shape
+        if edit is None:
+            del ckpt.tensors[name]
+            message = f"missing tensor {name!r}"
+        else:
+            ckpt.tensors[name] = edit(ckpt.tensors[name])
+            message = f"tensor {name!r} has shape {ckpt.tensors[name].shape}, expected {want}"
+        with pytest.raises(CheckpointError) as err:
+            restore_model(ckpt)
+        assert str(err.value) == message
+
     def test_shape_disagreement_rejected(self, small_setup, tmp_path):
         ckpt = self.make_checkpoint(small_setup)
         path = tmp_path / "model.ck"
