@@ -296,11 +296,13 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
     """One LSTM direction over a whole padded sequence, as a single op.
 
     ``x`` is flat time-major, shape (T*B, input_size): step t lives at
-    rows [t*B, (t+1)*B).  ``mask`` is (T, B).  Starting from a zero state
-    the steps run in order (last to first when ``reverse``) through the
-    standard gated update c' = f*c + i*g, h' = o*tanh(c'); where ``mask``
-    is 0 the previous h and c carry through bit-exactly.  Returns the
-    carried h of every step, shape (T*B, hidden).
+    rows [t*B, (t+1)*B).  ``mask`` is (T, B), and at every step its live
+    rows must come first: sort the sequences longest first.  Starting
+    from a zero state the steps run in order (last to first when
+    ``reverse``) through the standard gated update c' = f*c + i*g,
+    h' = o*tanh(c'), computed for the live rows only; the other rows
+    carry h and c through untouched.  Returns the carried h of every
+    step, shape (T*B, hidden).
 
     Backward is hand-written BPTT over the whole sequence; the gradients
     of x, wx, wh and b are each one GEMM or reduction over all steps.
@@ -313,13 +315,18 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
     expected = (n_steps * batch, p.wx.data.shape[0])
     if x.data.shape != expected:
         raise ValueError(f"input shape {x.data.shape}, expected {expected}")
+    alive = mask > 0
+    counts = alive.sum(axis=1)
+    if not np.array_equal(alive, np.arange(batch) < counts[:, None]):
+        raise ValueError("mask is not a prefix at every step: live rows must come first")
+    live = counts.tolist()
     parents = (x, p.wx, p.wh, p.b)
     taped = _recording(parents)
     xs, wx, wh, b = x.data, p.wx.data, p.wh.data, p.b.data
     dtype = np.result_type(xs, wx)
-    keep = (mask > 0)[..., None]
     out = np.empty((n_steps * batch, n), dtype=dtype)
     if taped:
+        # a dead row's gates are never written; backward zeroes them
         gates = np.empty((n_steps * batch, 4 * n), dtype=dtype)
         cells = np.empty_like(out)
     else:
@@ -328,19 +335,21 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
     c = np.zeros((batch, n), dtype=dtype)
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     for t in order:
-        rows = slice(t * batch, (t + 1) * batch)
-        z = gates[rows] if taped else scratch
-        np.matmul(xs[rows], wx, out=z)
-        z += h @ wh
+        k = live[t]
+        start = t * batch
+        z = gates[start : start + k] if taped else scratch[:k]
+        np.matmul(xs[start : start + k], wx, out=z)
+        z += h[:k] @ wh
         z += b
         _activate_gates(z, n)
-        c_new = z[:, n : 2 * n] * c
-        c_new += z[:, :n] * z[:, 2 * n : 3 * n]
-        c = np.where(keep[t], c_new, c)
-        h = np.where(keep[t], z[:, 3 * n :] * np.tanh(c_new), h)
-        out[rows] = h
+        c_live = c[:k]
+        c_live *= z[:, n : 2 * n]
+        c_live += z[:, :n] * z[:, 2 * n : 3 * n]
+        np.tanh(c_live, out=h[:k])
+        h[:k] *= z[:, 3 * n :]
+        out[start : start + batch] = h
         if taped:
-            cells[rows] = c
+            cells[start : start + batch] = c
     if not taped:
         return Tensor(out)
 
@@ -353,25 +362,24 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
         dh = np.zeros((batch, n), dtype=dtype)
         dc = np.zeros((batch, n), dtype=dtype)
         for t in reversed(order):
-            rows = slice(t * batch, (t + 1) * batch)
+            k = live[t]
+            start = t * batch
             prev = t + 1 if reverse else t - 1
-            c_prev = cells_all[prev * batch : (prev + 1) * batch] if 0 <= prev < n_steps else 0.0
+            c_prev = cells_all[prev * batch : prev * batch + k] if 0 <= prev < n_steps else 0.0
+            dz_all[start + k : start + batch] = 0.0
             # the step's activated gates, replaced below by the gradients
             # of their pre-activations
-            dz = dz_all[rows]
+            dz = dz_all[start : start + k]
             i, f, g, o = (dz[:, j * n : (j + 1) * n] for j in range(4))
-            # a padded step's carried c is not its c', but dh_new is 0 there
-            tc = np.tanh(cells_all[rows])
-            dh += g_out[rows]
-            k = keep[t]
-            dh_new = np.where(k, dh, 0.0)
-            dc_new = np.where(k, dc, 0.0)
+            tc = np.tanh(cells_all[start : start + k])
+            dh += g_out[start : start + batch]
+            dh_live, dc_live = dh[:k], dc[:k]
             tmp = tc * tc
             np.subtract(1.0, tmp, out=tmp)
             tmp *= o
-            tmp *= dh_new
-            dc_new += tmp
-            dc = np.where(k, dc_new * f, dc)
+            tmp *= dh_live
+            dc_new = dc_live + tmp
+            np.multiply(dc_new, f, out=dc_live)
             i_dc = i * dc_new
             tmp = 1.0 - i  # i: i(1-i) * g * dc'
             tmp *= g
@@ -386,10 +394,9 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
             g *= i_dc
             tmp = 1.0 - o  # o: o(1-o) * tanh(c') * dh'
             tmp *= tc
-            tmp *= dh_new
+            tmp *= dh_live
             o *= tmp
-            dh = np.where(k, 0.0, dh)
-            dh += dz @ wh.T
+            np.matmul(dz, wh.T, out=dh_live)
         if x.requires_grad:
             _accum_fresh(x, dz_all @ wx.T)
         _accum_fresh(p.wx, xs.T @ dz_all)

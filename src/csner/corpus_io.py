@@ -118,7 +118,7 @@ class Dataset:
 
     @property
     def labeled(self) -> bool:
-        return bool(self.sentences) and self.sentences[0].tags is not None
+        return bool(self.sentences) and all(s.tags is not None for s in self.sentences)
 
 
 class ParseError(Exception):

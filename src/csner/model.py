@@ -115,11 +115,17 @@ def init_params(
 
 @dataclass
 class BatchArrays:
-    """Index matrices for one padded group of sentences (time-major)."""
+    """Index matrices for one padded group of sentences (time-major).
+
+    The character arrays hold one column per distinct spelling in the
+    batch, longest first, ending with the empty spelling that padded word
+    slots use; ``spelling_idx`` gives each word slot its column.
+    """
 
     word_idx: np.ndarray  # (T, B) int
-    char_idx: np.ndarray  # (V, T*B) int
-    char_mask: np.ndarray  # (V, T*B)
+    char_idx: np.ndarray  # (V, U) int
+    char_mask: np.ndarray  # (V, U)
+    spelling_idx: np.ndarray  # (T*B,) int, a column of char_idx
     mask: np.ndarray  # (T, B); 1 iff t < lengths[b]
     lengths: list[int]
 
@@ -138,11 +144,13 @@ def build_arrays(
     dtype=np.float32,
     surface_seqs: list[list[str]] | None = None,
 ) -> BatchArrays:
-    """Index and pad a group of sentences.
+    """Index and pad a group of sentences, given longest first.
 
     Word indices come from ``token_seqs`` (normalized forms); characters
     come from ``surface_seqs`` when given (the raw pre-replacement
-    spellings) so the char encoder sees original orthography.
+    spellings) so the char encoder sees original orthography.  With the
+    sentences and the spellings longest first, every step of both masks
+    is a prefix, as ``autodiff.lstm_seq`` needs.
     """
     if surface_seqs is None:
         surface_seqs = token_seqs
@@ -150,32 +158,42 @@ def build_arrays(
         raise ValueError("surface sentences are not aligned with the tokens")
     b = len(token_seqs)
     lengths = [len(s) for s in token_seqs]
+    if any(a < z for a, z in zip(lengths, lengths[1:])):
+        raise ValueError(f"sentence lengths {lengths} are not non-increasing")
     t_max = max(lengths)
-    v_max = max(1, max(max(len(w) for w in sent) for sent in surface_seqs))
+    # first occurrence, then a stable sort longest first: the same order
+    # in every process, whatever the string hash seed
+    spellings = sorted(dict.fromkeys([w for sent in surface_seqs for w in sent] + [""]),
+                       key=len, reverse=True)
+    column = {w: u for u, w in enumerate(spellings)}
+    v_max = max(1, len(spellings[0]))
 
     word_idx = np.zeros((t_max, b), dtype=np.int64)
     mask = np.zeros((t_max, b), dtype=dtype)
-    char_idx = np.zeros((v_max, t_max * b), dtype=np.int64)
-    char_mask = np.zeros((v_max, t_max * b), dtype=dtype)
+    spelling_idx = np.full(t_max * b, column[""], dtype=np.int64)
     for j, (tokens, surfaces) in enumerate(zip(token_seqs, surface_seqs)):
         for t, (token, surface) in enumerate(zip(tokens, surfaces)):
             word_idx[t, j] = tables.words.vocabulary.index(token)
-            mask[t, j] = 1.0
-            n = t * b + j
-            char_idx[: len(surface), n] = tables.chars.indices(surface)
-            char_mask[: len(surface), n] = 1.0
-    return BatchArrays(word_idx, char_idx, char_mask, mask, lengths)
+            spelling_idx[t * b + j] = column[surface]
+        mask[: len(tokens), j] = 1.0
+    char_idx = np.zeros((v_max, len(spellings)), dtype=np.int64)
+    char_mask = np.zeros((v_max, len(spellings)), dtype=dtype)
+    for u, spelling in enumerate(spellings):
+        char_idx[: len(spelling), u] = tables.chars.indices(spelling)
+        char_mask[: len(spelling), u] = 1.0
+    return BatchArrays(word_idx, char_idx, char_mask, spelling_idx, mask, lengths)
 
 
 def _run_bilstm(x: Tensor, mask, fwd: LstmParams, bwd: LstmParams):
     """Both directions over flat time-major input ``x`` (T*B rows) with a
-    (T, B) ``mask``; masked steps carry the previous state through
-    unchanged.  Returns each direction's (T*B, hidden) states."""
+    (T, B) ``mask`` whose live rows are a prefix at every step; masked
+    steps carry the previous state through unchanged.  Returns each
+    direction's (T*B, hidden) states."""
     return ad.lstm_seq(x, mask, fwd), ad.lstm_seq(x, mask, bwd, reverse=True)
 
 
 def _encode_chars(params: ModelParams, char_idx, char_mask, dtype) -> Tensor:
-    """(V, N) character indices -> (N, 2*char_hidden) word encodings.
+    """(V, U) character indices -> (U, 2*char_hidden) spelling encodings.
 
     ``dtype`` is the model's float type, which ``params`` and
     ``char_mask`` already carry.
@@ -212,6 +230,8 @@ def encode_batch(
     """Token context vectors, flat time-major shape (T*B, 2*word_hidden)."""
     dtype = params.dtype
     a = _encode_chars(params, arrays.char_idx, arrays.char_mask, dtype)
+    # each spelling is encoded once; the gather's backward sums its uses
+    a = ad.embedding(a, arrays.spelling_idx)
     x = _word_vectors(params, tables.words, arrays.word_idx.reshape(-1), dtype)
     u = ad.concat([x, a], axis=1)
     u = ad.dropout(u, dropout_rate, training, rng)

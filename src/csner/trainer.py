@@ -262,6 +262,9 @@ def restore_model(ckpt: Checkpoint) -> TaggerModel:
         raise CheckpointError("vocabulary does not start with PAD/UNK/USR/URL")
     vocab = Vocabulary(ckpt.word_tokens[4:], specials=True)
     chars = CharVocabulary(ckpt.char_list)
+    # row r of char_embed belongs to character r of the stored list
+    if chars.chars != ckpt.char_list:
+        raise CheckpointError("character list is not in vocabulary order (PAD, UNK, then sorted)")
     shapes = param_shapes(len(chars), cfg.word_dim, cfg.char_dim, cfg.char_hidden, cfg.hidden)
     for name, shape in {**shapes, "word_fixed": (len(vocab), cfg.word_dim)}.items():
         if name not in ckpt.tensors:

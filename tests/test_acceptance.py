@@ -181,20 +181,21 @@ def test_criterion_6_masking_neutrality(overfit_corpus, overfit_tables):
         base_loss, base_grads = run(batch.arrays, batch.gold_flat)
 
         a = batch.arrays
-        t_max, b = a.mask.shape
-        v_max = a.char_idx.shape[0]
         rng = np.random.default_rng(0)
+        pad = a.mask == 0.0
+        assert pad.any()
+        # padded word slots: any word, and any of the batch's spellings
         word_idx = a.word_idx.copy()
-        pad_positions = a.mask == 0.0
-        word_idx[pad_positions] = rng.integers(4, 20, size=pad_positions.sum())
+        word_idx[pad] = rng.integers(4, 20, size=pad.sum())
+        spelling_idx = a.spelling_idx.copy()
+        spelling_idx[pad.reshape(-1)] = rng.integers(0, a.char_idx.shape[1], size=pad.sum())
+        # padded character slots: any character
         char_idx = a.char_idx.copy()
         char_pad = a.char_mask == 0.0
         char_idx[char_pad] = rng.integers(2, 10, size=char_pad.sum())
         gold = batch.gold_flat.copy()
-        gold[a.mask.reshape(-1) == 0.0] = rng.integers(
-            0, 19, size=int((a.mask == 0).sum())
-        )
-        perturbed = BatchArrays(word_idx, char_idx, a.char_mask, a.mask, a.lengths)
+        gold[pad.reshape(-1)] = rng.integers(0, 19, size=pad.sum())
+        perturbed = BatchArrays(word_idx, char_idx, a.char_mask, spelling_idx, a.mask, a.lengths)
         new_loss, new_grads = run(perturbed, gold)
 
         assert abs(base_loss - new_loss) < 1e-12

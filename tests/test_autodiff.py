@@ -175,6 +175,12 @@ class TestLstm:
         with pytest.raises(RuntimeError):
             out._backward(np.ones_like(out.data))
 
+    def test_mask_must_be_prefix(self):
+        p = self.zero_params()
+        # row 1 live while row 0 is not
+        with pytest.raises(ValueError, match="prefix"):
+            ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), np.array([[1.0, 1.0], [0.0, 1.0]]), p)
+
     def test_input_width_contract(self):
         p = self.zero_params()
         with pytest.raises(ValueError):

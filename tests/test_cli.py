@@ -153,6 +153,19 @@ class TestErrors:
             f"error: tensor 'char_embed' has shape ({n_chars - 1}, 4), expected ({n_chars}, 4)\n"
         ))
 
+    def test_checkpoint_char_order_fails_cleanly(self, workdir, capsys):
+        tmp_path, config = workdir
+        assert main(["train", "--config", str(config)]) == 0
+        path = tmp_path / "model.ck"
+        ckpt = load_checkpoint(path)
+        ckpt.char_list = ckpt.char_list[:2] + ckpt.char_list[:1:-1]
+        save_checkpoint(ckpt, path)
+        capsys.readouterr()
+        code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
+        assert (code, capsys.readouterr().err) == (1, (
+            "error: character list is not in vocabulary order (PAD, UNK, then sorted)\n"
+        ))
+
     def test_non_utf8_corpus_fails_cleanly(self, tmp_path, capsys):
         corpus = tmp_path / "c.conll"
         corpus.write_bytes(b"Ana\tB-PER\n" * 40 + b"Jos\xe9\tB-PER\n\n")

@@ -1,10 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import csner
 from csner import autodiff as ad
-from csner.corpus_io import TAG_INDEX, TAGS
+from csner.corpus_io import TAG_INDEX, TAGS, Dataset, TaggedSentence
 from csner.embeddings import CharVocabulary, EmbeddingTable, Vocabulary
 from csner.model import (
     ModelParams,
@@ -20,7 +24,7 @@ from csner.model import (
 )
 
 import lstm_reference
-from conftest import small_model
+from conftest import corpus_from, small_model
 
 
 @pytest.fixture()
@@ -34,9 +38,11 @@ def tiny_tables():
 
 
 def char_vectors(words, tables, params):
+    """The char encoding of each word, through the batch's spelling columns."""
     arrays = build_arrays([words], tables, params.dtype)
     with ad.no_grad():
-        return _encode_chars(params, arrays.char_idx, arrays.char_mask, params.dtype).data
+        spellings = _encode_chars(params, arrays.char_idx, arrays.char_mask, params.dtype).data
+    return spellings[arrays.spelling_idx]
 
 
 def encode(tokens, tables, params, **kwargs):
@@ -173,18 +179,35 @@ class TestPredict:
 
 class TestBatchSemantics:
     def test_permutation_coherence(self, tiny_tables):
+        from csner.trainer import make_batches
+
         params = small_model(n_chars=len(tiny_tables.chars))
-        sents = [["el", "rio", "azul"], ["pan"], ["Ana", "come"]]
-        arrays_a = build_arrays(sents, tiny_tables, np.float64)
-        arrays_b = build_arrays(sents[::-1], tiny_tables, np.float64)
-        la = batch_logits(encode_batch(arrays_a, tiny_tables, params), params).data
-        lb = batch_logits(encode_batch(arrays_b, tiny_tables, params), params).data
-        t_max, bsz = arrays_a.mask.shape
-        la = la.reshape(t_max, bsz, -1)
-        lb = lb.reshape(t_max, bsz, -1)
-        for j, sent in enumerate(sents):
-            jb = len(sents) - 1 - j
-            assert np.array_equal(la[: len(sent), j], lb[: len(sent), jb])
+        words = ["azul", "come", "el", "pan", "rio", "Ana", "nunca"]
+        rng = np.random.default_rng(5)
+        sents = [[words[i] for i in rng.integers(0, len(words), size=n)]
+                 for n in rng.integers(1, 6, size=12)]
+
+        def logits_by_sentence(order):
+            ds = Dataset([TaggedSentence(sents[i]) for i in order])
+            out = {}
+            for batch in make_batches(ds, len(sents), tiny_tables, np.float64):
+                a = batch.arrays
+                logits = batch_logits(encode_batch(a, tiny_tables, params), params).data
+                logits = logits.reshape(a.max_len, a.batch_size, -1)
+                for j, pos in enumerate(batch.order):
+                    out[order[pos]] = logits[: a.lengths[j], j]
+            return out
+
+        # the sort keeps equal lengths in corpus order, so a shuffle
+        # reorders them within the batch and its spelling columns
+        plain = logits_by_sentence(list(range(len(sents))))
+        shuffled = logits_by_sentence(list(rng.permutation(len(sents))))
+        for i in range(len(sents)):
+            assert np.array_equal(plain[i], shuffled[i]), i
+
+    def test_unsorted_lengths_rejected(self, tiny_tables):
+        with pytest.raises(ValueError, match="non-increasing"):
+            build_arrays([["pan"], ["el", "rio"]], tiny_tables, np.float64)
 
     def test_fixed_vectors_never_accumulate_gradient(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
@@ -198,6 +221,59 @@ class TestBatchSemantics:
     def test_surface_alignment_contract(self, tiny_tables):
         with pytest.raises(ValueError):
             build_arrays([["a", "b"]], tiny_tables, np.float64, [["a"]])
+
+
+class TestSpellingColumns:
+    SENTS = [["Ana", "come", "pan", "pan"], ["el", "Ana", "azul"], ["rio", "el"]]
+
+    def test_one_column_per_spelling_longest_first(self, tiny_tables):
+        a = build_arrays(self.SENTS, tiny_tables, np.float64)
+        columns = ["".join(tiny_tables.chars.chars[i] for i in a.char_idx[: int(n), u])
+                   for u, n in enumerate(a.char_mask.sum(axis=0))]
+        # first occurrence, then a stable sort longest first; the empty
+        # spelling last
+        assert columns == ["come", "azul", "Ana", "pan", "rio", "el", ""]
+        slots = a.spelling_idx.reshape(a.max_len, a.batch_size)
+        for j, sent in enumerate(self.SENTS):
+            assert [columns[u] for u in slots[:, j]] == sent + [""] * (a.max_len - len(sent))
+
+    def test_column_order_independent_of_hash_seed(self):
+        script = (
+            "import numpy as np\n"
+            "from csner.embeddings import CharVocabulary, EmbeddingTable, Vocabulary\n"
+            "from csner.model import Tables, build_arrays\n"
+            "words = ['ab', 'ba', 'cd', 'dc', 'abc', 'cab', 'bca', 'a', 'd', 'ab']\n"
+            "vocab = Vocabulary(['x'])\n"
+            "table = EmbeddingTable(vocab, np.zeros((len(vocab), 2)))\n"
+            "a = build_arrays([words], Tables(table, CharVocabulary('abcd')))\n"
+            "print(a.char_idx.T.tolist(), a.spelling_idx.tolist())\n"
+        )
+        src = os.path.dirname(os.path.dirname(csner.__file__))
+        outputs = {
+            subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src,
+                                           "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")
+        }
+        assert len(outputs) == 1
+
+    def test_encoder_runs_once_per_spelling(self, tiny_tables, monkeypatch):
+        from csner import model
+        from csner.trainer import make_batches
+
+        params = small_model(n_chars=len(tiny_tables.chars))
+        columns = []
+        encode_chars = model._encode_chars
+
+        def counting(params, char_idx, char_mask, dtype):
+            columns.append(char_idx.shape[1])
+            return encode_chars(params, char_idx, char_mask, dtype)
+
+        monkeypatch.setattr(model, "_encode_chars", counting)
+        ds = Dataset([TaggedSentence(s) for s in self.SENTS])
+        batch = make_batches(ds, 8, tiny_tables, np.float64)[0]
+        predict_batch(batch.arrays, tiny_tables, params)
+        assert columns == [len({w for s in self.SENTS for w in s}) + 1]
 
 
 class TestEndToEndGradient:
@@ -214,23 +290,35 @@ class TestEndToEndGradient:
         assert err < 1e-4
 
     def test_full_model_matches_per_step_reference(self, micro_setup, monkeypatch):
-        corpus, tables, params = micro_setup
+        _, tables, params = micro_setup
         from csner import model
         from csner.trainer import make_batches
 
+        # unequal lengths and repeated spellings, so that both the packed
+        # steps and the one-column-per-spelling layout are exercised
+        corpus = corpus_from("Ana/B-PER come/O pan/O pan/O\nel/O rio/B-LOC azul/O\n"
+                             "Ana/B-PER come/O\nel/O")
         batch = make_batches(corpus, 4, tables, np.float64)[0]
+        a = batch.arrays
+        # the reference layout: one char column per word slot, with
+        # padded slots on all-padding columns
+        per_slot = dataclasses.replace(
+            a, char_idx=a.char_idx[:, a.spelling_idx], char_mask=a.char_mask[:, a.spelling_idx],
+            spelling_idx=np.arange(a.spelling_idx.size),
+        )
+        assert a.char_idx.shape[1] == 7 and per_slot.char_idx.shape[1] == 16
         tensors = params.tensors()
 
-        def run():
+        def run(arrays):
             ad.zero_grads(tensors)
-            loss = batch_loss(batch.arrays, batch.gold_flat % 5, tables, params,
+            loss = batch_loss(arrays, batch.gold_flat % 5, tables, params,
                               training=True, rng=np.random.default_rng(0))
             ad.backward(loss)
             return float(loss.data), {k: t.grad.copy() for k, t in tensors.items()}
 
-        fused_loss, fused = run()
+        fused_loss, fused = run(a)
         monkeypatch.setattr(model, "_run_bilstm", lstm_reference.run_bilstm)
-        ref_loss, ref = run()
+        ref_loss, ref = run(per_slot)
         assert abs(fused_loss - ref_loss) < 1e-10
         for name in tensors:
             assert np.max(np.abs(fused[name] - ref[name])) < 1e-10, name

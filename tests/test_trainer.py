@@ -181,8 +181,12 @@ class TestFitStopping:
     def test_unlabeled_dev_rejected(self, small_setup):
         cfg, model, corpus = small_setup
         unlabeled = Dataset([TaggedSentence(list(s.tokens)) for s in corpus])
-        with pytest.raises(TrainingError):
-            fit(model, corpus, unlabeled, cfg)
+        # every sentence is checked, not only the first
+        second_untagged = Dataset([corpus.sentences[0], unlabeled.sentences[1],
+                                   *corpus.sentences[2:]])
+        for dev in (unlabeled, second_untagged):
+            with pytest.raises(TrainingError):
+                fit(model, corpus, dev, cfg)
 
 
 class TestPaddingNeutrality:
@@ -207,17 +211,15 @@ class TestPaddingNeutrality:
 
         a = batch.arrays
         t_max, bsz = a.mask.shape
-        v_max = a.char_idx.shape[0]
+        n_cols = a.char_idx.shape[1]
+        # one more all-padding word step, its slots on a real spelling,
+        # and one more all-padding character step
         word_idx = np.vstack([a.word_idx, np.full((1, bsz), 3, dtype=np.int64)])
         mask = np.vstack([a.mask, np.zeros((1, bsz))])
-        char_idx = np.concatenate(
-            [a.char_idx.reshape(v_max, t_max, bsz),
-             np.full((v_max, 1, bsz), 2, dtype=np.int64)], axis=1
-        ).reshape(v_max, (t_max + 1) * bsz)
-        char_mask = np.concatenate(
-            [a.char_mask.reshape(v_max, t_max, bsz), np.zeros((v_max, 1, bsz))], axis=1
-        ).reshape(v_max, (t_max + 1) * bsz)
-        padded = BatchArrays(word_idx, char_idx, char_mask, mask, a.lengths)
+        spelling_idx = np.concatenate([a.spelling_idx, np.zeros(bsz, dtype=np.int64)])
+        char_idx = np.vstack([a.char_idx, np.full((1, n_cols), 2, dtype=np.int64)])
+        char_mask = np.vstack([a.char_mask, np.zeros((1, n_cols))])
+        padded = BatchArrays(word_idx, char_idx, char_mask, spelling_idx, mask, a.lengths)
         gold = np.concatenate(
             [batch.gold_flat.reshape(t_max, bsz), np.ones((1, bsz), dtype=np.int64)]
         ).reshape(-1)
@@ -392,6 +394,13 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError) as err:
             restore_model(ckpt)
         assert str(err.value) == message
+
+    def test_restore_checks_char_order(self, small_setup):
+        ckpt = self.make_checkpoint(small_setup)
+        # PAD and UNK kept first: each char_embed row would meet another character
+        ckpt.char_list = ckpt.char_list[:2] + ckpt.char_list[:1:-1]
+        with pytest.raises(CheckpointError, match="character list is not in vocabulary order"):
+            restore_model(ckpt)
 
     def test_shape_disagreement_rejected(self, small_setup, tmp_path):
         ckpt = self.make_checkpoint(small_setup)
