@@ -66,11 +66,17 @@ def _make(data, parents, backward) -> Tensor:
     return Tensor(data)
 
 
+def _grad(t: Tensor):
+    """``t``'s gradient buffer, zero-filled on first use."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
+
+
 def _accum(p: Tensor, g):
     if p.requires_grad:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        p.grad += g
+        grad = _grad(p)
+        grad += g
 
 
 def _accum_fresh(p: Tensor, g):
@@ -111,9 +117,8 @@ def backward(root: Tensor, seed=None):
         if not advanced:
             order.append(node)
             stack.pop()
-    if root.grad is None:
-        root.grad = np.zeros_like(root.data)
-    root.grad += seed
+    grad = _grad(root)
+    grad += seed
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
@@ -178,9 +183,7 @@ def slice_axis(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
     def bw(g):
         if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[index] += g
+            _grad(t)[index] += g
 
     return _make(data, (t,), bw)
 
@@ -209,25 +212,18 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
 
     def bw(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(
-                table.grad,
-                indices.reshape(-1),
-                g.reshape(-1, table.data.shape[1]),
-            )
+            np.add.at(_grad(table), indices.reshape(-1), g.reshape(-1, table.data.shape[1]))
 
     return _make(data, (table,), bw)
 
 
-def dropout(t: Tensor, rate: float, training: bool, rng=None) -> Tensor:
-    """Inverted dropout: survivors are scaled by 1/(1-rate) at train time."""
+def dropout(t: Tensor, rate: float, rng=None) -> Tensor:
+    """Inverted dropout with its mask drawn from ``rng``: survivors are
+    scaled by 1/(1-rate).  Without an rng (inference) it is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return t
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     keep = (rng.random(t.data.shape) >= rate).astype(t.data.dtype)
     mask = keep / np.asarray(1.0 - rate, dtype=t.data.dtype)
     return mul(t, Tensor(mask))
@@ -476,10 +472,7 @@ def finite_diff_check(loss_fn, params: dict[str, Tensor], h: float = 1e-4,
     zero_grads(params)
     loss = loss_fn()
     backward(loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
+    analytic = {name: _grad(p).copy() for name, p in params.items()}
     worst = 0.0
     with no_grad():
         for name, p in params.items():

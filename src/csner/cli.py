@@ -21,6 +21,7 @@ from .corpus_io import (
     TaggedSentence,
     dataset_stats,
     format_stats,
+    non_utf8_line,
     read_conll,
     write_conll,
     write_conll_file,
@@ -78,18 +79,21 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _PATH_KEYS
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines; '#' starts a comment."""
     values = {}
-    with open(path, encoding="utf-8") as fp:
-        for line_no, line in enumerate(fp, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _ALL_KEYS:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _convert(key, value, f"{path}:{line_no}")
+    try:
+        with open(path, encoding="utf-8") as fp:
+            for line_no, line in enumerate(fp, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+                key, _, value = line.partition("=")
+                key, value = key.strip(), value.strip()
+                if key not in _ALL_KEYS:
+                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+                values[key] = _convert(key, value, f"{path}:{line_no}")
+    except UnicodeDecodeError:  # text decodes in chunks: find the line
+        raise ConfigError(f"{path}:{non_utf8_line(path)}: not valid UTF-8") from None
     return values
 
 
@@ -122,15 +126,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None and flag is not False:
             values[key] = flag
 
-    training_fields = {f.name for f in fields(TrainingConfig)}
-    training = TrainingConfig(**{k: v for k, v in values.items() if k in training_fields})
+    def given(cls):
+        return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+    training = TrainingConfig(**given(TrainingConfig))
     training.validate()
-    run = RunConfig(training=training)
-    for key in _PATH_KEYS:
-        if key in values:
-            setattr(run, key, values[key])
-    run.no_post = bool(values.get("no_post", False))
-    return run
+    return RunConfig(training=training, **given(RunConfig))
 
 
 def _require_files(**paths) -> None:
@@ -151,9 +152,10 @@ def _require_writable(**paths) -> None:
 
 
 def _load_tables(cfg: RunConfig, keep: set[str]):
+    """The English table and the merged bilingual one."""
     eng = load_vec(cfg.vec_eng, keep=keep)
     spa = load_vec(cfg.vec_spa, keep=keep) if cfg.vec_spa else empty_table(eng.dim)
-    return merge_tables(eng, spa)
+    return eng, merge_tables(eng, spa)
 
 
 def _prune_set(cfg: RunConfig, *datasets):
@@ -180,7 +182,7 @@ def cmd_train(cfg: RunConfig) -> int:
     extras = []
     if cfg.test and os.path.isfile(cfg.test):
         extras.append(read_conll(cfg.test, "test"))
-    table = _load_tables(cfg, _prune_set(cfg, train_raw, dev_raw, *extras))
+    _, table = _load_tables(cfg, _prune_set(cfg, train_raw, dev_raw, *extras))
 
     train_norm = preprocess_dataset(train_raw, table.vocabulary)
     dev_norm = preprocess_dataset(dev_raw, table.vocabulary)
@@ -260,11 +262,7 @@ def cmd_preprocess(cfg: RunConfig, corpus_path: str) -> int:
     if len(corpus) == 0:
         raise ConfigError(f"empty corpus: {corpus_path}")
 
-    keep = _prune_set(cfg, corpus)
-    eng = load_vec(cfg.vec_eng, keep=keep)
-    merged = merge_tables(
-        eng, load_vec(cfg.vec_spa, keep=keep) if cfg.vec_spa else empty_table(eng.dim)
-    )
+    eng, merged = _load_tables(cfg, _prune_set(cfg, corpus))
     replaced = Dataset(
         [
             TaggedSentence([replace_token(t) for t in s.tokens],

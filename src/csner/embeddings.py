@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import Dataset, non_utf8_line
-from .preprocess import URL, USR, replace_token, strip_repeats
+from .preprocess import URL, USR, normalization_candidates, replace_token
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
@@ -47,8 +47,10 @@ class Vocabulary:
     Index lookups of unknown tokens fall back to UNK when it exists.
     """
 
+    SPECIALS = SPECIAL_TOKENS  # reserved in front; the second is UNK
+
     def __init__(self, tokens, specials: bool = True):
-        self.tokens: list[str] = list(SPECIAL_TOKENS) if specials else []
+        self.tokens: list[str] = list(self.SPECIALS) if specials else []
         self.specials = specials
         seen = set(self.tokens)
         for tok in tokens:
@@ -68,7 +70,7 @@ class Vocabulary:
         if idx is None:
             if not self.specials:
                 raise KeyError(token)
-            return self._index[UNK_TOKEN]
+            return self._index[self.SPECIALS[1]]
         return idx
 
     def indices(self, tokens) -> np.ndarray:
@@ -114,11 +116,9 @@ def load_vec(source, keep: set[str] | None = None) -> EmbeddingTable:
         fp = io.open(source, encoding="utf-8", newline="\n")
         close = True
     try:
-        header = fp.readline().rstrip("\n").split()
-        if len(header) != 2:
-            raise VectorLoadError("line 1: expected header 'count dim'")
+        header = fp.readline()  # outside the try: UnicodeDecodeError is a ValueError
         try:
-            _, dim = int(header[0]), int(header[1])
+            _, dim = map(int, header.split())
         except ValueError:
             raise VectorLoadError("line 1: expected header 'count dim'") from None
         words: list[str] = []
@@ -220,15 +220,7 @@ def candidate_forms(token: str) -> set[str]:
     replaced = replace_token(token)
     if replaced != token:
         return {token, replaced}
-    lowered = token.lower()
-    stripped = strip_repeats(lowered)
-    return {
-        token,
-        token[0].upper() + token[1:],
-        lowered,
-        stripped,
-        stripped[0].upper() + stripped[1:],
-    }
+    return {token} | {form for form, _ in normalization_candidates(token)}
 
 
 def corpus_candidate_forms(*datasets: Dataset) -> set[str]:
@@ -240,25 +232,18 @@ def corpus_candidate_forms(*datasets: Dataset) -> set[str]:
     return forms
 
 
-class CharVocabulary:
-    """Case-preserving character -> index mapping with PAD=0, UNK=1."""
+class CharVocabulary(Vocabulary):
+    """Case-preserving character -> index mapping: PAD=0, UNK=1, then the
+    characters by code point."""
+
+    SPECIALS = (PAD_CHAR, UNK_CHAR)
 
     def __init__(self, chars):
-        ordered = sorted(set(chars) - {PAD_CHAR, UNK_CHAR})
-        self.chars: list[str] = [PAD_CHAR, UNK_CHAR] + ordered
-        self._index = {c: i for i, c in enumerate(self.chars)}
+        super().__init__(sorted(set(chars)))
 
-    def __len__(self) -> int:
-        return len(self.chars)
-
-    def __contains__(self, char: str) -> bool:
-        return char in self._index
-
-    def index(self, char: str) -> int:
-        return self._index.get(char, 1)
-
-    def indices(self, word: str) -> np.ndarray:
-        return np.array([self.index(c) for c in word], dtype=np.int64)
+    @property
+    def chars(self) -> list[str]:
+        return self.tokens
 
 
 def build_char_vocab(dataset: Dataset, extra: str = DEFAULT_CHAR_EXTRA) -> CharVocabulary:

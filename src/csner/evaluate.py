@@ -127,12 +127,7 @@ def score(gold: Dataset, pred: Dataset) -> EvalReport:
         for cat, counts in tally.items()
         if any(counts)
     }
-    tp = sum(c.tp for c in per_class.values())
-    fp = sum(c.fp for c in per_class.values())
-    fn = sum(c.fn for c in per_class.values())
-    micro_p = tp / (tp + fp) if tp + fp else 0.0
-    micro_r = tp / (tp + fn) if tp + fn else 0.0
-    micro_f1 = 2 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r else 0.0
+    micro = ClassCounts(*map(sum, zip(*tally.values())))  # summed over classes
     if per_class:
         harmonic = harmonic_mean([c.f1 for c in per_class.values()])
     else:
@@ -140,9 +135,9 @@ def score(gold: Dataset, pred: Dataset) -> EvalReport:
     return EvalReport(
         per_class=per_class,
         harmonic_f1=harmonic,
-        micro_f1=micro_f1,
-        micro_precision=micro_p,
-        micro_recall=micro_r,
+        micro_f1=micro.f1,
+        micro_precision=micro.precision,
+        micro_recall=micro.recall,
         sentences=len(gold),
         tokens=tokens,
     )

@@ -118,8 +118,8 @@ class BatchArrays:
     """Index matrices for one padded group of sentences (time-major).
 
     The character arrays hold one column per distinct spelling in the
-    batch, longest first, ending with the empty spelling that padded word
-    slots use; ``spelling_idx`` gives each word slot its column.
+    batch, longest first; ``spelling_idx`` gives each word slot its
+    column, and padded slots, which the mask hides, column 0.
     """
 
     word_idx: np.ndarray  # (T, B) int
@@ -163,14 +163,14 @@ def build_arrays(
     t_max = max(lengths)
     # first occurrence, then a stable sort longest first: the same order
     # in every process, whatever the string hash seed
-    spellings = sorted(dict.fromkeys([w for sent in surface_seqs for w in sent] + [""]),
+    spellings = sorted(dict.fromkeys(w for sent in surface_seqs for w in sent),
                        key=len, reverse=True)
     column = {w: u for u, w in enumerate(spellings)}
-    v_max = max(1, len(spellings[0]))
+    v_max = len(spellings[0])
 
     word_idx = np.zeros((t_max, b), dtype=np.int64)
     mask = np.zeros((t_max, b), dtype=dtype)
-    spelling_idx = np.full(t_max * b, column[""], dtype=np.int64)
+    spelling_idx = np.zeros(t_max * b, dtype=np.int64)
     for j, (tokens, surfaces) in enumerate(zip(token_seqs, surface_seqs)):
         for t, (token, surface) in enumerate(zip(tokens, surfaces)):
             word_idx[t, j] = tables.words.vocabulary.index(token)
@@ -192,12 +192,8 @@ def _run_bilstm(x: Tensor, mask, fwd: LstmParams, bwd: LstmParams):
     return ad.lstm_seq(x, mask, fwd), ad.lstm_seq(x, mask, bwd, reverse=True)
 
 
-def _encode_chars(params: ModelParams, char_idx, char_mask, dtype) -> Tensor:
-    """(V, U) character indices -> (U, 2*char_hidden) spelling encodings.
-
-    ``dtype`` is the model's float type, which ``params`` and
-    ``char_mask`` already carry.
-    """
+def _encode_chars(params: ModelParams, char_idx, char_mask) -> Tensor:
+    """(V, U) character indices -> (U, 2*char_hidden) spelling encodings."""
     v_max, n = char_idx.shape
     x = ad.embedding(params.char_embed, char_idx.reshape(-1))
     h_fwd, h_bwd = _run_bilstm(x, char_mask, params.char_fwd, params.char_bwd)
@@ -209,8 +205,9 @@ def _encode_chars(params: ModelParams, char_idx, char_mask, dtype) -> Tensor:
     )
 
 
-def _word_vectors(params: ModelParams, table: EmbeddingTable, word_flat, dtype) -> Tensor:
+def _word_vectors(params: ModelParams, table: EmbeddingTable, word_flat) -> Tensor:
     """Fixed-row lookup plus the trainable special rows (indices 0-3)."""
+    dtype = params.dtype
     fixed = table.vectors[word_flat].astype(dtype)
     special = word_flat < 4
     fixed[special] = 0.0
@@ -223,22 +220,21 @@ def encode_batch(
     arrays: BatchArrays,
     tables: Tables,
     params: ModelParams,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.4,
 ) -> Tensor:
-    """Token context vectors, flat time-major shape (T*B, 2*word_hidden)."""
-    dtype = params.dtype
-    a = _encode_chars(params, arrays.char_idx, arrays.char_mask, dtype)
+    """Token context vectors, flat time-major shape (T*B, 2*word_hidden).
+    Dropout is on exactly when ``rng`` is given (training)."""
+    a = _encode_chars(params, arrays.char_idx, arrays.char_mask)
     # each spelling is encoded once; the gather's backward sums its uses
     a = ad.embedding(a, arrays.spelling_idx)
-    x = _word_vectors(params, tables.words, arrays.word_idx.reshape(-1), dtype)
+    x = _word_vectors(params, tables.words, arrays.word_idx.reshape(-1))
     u = ad.concat([x, a], axis=1)
-    u = ad.dropout(u, dropout_rate, training, rng)
+    u = ad.dropout(u, dropout_rate, rng)
 
     h_fwd, h_bwd = _run_bilstm(u, arrays.mask, params.word_fwd, params.word_bwd)
     c = ad.concat([h_fwd, h_bwd], axis=1)
-    return ad.dropout(c, dropout_rate, training, rng)
+    return ad.dropout(c, dropout_rate, rng)
 
 
 def batch_logits(encoded: Tensor, params: ModelParams) -> Tensor:
@@ -250,11 +246,10 @@ def batch_loss(
     gold_flat: np.ndarray,
     tables: Tables,
     params: ModelParams,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.4,
 ) -> Tensor:
-    encoded = encode_batch(arrays, tables, params, training, rng, dropout_rate)
+    encoded = encode_batch(arrays, tables, params, rng, dropout_rate)
     logits = batch_logits(encoded, params)
     return ad.masked_cross_entropy_logits(
         logits, gold_flat, arrays.mask.reshape(-1)
@@ -264,7 +259,7 @@ def batch_loss(
 def predict_batch(arrays: BatchArrays, tables: Tables, params: ModelParams) -> list[list[int]]:
     """Per-sentence argmax tag ids; ties resolve to the lowest tag index."""
     with ad.no_grad():
-        encoded = encode_batch(arrays, tables, params, training=False)
+        encoded = encode_batch(arrays, tables, params)
         logits = batch_logits(encoded, params)
     ids = logits.data.argmax(axis=-1).reshape(arrays.max_len, arrays.batch_size)
     return [list(ids[: n, j]) for j, n in enumerate(arrays.lengths)]

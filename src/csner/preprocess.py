@@ -62,10 +62,6 @@ def strip_repeats(token: str) -> str:
             return token
 
 
-def _capitalize_first(token: str) -> str:
-    return token[0].upper() + token[1:]
-
-
 @dataclass(frozen=True)
 class NormalizedToken:
     original: str
@@ -73,25 +69,30 @@ class NormalizedToken:
     rule: str
 
 
+def normalization_candidates(token: str) -> list[tuple[str, str]]:
+    """The forms rules a-d try for ``token``, in order, each with its rule:
+    (a) first character uppercased, (b) fully lowercased, (c) lowercased
+    with repeats stripped, (d) form (c) with its first character
+    uppercased."""
+    lowered = token.lower()
+    stripped = strip_repeats(lowered)
+    return [
+        (token[0].upper() + token[1:], RULE_A),
+        (lowered, RULE_B),
+        (stripped, RULE_C),
+        (stripped[0].upper() + stripped[1:], RULE_D),
+    ]
+
+
 def normalize_token(token: str, vocab) -> NormalizedToken:
     """Rewrite an out-of-vocabulary token until some form is known.
 
-    Candidates are tried sequentially: (a) first character uppercased,
-    (b) fully lowercased, (c) lowercased with repeats stripped, (d) form
-    (c) with its first character uppercased.  The first in-vocabulary
-    candidate wins; if all miss, the token stays as is.
+    The ``normalization_candidates`` are tried in order; the first
+    in-vocabulary candidate wins, and if all miss the token stays as is.
     """
     if token in vocab:
         return NormalizedToken(token, token, RULE_NONE)
-    lowered = token.lower()
-    stripped = strip_repeats(lowered)
-    candidates = (
-        (_capitalize_first(token), RULE_A),
-        (lowered, RULE_B),
-        (stripped, RULE_C),
-        (_capitalize_first(stripped), RULE_D),
-    )
-    for candidate, rule in candidates:
+    for candidate, rule in normalization_candidates(token):
         if candidate in vocab:
             return NormalizedToken(token, candidate, rule)
     return NormalizedToken(token, token, RULE_UNRESOLVED)

@@ -187,7 +187,7 @@ def train_epoch(
         ad.zero_grads(params)
         loss = batch_loss(
             batch.arrays, batch.gold_flat, model.tables, model.params,
-            training=True, rng=rng, dropout_rate=dropout_rate,
+            rng=rng, dropout_rate=dropout_rate,
         )
         value = float(loss.data)
         if not math.isfinite(value):
@@ -335,17 +335,20 @@ def _pack_tokens(tokens: list[str]) -> bytes:
     return bytes(out)
 
 
-def _unpack_tokens(blob: bytes, count: int) -> list[str]:
+def _unpack_tokens(blob: bytes, count: int, kind: str) -> list[str]:
     tokens = []
     pos = 0
-    for _ in range(count):
+    for entry in range(count):
         if pos + 4 > len(blob):
             raise CheckpointError("truncated vocabulary block")
         (n,) = struct.unpack_from("<I", blob, pos)
         pos += 4
         if pos + n > len(blob):
             raise CheckpointError("truncated vocabulary entry")
-        tokens.append(blob[pos : pos + n].decode("utf-8"))
+        try:
+            tokens.append(blob[pos : pos + n].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise CheckpointError(f"vocab {kind} entry {entry}: not valid UTF-8") from None
         pos += n
     if pos != len(blob):
         raise CheckpointError("trailing bytes after vocabulary block")
@@ -452,7 +455,7 @@ def load_checkpoint(path) -> Checkpoint:
         count, offset = vocab_specs[kind]
         starts = sorted(off for _, off in vocab_specs.values() if off > offset)
         end = starts[0] if starts else declared
-        return _unpack_tokens(payload[offset:end], count)
+        return _unpack_tokens(payload[offset:end], count, kind)
 
     try:
         cfg = TrainingConfig(**meta["config"])

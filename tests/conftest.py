@@ -1,5 +1,8 @@
 """Shared fixtures: synthetic corpora, vector tables, reduced models."""
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,19 @@ def write_vec_file(path, words, dim, seed=123, scale=1.5) -> None:
         for word in words:
             values = rng.normal(size=dim) * scale
             fp.write(word + " " + " ".join(f"{v:.6f}" for v in values) + "\n")
+
+
+def corrupt_vocab_entry(path, kind: str, entry: int) -> None:
+    """Set the first byte of a checkpoint's ``kind`` vocabulary entry
+    ``entry`` (counted from 0) to 0xFF, which is never valid UTF-8."""
+    blob = bytearray(Path(path).read_bytes())
+    header, sep, _ = bytes(blob).partition(b"\nend\n")
+    line = next(x for x in header.decode().split("\n") if x.startswith(f"vocab {kind} "))
+    pos = len(header) + len(sep) + int(line.split(" ")[3])
+    for _ in range(entry):
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+    blob[pos + 4] = 0xFF
+    Path(path).write_bytes(bytes(blob))
 
 
 @pytest.fixture(scope="session")

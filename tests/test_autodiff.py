@@ -195,23 +195,23 @@ class TestLstm:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = ad.Tensor(np.ones((3, 3)))
-        assert ad.dropout(x, 0.0, True, np.random.default_rng(0)) is x
+        assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_inference_identity(self):
         x = ad.Tensor(np.ones((3, 3)))
-        assert ad.dropout(x, 0.9, False) is x
+        assert ad.dropout(x, 0.9) is x
 
     def test_rate_contract(self):
         x = ad.Tensor(np.ones(2))
         with pytest.raises(ValueError):
-            ad.dropout(x, 1.0, True, np.random.default_rng(0))
+            ad.dropout(x, 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            ad.dropout(x, -0.1, True, np.random.default_rng(0))
+            ad.dropout(x, -0.1, np.random.default_rng(0))
 
     def test_expectation_preserved(self):
         rng = np.random.default_rng(11)
         x = ad.Tensor(np.full(100_000, 2.5))
-        out = ad.dropout(x, 0.4, True, rng)
+        out = ad.dropout(x, 0.4, rng)
         assert abs(out.data.mean() - 2.5) / 2.5 < 0.01
 
 

@@ -6,7 +6,7 @@ from csner.corpus_io import read_conll
 from csner.postprocess import postprocess_sentence
 from csner.trainer import load_checkpoint, save_checkpoint
 
-from conftest import OVERFIT_SENTENCES, tagged_text, write_vec_file
+from conftest import OVERFIT_SENTENCES, corrupt_vocab_entry, tagged_text, write_vec_file
 
 
 @pytest.fixture()
@@ -165,6 +165,21 @@ class TestErrors:
         assert (code, capsys.readouterr().err) == (1, (
             "error: character list is not in vocabulary order (PAD, UNK, then sorted)\n"
         ))
+
+    def test_checkpoint_non_utf8_vocab_fails_cleanly(self, workdir, capsys):
+        tmp_path, config = workdir
+        assert main(["train", "--config", str(config)]) == 0
+        corrupt_vocab_entry(tmp_path / "model.ck", "word", 7)
+        capsys.readouterr()
+        code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
+        assert (code, capsys.readouterr().err) == (1, "error: vocab word entry 7: not valid UTF-8\n")
+
+    def test_non_utf8_config_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        # past the first 8 KB, which a text file decodes as one chunk
+        cfg.write_bytes(b"# padding\n" * 1000 + b"seed = 3\nout = caf\xe9.conll\n")
+        assert main(["stats", "--config", str(cfg), "x"]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1002: not valid UTF-8\n"
 
     def test_non_utf8_corpus_fails_cleanly(self, tmp_path, capsys):
         corpus = tmp_path / "c.conll"

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csner.corpus_io import Dataset, TaggedSentence, parse_conll
 from csner.embeddings import (
@@ -17,7 +19,14 @@ from csner.embeddings import (
     load_vec,
     merge_tables,
 )
-from csner.preprocess import oov_report, preprocess_dataset
+from csner.preprocess import (
+    URL,
+    USR,
+    oov_report,
+    preprocess_dataset,
+    preprocess_token,
+    strip_repeats,
+)
 
 
 def vec_file(text: str):
@@ -125,7 +134,29 @@ class TestMerge:
         assert merged_oov <= min(eng_oov, spa_oov)
 
 
+# tokens the normalizer rewrites: case flips, elongated characters,
+# repeated units, and mention, hashtag and link prefixes
+TOKENS = st.builds(
+    lambda prefix, runs, repeat: prefix + "".join(c * n for c, n in runs) * repeat,
+    st.sampled_from(["", "", "", "@", "#", "www.", "http://"]),
+    st.lists(st.tuples(st.sampled_from("aAbBoOñÑ"), st.integers(1, 4)), min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+
+
 class TestPruning:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pruning_never_changes_a_lookup(self, data):
+        token = data.draw(TOKENS)
+        near = candidate_forms(token) | {
+            token.upper(), token.swapcase(), token.title(), strip_repeats(token), USR, URL,
+        }
+        vocab = data.draw(st.sets(st.sampled_from(sorted(near)))) | data.draw(
+            st.sets(TOKENS, max_size=4))
+        pruned = vocab & (candidate_forms(token) | set(SPECIAL_TOKENS))
+        assert preprocess_token(token, vocab) == preprocess_token(token, pruned)
+
     def test_pruned_pipeline_matches_full(self):
         corpus = parse_conll("HOLAAA\tO\n@ana\tO\nBarcelona\tO\nzzz\tO\n\n")
         words = ["hola", "Barcelona", "adios", "otro", "mas"]

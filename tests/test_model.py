@@ -41,7 +41,7 @@ def char_vectors(words, tables, params):
     """The char encoding of each word, through the batch's spelling columns."""
     arrays = build_arrays([words], tables, params.dtype)
     with ad.no_grad():
-        spellings = _encode_chars(params, arrays.char_idx, arrays.char_mask, params.dtype).data
+        spellings = _encode_chars(params, arrays.char_idx, arrays.char_mask).data
     return spellings[arrays.spelling_idx]
 
 
@@ -126,10 +126,14 @@ class TestEncodeSentence:
             assert np.allclose(forward[t, :h], swapped[n - 1 - t, h:], atol=1e-12)
             assert np.allclose(forward[t, h:], swapped[n - 1 - t, :h], atol=1e-12)
 
-    def test_training_mode_needs_rng(self, tiny_tables):
+    def test_rng_turns_dropout_on(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        with pytest.raises(ValueError):
-            encode(["pan"], tiny_tables, params, training=True)
+        tokens = ["el", "rio", "azul"]
+        inference = encode(tokens, tiny_tables, params).data
+        dropped = encode(tokens, tiny_tables, params, rng=np.random.default_rng(0)).data
+        assert not np.array_equal(dropped, inference)
+        kept = encode(tokens, tiny_tables, params, rng=np.random.default_rng(0), dropout_rate=0.0)
+        assert np.array_equal(kept.data, inference)
 
 
 class TestTagLogits:
@@ -230,12 +234,12 @@ class TestSpellingColumns:
         a = build_arrays(self.SENTS, tiny_tables, np.float64)
         columns = ["".join(tiny_tables.chars.chars[i] for i in a.char_idx[: int(n), u])
                    for u, n in enumerate(a.char_mask.sum(axis=0))]
-        # first occurrence, then a stable sort longest first; the empty
-        # spelling last
-        assert columns == ["come", "azul", "Ana", "pan", "rio", "el", ""]
+        # first occurrence, then a stable sort longest first
+        assert columns == ["come", "azul", "Ana", "pan", "rio", "el"]
         slots = a.spelling_idx.reshape(a.max_len, a.batch_size)
         for j, sent in enumerate(self.SENTS):
-            assert [columns[u] for u in slots[:, j]] == sent + [""] * (a.max_len - len(sent))
+            # padded slots point at column 0; the mask hides them
+            assert [columns[u] for u in slots[:, j]] == sent + ["come"] * (a.max_len - len(sent))
 
     def test_column_order_independent_of_hash_seed(self):
         script = (
@@ -265,15 +269,15 @@ class TestSpellingColumns:
         columns = []
         encode_chars = model._encode_chars
 
-        def counting(params, char_idx, char_mask, dtype):
+        def counting(params, char_idx, char_mask):
             columns.append(char_idx.shape[1])
-            return encode_chars(params, char_idx, char_mask, dtype)
+            return encode_chars(params, char_idx, char_mask)
 
         monkeypatch.setattr(model, "_encode_chars", counting)
         ds = Dataset([TaggedSentence(s) for s in self.SENTS])
         batch = make_batches(ds, 8, tiny_tables, np.float64)[0]
         predict_batch(batch.arrays, tiny_tables, params)
-        assert columns == [len({w for s in self.SENTS for w in s}) + 1]
+        assert columns == [len({w for s in self.SENTS for w in s})]
 
 
 class TestEndToEndGradient:
@@ -302,17 +306,19 @@ class TestEndToEndGradient:
         a = batch.arrays
         # the reference layout: one char column per word slot, with
         # padded slots on all-padding columns
+        live = a.mask.reshape(-1)
         per_slot = dataclasses.replace(
-            a, char_idx=a.char_idx[:, a.spelling_idx], char_mask=a.char_mask[:, a.spelling_idx],
+            a, char_idx=a.char_idx[:, a.spelling_idx] * live.astype(np.int64),
+            char_mask=a.char_mask[:, a.spelling_idx] * live,
             spelling_idx=np.arange(a.spelling_idx.size),
         )
-        assert a.char_idx.shape[1] == 7 and per_slot.char_idx.shape[1] == 16
+        assert a.char_idx.shape[1] == 6 and per_slot.char_idx.shape[1] == 16
         tensors = params.tensors()
 
         def run(arrays):
             ad.zero_grads(tensors)
             loss = batch_loss(arrays, batch.gold_flat % 5, tables, params,
-                              training=True, rng=np.random.default_rng(0))
+                              rng=np.random.default_rng(0))
             ad.backward(loss)
             return float(loss.data), {k: t.grad.copy() for k, t in tensors.items()}
 
@@ -329,8 +335,7 @@ class TestEndToEndGradient:
         for sent in (["el", "rio"], ["Ana", "come", "pan", "el", "rio", "azul", "azul"]):
             arrays = build_arrays([sent, sent[:1]], tiny_tables, np.float64)
             gold = np.zeros(arrays.mask.size, dtype=np.int64)
-            loss = batch_loss(arrays, gold, tiny_tables, params,
-                              training=True, rng=np.random.default_rng(0))
+            loss = batch_loss(arrays, gold, tiny_tables, params, rng=np.random.default_rng(0))
             sizes.append(lstm_reference.tape_size(loss))
         assert sizes[0] == sizes[1]
 

@@ -25,7 +25,7 @@ from csner.trainer import (
     train_epoch,
 )
 
-from conftest import corpus_from, random_table
+from conftest import corpus_from, corrupt_vocab_entry, random_table
 
 
 def quick_cfg(**kw):
@@ -353,6 +353,14 @@ class TestCheckpointIO:
         lines[number - 1] = kind + " " + edit(lines[number - 1].partition(" ")[2])
         path.write_bytes("\n".join(lines).encode() + sep + payload)
         with pytest.raises(CheckpointError, match=f"^header line {number}: {message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, entry", [("word", 5), ("char", 3)])
+    def test_non_utf8_vocab_entry_located(self, small_setup, tmp_path, kind, entry):
+        path = tmp_path / "model.ck"
+        save_checkpoint(self.make_checkpoint(small_setup), path)
+        corrupt_vocab_entry(path, kind, entry)
+        with pytest.raises(CheckpointError, match=f"^vocab {kind} entry {entry}: not valid UTF-8$"):
             load_checkpoint(path)
 
     def test_failed_save_keeps_previous_file(self, small_setup, tmp_path, monkeypatch):
