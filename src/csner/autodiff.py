@@ -300,11 +300,13 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
     carry h and c through untouched.  Returns the carried h of every
     step, shape (T*B, hidden).
 
-    Backward is hand-written BPTT over the whole sequence; the gradients
-    of x, wx, wh and b are each one GEMM or reduction over all steps.
-    Per-step gate and cell history is kept only when the result is
-    taped, and backward overwrites it with the gate gradients, so it
-    can run once per forward.
+    Backward is hand-written BPTT over the whole sequence.  When the
+    result is taped, each step's activated gates and incoming cell state
+    are kept for its live rows only, packed: step t holds rows
+    [offsets[t], offsets[t] + live[t]) of the history.  Backward
+    overwrites the gates with their gradients, so it can run once per
+    forward, and the gradients of x, wx, wh and b are each one GEMM or
+    reduction over the live rows alone.
     """
     n_steps, batch = mask.shape
     n = p.wh.data.shape[0]
@@ -322,9 +324,9 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
     dtype = np.result_type(xs, wx)
     out = np.empty((n_steps * batch, n), dtype=dtype)
     if taped:
-        # a dead row's gates are never written; backward zeroes them
-        gates = np.empty((n_steps * batch, 4 * n), dtype=dtype)
-        cells = np.empty_like(out)
+        offsets = (np.cumsum(counts) - counts).tolist()
+        gates = np.empty((int(counts.sum()), 4 * n), dtype=dtype)
+        cells = np.empty((len(gates), n), dtype=dtype)
     else:
         scratch = np.empty((batch, 4 * n), dtype=dtype)
     h = np.zeros((batch, n), dtype=dtype)
@@ -333,19 +335,19 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
     for t in order:
         k = live[t]
         start = t * batch
-        z = gates[start : start + k] if taped else scratch[:k]
+        z = gates[offsets[t] : offsets[t] + k] if taped else scratch[:k]
         np.matmul(xs[start : start + k], wx, out=z)
         z += h[:k] @ wh
         z += b
         _activate_gates(z, n)
         c_live = c[:k]
+        if taped:
+            cells[offsets[t] : offsets[t] + k] = c_live
         c_live *= z[:, n : 2 * n]
         c_live += z[:, :n] * z[:, 2 * n : 3 * n]
         np.tanh(c_live, out=h[:k])
         h[:k] *= z[:, 3 * n :]
         out[start : start + batch] = h
-        if taped:
-            cells[start : start + batch] = c
     if not taped:
         return Tensor(out)
 
@@ -360,14 +362,14 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
         for t in reversed(order):
             k = live[t]
             start = t * batch
-            prev = t + 1 if reverse else t - 1
-            c_prev = cells_all[prev * batch : prev * batch + k] if 0 <= prev < n_steps else 0.0
-            dz_all[start + k : start + batch] = 0.0
             # the step's activated gates, replaced below by the gradients
             # of their pre-activations
-            dz = dz_all[start : start + k]
+            dz = dz_all[offsets[t] : offsets[t] + k]
             i, f, g, o = (dz[:, j * n : (j + 1) * n] for j in range(4))
-            tc = np.tanh(cells_all[start : start + k])
+            c_prev = cells_all[offsets[t] : offsets[t] + k]
+            tc = c_prev * f  # the step's new cell, as forward computed it
+            tc += i * g
+            np.tanh(tc, out=tc)
             dh += g_out[start : start + batch]
             dh_live, dc_live = dh[:k], dc[:k]
             tmp = tc * tc
@@ -393,14 +395,18 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
             tmp *= dh_live
             o *= tmp
             np.matmul(dz, wh.T, out=dh_live)
+        rows = np.flatnonzero(alive)  # the live rows of x, in history order
         if x.requires_grad:
-            _accum_fresh(x, dz_all @ wx.T)
-        _accum_fresh(p.wx, xs.T @ dz_all)
-        # each step's previous h is the neighbouring block of ``out``
-        if reverse:
-            _accum_fresh(p.wh, out[batch:].T @ dz_all[:-batch])
-        else:
-            _accum_fresh(p.wh, out[:-batch].T @ dz_all[batch:])
+            dx = np.zeros(xs.shape, dtype=dtype)
+            dx[rows] = dz_all @ wx.T
+            _accum_fresh(x, dx)
+        _accum_fresh(p.wx, xs[rows].T @ dz_all)
+        # a step's previous h is the neighbouring step's block of ``out``;
+        # the direction's first step starts from h = 0 and is left out
+        first = live[order[0]] if live else 0
+        later = slice(0, len(rows) - first) if reverse else slice(first, len(rows))
+        prev_rows = rows[later] + (batch if reverse else -batch)
+        _accum_fresh(p.wh, out[prev_rows].T @ dz_all[later])
         _accum_fresh(p.b, dz_all.sum(axis=0))
 
     return _make(out, parents, bw)

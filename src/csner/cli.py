@@ -182,7 +182,7 @@ def cmd_train(cfg: RunConfig) -> int:
     extras = []
     if cfg.test and os.path.isfile(cfg.test):
         extras.append(read_conll(cfg.test, "test"))
-    _, table = _load_tables(cfg, _prune_set(cfg, train_raw, dev_raw, *extras))
+    table = _load_tables(cfg, _prune_set(cfg, train_raw, dev_raw, *extras))[1]
 
     train_norm = preprocess_dataset(train_raw, table.vocabulary)
     dev_norm = preprocess_dataset(dev_raw, table.vocabulary)
@@ -190,6 +190,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     rng = np.random.default_rng(cfg.training.seed)
     model = new_model(cfg.training, table, chars, rng)
+    del table  # training needs only the model's own copy of the vectors
 
     log_lines = []
 

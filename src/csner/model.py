@@ -6,7 +6,9 @@ produce per-token tag scores.
 All internal computation is time-major: word position (t, b) lives at
 flat row t*B + b, so every LSTM step is a contiguous row slice.  Padding
 is handled by masked state updates, which keep padded inputs out of the
-loss and the gradients exactly (not just approximately).
+loss and the gradients exactly (not just approximately).  The arrays
+stay padded; ``autodiff.lstm_seq`` steps only the live rows, and its
+backward history and gradient GEMMs cover only those.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import threading
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -100,7 +100,8 @@ def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
         raise ValueError(
             f"vector file dimension {table.dim} != configured word_dim {cfg.word_dim}"
         )
-    table.vectors = table.vectors.astype(cfg.dtype)
+    # the model's own table: the caller's keeps its array and dtype
+    table = replace(table, vectors=table.vectors.astype(cfg.dtype, copy=False))
     params = init_params(
         n_chars=len(chars),
         word_dim=cfg.word_dim,
@@ -322,8 +323,9 @@ def fit(
 # ---------------------------------------------------------------------------
 # checkpoint file format: a plain-text header (magic, meta, one line per
 # tensor with name/shape/offset, vocab entries, payload size, "end"),
-# then little-endian float32 tensor data and length-prefixed UTF-8 token
-# lists at the stated offsets.
+# then little-endian float tensor data and length-prefixed UTF-8 token
+# lists at the stated offsets.  Tensors are float32 unless their header
+# line ends in "<f8" (written for float64 runs, so they reload exactly).
 
 
 def _pack_tokens(tokens: list[str]) -> bytes:
@@ -364,10 +366,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     }
     header.append("meta " + json.dumps(meta, sort_keys=True))
     payload = bytearray()
+    dtype, mark = ("<f8", " <f8") if ckpt.config.float64 else ("<f4", "")
     for name, data in ckpt.tensors.items():
-        raw = np.ascontiguousarray(data, dtype="<f4").tobytes()
+        raw = np.ascontiguousarray(data, dtype=dtype).tobytes()
         shape = ",".join(str(n) for n in data.shape)
-        header.append(f"tensor {name} {shape} {len(payload)}")
+        header.append(f"tensor {name} {shape} {len(payload)}{mark}")
         payload += raw
     for kind, tokens in (("word", ckpt.word_tokens), ("char", ckpt.char_list)):
         raw = _pack_tokens(tokens)
@@ -415,12 +418,14 @@ def load_checkpoint(path) -> Checkpoint:
                 meta = json.loads(rest)
                 meta_line = number
             elif kind == "tensor":
-                name, shape_s, offset_s = rest.rsplit(" ", 2)
+                name, shape_s, offset_s, *mark = rest.split(" ")
+                if mark not in ([], ["<f8"]):
+                    raise ValueError("unknown dtype")
                 shape = tuple(int(n) for n in shape_s.split(","))
                 offset = int(offset_s)
                 if min(shape + (offset,)) < 0:
                     raise ValueError("negative size")
-                tensor_specs.append((name, shape, offset))
+                tensor_specs.append((name, shape, offset, np.dtype(mark[0] if mark else "<f4")))
             elif kind == "vocab":
                 name, count_s, offset_s = rest.split(" ")
                 count, offset = int(count_s), int(offset_s)
@@ -441,12 +446,12 @@ def load_checkpoint(path) -> Checkpoint:
         )
 
     tensors = {}
-    for name, shape, offset in tensor_specs:
-        size = 4 * int(np.prod(shape))
+    for name, shape, offset, dtype in tensor_specs:
+        size = dtype.itemsize * int(np.prod(shape))
         if offset + size > len(payload):
             raise CheckpointError(f"tensor {name} overruns the payload")
         tensors[name] = (
-            np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)), offset=offset)
+            np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)), offset=offset)
             .reshape(shape)
             .copy()
         )

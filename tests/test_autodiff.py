@@ -1,5 +1,7 @@
+import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,11 @@ def lstm_direction(n_in, n, rng):
     """One float64 LSTM direction, initialized as the model initializes it."""
     return init_params(n_chars=1, word_dim=1, rng=rng, char_dim=n_in, char_hidden=n,
                        word_hidden=1, n_tags=1, dtype=np.float64).char_fwd
+
+
+def length_mask(lengths):
+    """(T, B) mask of sequences of the given lengths, longest first."""
+    return (np.arange(max(lengths))[:, None] < np.asarray(lengths)).astype(np.float64)
 
 
 def gate_probe(preactivations, hidden=1):
@@ -108,14 +115,13 @@ class TestLstm:
             ad.param(np.zeros(4 * n_hidden)),
         )
 
-    def padded_case(self, seed):
-        """Random (T*B, 3) input with lengths 4, 2, 1 and junk in the padding."""
+    def padded_case(self, seed, mask=None):
+        """Random (T*B, 3) input with junk in the padding; lengths 4, 2, 1
+        unless a (T, B) ``mask`` is given."""
         rng = np.random.default_rng(seed)
-        mask = np.zeros((4, 3))
-        for j, n in enumerate((4, 2, 1)):
-            mask[:n, j] = 1.0
-        x = ad.param(rng.normal(size=(12, 3)))
-        w = ad.Tensor(rng.normal(size=(12, 4)))
+        mask = length_mask((4, 2, 1)) if mask is None else mask
+        x = ad.param(rng.normal(size=(mask.size, 3)))
+        w = ad.Tensor(rng.normal(size=(mask.size, 4)))
         return lstm_direction(3, 4, rng), x, mask, w
 
     def test_zero_fixed_point(self):
@@ -145,8 +151,15 @@ class TestLstm:
             assert np.all(x.grad[mask.reshape(-1) == 0.0] == 0.0)
 
     def test_matches_per_step_reference(self):
-        for reverse in (False, True):
-            p, x, mask, w = self.padded_case(3)
+        masks = [
+            length_mask((4, 2, 1)),
+            # read in reverse, rows join at steps 5, 3 (two at once), 1 and 0
+            length_mask((6, 4, 4, 2, 1)),
+            # rows 1 and 2 pause and resume, carrying their state through
+            np.array([[1.0, 1, 1], [1, 0, 0], [1, 1, 0], [1, 1, 1]]),
+        ]
+        for mask, reverse in itertools.product(masks, (False, True)):
+            p, x, mask, w = self.padded_case(3, mask)
             params = {"x": x, **p.tensors("lstm")}
             results = []
             for op in (ad.lstm_seq, lstm_reference.lstm_seq):
@@ -167,6 +180,24 @@ class TestLstm:
                 untaped = ad.lstm_seq(x, mask, p, reverse)
             assert taped.requires_grad and not untaped.requires_grad
             assert np.array_equal(taped.data, untaped.data)
+
+    def test_taped_history_holds_live_rows_only(self):
+        # one 64-step sequence beside 63 one-step ones: 127 of 4,096 rows live
+        mask = length_mask([64] + [1] * 63)
+        rng = np.random.default_rng(6)
+        n = 32
+        p = lstm_direction(8, n, rng)
+        x = ad.param(rng.normal(size=(mask.size, 8)))
+        padded_history = mask.size * 5 * n * 8  # float64 gates and cells of every row
+        for reverse in (False, True):
+            tracemalloc.start()
+            try:
+                out = ad.lstm_seq(x, mask, p, reverse)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.requires_grad
+            assert peak - out.data.nbytes < padded_history / 10
 
     def test_backward_runs_once_per_forward(self):
         p, x, mask, _ = self.padded_case(5)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import csner.trainer as trainer_mod
 from csner import autodiff as ad
 from csner.corpus_io import Dataset, TaggedSentence
+from csner.embeddings import build_char_vocab
 from csner.model import BatchArrays, batch_loss
 from csner.trainer import (
     Checkpoint,
@@ -27,6 +29,8 @@ from csner.trainer import (
 
 from conftest import corpus_from, corrupt_vocab_entry, random_table
 
+DATA = Path(__file__).parent / "data"
+
 
 def quick_cfg(**kw):
     base = dict(
@@ -39,8 +43,6 @@ def quick_cfg(**kw):
 
 @pytest.fixture()
 def small_setup(overfit_corpus):
-    from csner.embeddings import build_char_vocab
-
     words = {t for s in overfit_corpus for t in s.tokens}
     cfg = quick_cfg()
     table = random_table(words, cfg.word_dim)
@@ -153,8 +155,6 @@ class TestFitStopping:
         corpus = corpus_from("a/O")
         cfg = quick_cfg(patience=patience, max_epochs=max_epochs)
         words = {t for s in corpus for t in s.tokens}
-        from csner.embeddings import build_char_vocab
-
         model = new_model(cfg, random_table(words, cfg.word_dim),
                           build_char_vocab(corpus), np.random.default_rng(0))
         best = fit(model, corpus, corpus, cfg)
@@ -193,8 +193,6 @@ class TestPaddingNeutrality:
     def test_extra_padding_column_changes_nothing(self, small_setup):
         cfg, model, corpus = small_setup
         cfg64 = quick_cfg(float64=True)
-        from csner.embeddings import build_char_vocab
-
         words = {t for s in corpus for t in s.tokens}
         model = new_model(cfg64, random_table(words, cfg64.word_dim),
                           build_char_vocab(corpus), np.random.default_rng(3))
@@ -235,8 +233,6 @@ class TestDeterminism:
         corpus = corpus_from(
             "Ana/B-PER come/O\nel/O rio/B-LOC\npan/O rico/O\nsol/B-EVENT hoy/O"
         )
-        from csner.embeddings import build_char_vocab
-
         cfg = quick_cfg(seed=seed, max_epochs=3)
         words = {t for s in corpus for t in s.tokens}
         rng = np.random.default_rng(cfg.seed)
@@ -256,13 +252,23 @@ class TestDeterminism:
         ds = corpus_from("Ana/B-PER come/O")
         words = {t for s in ds for t in s.tokens}
         table = random_table(words, 12)
-        from csner.embeddings import build_char_vocab
-
         cfg = quick_cfg(max_epochs=2)
         model = new_model(cfg, table, build_char_vocab(ds), np.random.default_rng(0))
         checksum = model.tables.words.vectors.tobytes()
         fit(model, ds, ds, cfg)
         assert model.tables.words.vectors.tobytes() == checksum
+
+
+class TestNewModel:
+    def test_callers_table_keeps_its_array(self, overfit_corpus):
+        words = {t for s in overfit_corpus for t in s.tokens}
+        table = random_table(words, 12)
+        vectors = table.vectors
+        model = new_model(quick_cfg(), table, build_char_vocab(overfit_corpus),
+                          np.random.default_rng(0))
+        assert table.vectors is vectors and vectors.dtype == np.float64
+        assert model.tables.words.vectors.dtype == np.float32
+        assert np.array_equal(model.tables.words.vectors, vectors.astype(np.float32))
 
 
 class TestCheckpointIO:
@@ -335,6 +341,7 @@ class TestCheckpointIO:
                                           if k != "config"}), "meta has no 'config'"),
         ("meta", lambda rest: rest[:-1], "malformed meta line"),
         ("tensor", lambda rest: rest.rsplit(" ", 1)[0] + " x", "malformed tensor line"),
+        ("tensor", lambda rest: rest + " <f2", "malformed tensor line '.* <f2'$"),
         ("vocab", lambda rest: rest + " 7", "malformed vocab line"),
         # config values of the wrong type or range (quick_cfg's sizes)
         ("meta", lambda rest: rest.replace('"char_hidden": 4', '"char_hidden": "4"'),
@@ -354,6 +361,35 @@ class TestCheckpointIO:
         path.write_bytes("\n".join(lines).encode() + sep + payload)
         with pytest.raises(CheckpointError, match=f"^header line {number}: {message}"):
             load_checkpoint(path)
+
+    def test_float64_round_trip_is_exact(self, overfit_corpus, tmp_path):
+        words = {t for s in overfit_corpus for t in s.tokens}
+        cfg = quick_cfg(float64=True)
+        model = new_model(cfg, random_table(words, cfg.word_dim),
+                          build_char_vocab(overfit_corpus), np.random.default_rng(cfg.seed))
+        ckpt = snapshot(model, cfg, 0.5, 1)
+        path = tmp_path / "model.ck"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert loaded.tensors.keys() == ckpt.tensors.keys()
+        for name, data in ckpt.tensors.items():
+            assert loaded.tensors[name].dtype == np.float64, name
+            assert np.array_equal(loaded.tensors[name], data), name
+        restored = restore_model(loaded).params.tensors()
+        for name, t in model.params.tensors().items():
+            assert np.array_equal(restored[name].data, t.data), name
+
+    def test_float32_checkpoint_without_dtype_field(self, overfit_corpus, tmp_path):
+        """A float32 checkpoint written before tensor lines could carry a
+        dtype loads, tags as it did when written, and saves back to the
+        same bytes."""
+        path = DATA / "checkpoint_f32.ck"
+        ckpt = load_checkpoint(path)
+        tags = predict_dataset(restore_model(ckpt), overfit_corpus, 8)
+        want = json.loads((DATA / "checkpoint_f32.tags.json").read_text())
+        assert [[str(t) for t in sent] for sent in tags] == want
+        save_checkpoint(ckpt, tmp_path / "again.ck")
+        assert (tmp_path / "again.ck").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("kind, entry", [("word", 5), ("char", 3)])
     def test_non_utf8_vocab_entry_located(self, small_setup, tmp_path, kind, entry):
