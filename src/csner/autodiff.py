@@ -97,10 +97,8 @@ def _unbroadcast(g, shape):
     return g
 
 
-def backward(root: Tensor, seed=None):
+def backward(root: Tensor):
     """Accumulate d(root)/d(leaf) into each reachable leaf's ``.grad``."""
-    if seed is None:
-        seed = np.ones_like(root.data)
     # iterative topological order; graphs grow linearly with sequence length
     order = []
     visited = {id(root)}
@@ -117,8 +115,7 @@ def backward(root: Tensor, seed=None):
         if not advanced:
             order.append(node)
             stack.pop()
-    grad = _grad(root)
-    grad += seed
+    _grad(root)[...] += 1.0
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
@@ -416,11 +413,13 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -438,8 +437,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
             raise NonFiniteGradient(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if name not in state.m:
@@ -447,13 +446,13 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / correction1
         v_hat = v / correction2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

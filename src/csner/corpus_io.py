@@ -15,36 +15,18 @@ from typing import NamedTuple
 
 
 class EntityCategory(enum.Enum):
-    """The nine entity categories, in report order."""
+    """The nine entity categories, in report order; each value is the
+    category's code in tag strings, e.g. ``PER`` in ``B-PER``."""
 
-    PERSON = "person"
-    LOCATION = "location"
-    PRODUCT = "product"
-    TITLE = "title"
-    ORGANIZATION = "organization"
-    GROUP = "group"
-    TIME = "time"
-    EVENT = "event"
-    OTHER = "other"
-
-    @property
-    def code(self) -> str:
-        """Short code used in tag strings, e.g. ``PER`` in ``B-PER``."""
-        return _CATEGORY_CODES[self]
-
-
-_CATEGORY_CODES = {
-    EntityCategory.PERSON: "PER",
-    EntityCategory.LOCATION: "LOC",
-    EntityCategory.PRODUCT: "PROD",
-    EntityCategory.TITLE: "TITLE",
-    EntityCategory.ORGANIZATION: "ORG",
-    EntityCategory.GROUP: "GROUP",
-    EntityCategory.TIME: "TIME",
-    EntityCategory.EVENT: "EVENT",
-    EntityCategory.OTHER: "OTHER",
-}
-_CODE_TO_CATEGORY = {code: cat for cat, code in _CATEGORY_CODES.items()}
+    PERSON = "PER"
+    LOCATION = "LOC"
+    PRODUCT = "PROD"
+    TITLE = "TITLE"
+    ORGANIZATION = "ORG"
+    GROUP = "GROUP"
+    TIME = "TIME"
+    EVENT = "EVENT"
+    OTHER = "OTHER"
 
 
 class Tag(NamedTuple):
@@ -56,7 +38,7 @@ class Tag(NamedTuple):
     def __str__(self) -> str:
         if self.kind == "O":
             return "O"
-        return f"{self.kind}-{self.category.code}"
+        return f"{self.kind}-{self.category.value}"
 
 
 O = Tag("O")
@@ -66,23 +48,16 @@ def tag_from_string(s: str) -> Tag:
     """Parse a tag string; raises ValueError on anything outside the 19-tag set."""
     if s == "O":
         return O
-    if len(s) > 2 and s[1] == "-" and s[0] in ("B", "I"):
-        cat = _CODE_TO_CATEGORY.get(s[2:])
-        if cat is not None:
-            return Tag(s[0], cat)
+    if s[:2] in ("B-", "I-"):
+        try:
+            return Tag(s[0], EntityCategory(s[2:]))
+        except ValueError:
+            pass
     raise ValueError(f"malformed tag {s!r}")
 
 
-def all_tags() -> list[Tag]:
-    """The fixed 19-tag inventory: O first, then B/I per category in report order."""
-    tags = [O]
-    for cat in EntityCategory:
-        tags.append(Tag("B", cat))
-        tags.append(Tag("I", cat))
-    return tags
-
-
-TAGS = all_tags()
+# the fixed 19-tag inventory: O first, then B/I per category in report order
+TAGS = [O] + [Tag(kind, cat) for cat in EntityCategory for kind in "BI"]
 TAG_INDEX = {t: i for i, t in enumerate(TAGS)}
 
 
@@ -280,5 +255,5 @@ def format_stats(stats: CorpusStats) -> str:
         f"# Words{'':<10}{stats.words:>8}",
     ]
     for cat in EntityCategory:
-        lines.append(f"# {cat.value.capitalize():<15}{stats.entities[cat]:>8}")
+        lines.append(f"# {cat.name.capitalize():<15}{stats.entities[cat]:>8}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ is fixed during training except for those four rows.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,68 +100,73 @@ class EmbeddingTable:
             )
 
 
-def load_vec(source, keep: set[str] | None = None) -> EmbeddingTable:
-    """Load a ``.vec`` file (path or file object).
+def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
+    """Load the ``.vec`` file at ``path``.
 
     ``keep`` restricts the rows retained in memory (full tables run to
     gigabytes); membership is decided by the caller, typically via the
     normalization candidate closure of a corpus.  Duplicate words keep
     their first occurrence.
     """
-    if hasattr(source, "read"):
-        fp = source
-        close = False
-    else:
-        fp = io.open(source, encoding="utf-8", newline="\n")
-        close = True
     try:
-        header = fp.readline()  # outside the try: UnicodeDecodeError is a ValueError
-        try:
-            _, dim = map(int, header.split())
-        except ValueError:
-            raise VectorLoadError("line 1: expected header 'count dim'") from None
-        words: list[str] = []
-        rows: list[np.ndarray] = []
-        seen: set[str] = set()
-        stat_sum = np.zeros(dim, dtype=np.float64)
-        stat_count = 0
-        for line_no, line in enumerate(fp, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if parts and parts[-1] == "":  # tolerate trailing space
-                parts.pop()
-            if len(parts) - 1 != dim:
-                raise VectorLoadError(
-                    f"line {line_no}: expected {dim} components, got {len(parts) - 1}"
-                )
-            word = parts[0]
+        # a NaN, an infinity or an overflow shows in the sum, checked once below
+        with open(path, encoding="utf-8", newline="\n") as fp, \
+                np.errstate(over="ignore", invalid="ignore"):
+            header = fp.readline()  # outside the try: UnicodeDecodeError is a ValueError
             try:
-                vector = np.array(parts[1:], dtype=np.float64)
+                _, dim = map(int, header.split())
             except ValueError:
-                raise VectorLoadError(
-                    f"line {line_no}: non-numeric vector component"
-                ) from None
-            stat_sum += vector
-            stat_count += 1
-            if word in seen or (keep is not None and word not in keep):
-                continue
-            seen.add(word)
-            words.append(word)
-            rows.append(vector)
+                raise VectorLoadError("line 1: expected header 'count dim'") from None
+            if dim < 1:
+                raise VectorLoadError(f"line 1: dimension {dim} is not positive")
+            kept: dict[str, np.ndarray] = {}  # word -> row, in file order
+            stat_sum = np.zeros(dim, dtype=np.float64)
+            stat_count = 0
+            for line_no, line in enumerate(fp, start=2):
+                parts = line.rstrip("\n").split(" ")
+                if parts and parts[-1] == "":  # tolerate trailing space
+                    parts.pop()
+                if len(parts) - 1 != dim:
+                    raise VectorLoadError(
+                        f"line {line_no}: expected {dim} components, got {len(parts) - 1}"
+                    )
+                word = parts[0]
+                try:
+                    vector = np.array(parts[1:], dtype=np.float64)
+                except ValueError:
+                    raise VectorLoadError(
+                        f"line {line_no}: non-numeric vector component"
+                    ) from None
+                stat_sum += vector
+                stat_count += 1
+                if word not in kept and (keep is None or word in keep):
+                    kept[word] = vector
     except UnicodeDecodeError:
-        if not close:
-            raise VectorLoadError("not valid UTF-8") from None
-        bad = non_utf8_line(source, newline="\n")
+        bad = non_utf8_line(path, newline="\n")
         raise VectorLoadError(f"line {bad}: not valid UTF-8") from None
-    finally:
-        if close:
-            fp.close()
-    vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float64)
+    if not np.isfinite(stat_sum).all():
+        bad = _non_finite_line(path, dim)
+        raise VectorLoadError(f"line {bad}: non-finite vector component")
+    vectors = np.vstack(list(kept.values())) if kept else np.zeros((0, dim), dtype=np.float64)
     return EmbeddingTable(
-        Vocabulary(words, specials=False),
+        Vocabulary(kept, specials=False),
         vectors,
         stat_sum=stat_sum,
         stat_count=stat_count,
     )
+
+
+def _non_finite_line(path, dim: int) -> int:
+    """The 1-based number of the line of a well-formed ``.vec`` file at
+    which ``load_vec``'s running component sum stops being finite."""
+    total = np.zeros(dim, dtype=np.float64)
+    with open(path, encoding="utf-8", newline="\n") as fp, \
+            np.errstate(over="ignore", invalid="ignore"):
+        next(fp)
+        for line_no, line in enumerate(fp, start=2):
+            total += np.array(line.rstrip("\n").split(" ")[1 : dim + 1], dtype=np.float64)
+            if not np.isfinite(total).all():
+                return line_no
 
 
 def empty_table(dim: int) -> EmbeddingTable:
@@ -175,40 +179,35 @@ def empty_table(dim: int) -> EmbeddingTable:
 
 
 def merge_tables(eng: EmbeddingTable, spa: EmbeddingTable) -> EmbeddingTable:
-    """Concatenate two tables into the shared bilingual vocabulary.
+    """Concatenate two loaded tables into the shared bilingual vocabulary.
 
     English entries come first and win on collision; PAD/UNK/USR/URL rows
-    are prepended.  PAD starts at zero, the other three at the mean of
-    all loaded vectors (a documented choice; the pre-trained tables have
-    no row for them).
+    are prepended and replace any row of that name in either table.  PAD
+    starts at zero, the other three at the mean of all loaded vectors (a
+    documented choice, as ordinary words' rows would not fit those roles).
     """
     if eng.dim != spa.dim:
         raise ValueError(f"dimension mismatch: {eng.dim} vs {spa.dim}")
-    dim = eng.dim
-    words = list(eng.vocabulary.tokens)
-    rows = [eng.vectors]
-    eng_set = set(words)
-    spa_rows = [
-        i
-        for i, w in enumerate(spa.vocabulary.tokens)
-        if w not in eng_set and w not in SPECIAL_TOKENS
-    ]
-    words += [spa.vocabulary.tokens[i] for i in spa_rows]
-    rows.append(spa.vectors[spa_rows])
-
-    stat_sum = np.zeros(dim, dtype=np.float64)
-    stat_count = 0
+    picks = []  # (table, the rows it keeps), English first
+    taken = set(SPECIAL_TOKENS)
     for table in (eng, spa):
-        if table.stat_sum is not None:
-            stat_sum += table.stat_sum
-            stat_count += table.stat_count
-    mean = stat_sum / stat_count if stat_count else np.zeros(dim, dtype=np.float64)
+        picks.append((table, [i for i, w in enumerate(table.vocabulary.tokens) if w not in taken]))
+        taken.update(table.vocabulary.tokens)
+    words = [table.vocabulary.tokens[i] for table, rows in picks for i in rows]
+    stat_sum = eng.stat_sum + spa.stat_sum
+    stat_count = eng.stat_count + spa.stat_count
 
-    specials = np.vstack([np.zeros(dim, dtype=np.float64), mean, mean, mean])
-    vocabulary = Vocabulary(words, specials=True)
-    vectors = np.vstack([specials] + rows)
+    start = len(SPECIAL_TOKENS)
+    vectors = np.zeros((start + len(words), eng.dim), dtype=np.float64)
+    if stat_count:
+        vectors[1:start] = stat_sum / stat_count
+    for table, rows in picks:
+        # "clip" is unbuffered: the rows land in place, with no copy of the table
+        np.take(table.vectors, rows, axis=0, out=vectors[start : start + len(rows)],
+                mode="clip")
+        start += len(rows)
     return EmbeddingTable(
-        vocabulary, vectors, stat_sum=stat_sum, stat_count=stat_count
+        Vocabulary(words, specials=True), vectors, stat_sum=stat_sum, stat_count=stat_count
     )
 
 
@@ -246,13 +245,13 @@ class CharVocabulary(Vocabulary):
         return self.tokens
 
 
-def build_char_vocab(dataset: Dataset, extra: str = DEFAULT_CHAR_EXTRA) -> CharVocabulary:
+def build_char_vocab(dataset: Dataset) -> CharVocabulary:
     """Union of all characters in the corpus plus a fixed extra inventory.
 
     Deterministic: characters are ordered by code point regardless of the
     order they were observed in.
     """
-    chars = set(extra)
+    chars = set(DEFAULT_CHAR_EXTRA)
     for sent in dataset:
         for token in sent.tokens:
             chars.update(token)

@@ -153,7 +153,7 @@ def format_report(report: EvalReport) -> str:
         if c is None:
             continue
         lines.append(
-            f"{cat.value:<14}{c.tp:>6}{c.fp:>6}{c.fn:>6}"
+            f"{cat.name.lower():<14}{c.tp:>6}{c.fp:>6}{c.fn:>6}"
             f"{100 * c.precision:>9.4f}%{100 * c.recall:>9.4f}%{100 * c.f1:>9.4f}%"
         )
     lines.append(f"harmonic mean F1: {100 * report.harmonic_f1:.4f}%")

@@ -259,6 +259,22 @@ class TestPreprocessCommand:
         raw = read_conll(tmp_path / "train.conll")
         assert [len(s) for s in prep] == [len(s) for s in raw]
 
+    def test_vector_rows_named_like_reserved_tokens(self, tmp_path, capsys):
+        corpus = tmp_path / "c.conll"
+        corpus.write_text("mira\tO\nhttp://t.co/x\tO\n@ana\tO\n\n")
+        vec = tmp_path / "eng.vec"
+        vec.write_text("3 2\nURL 1 0\nmira 1 1\nUSR 0 1\n")
+        assert main(["preprocess", str(corpus), "--vec-eng", str(vec)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_non_finite_vector_fails_cleanly(self, tmp_path, capsys):
+        corpus = tmp_path / "c.conll"
+        corpus.write_text("mira\tO\n\n")
+        vec = tmp_path / "eng.vec"
+        vec.write_text("2 2\nmira 1 1\nver nan 0\n")
+        assert main(["preprocess", str(corpus), "--vec-eng", str(vec)]) == 1
+        assert capsys.readouterr().err == "error: line 3: non-finite vector component\n"
+
 
 class TestTrainPredict:
     def test_train_then_predict(self, workdir, capsys):

@@ -41,7 +41,7 @@ class TestTagInventory:
         assert len(EntityCategory) == 9
 
     def test_malformed_tags_rejected(self):
-        for bad in ("B", "B-", "B-XYZ", "X-PER", "o", "I-per", "B-PER-X"):
+        for bad in ("B", "B-", "B-XYZ", "X-PER", "o", "I-per", "B-PER-X", "B-person", "I-Person"):
             with pytest.raises(ValueError):
                 tag_from_string(bad)
 

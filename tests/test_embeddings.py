@@ -1,4 +1,4 @@
-import io
+import itertools
 
 import numpy as np
 import pytest
@@ -29,23 +29,32 @@ from csner.preprocess import (
 )
 
 
-def vec_file(text: str):
-    return io.StringIO(text)
+@pytest.fixture
+def vec_file(tmp_path):
+    """Write ``.vec`` text to a fresh file and return its path."""
+    names = itertools.count()
+
+    def write(text: str):
+        path = tmp_path / f"{next(names)}.vec"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    return write
 
 
 class TestLoadVec:
-    def test_literal_read(self):
+    def test_literal_read(self, vec_file):
         table = load_vec(vec_file("2 3\na 1 0 0\nb 0 1 0\n"))
         assert len(table.vocabulary) == 2
         assert table.dim == 3
         assert np.array_equal(table.vectors[0], [1, 0, 0])
 
-    def test_dimension_mismatch_reports_line(self):
+    def test_dimension_mismatch_reports_line(self, vec_file):
         with pytest.raises(VectorLoadError) as err:
             load_vec(vec_file("2 3\na 1 0 0\nb 0 1\n"))
         assert "line 3" in str(err.value)
 
-    def test_non_numeric_component(self):
+    def test_non_numeric_component(self, vec_file):
         with pytest.raises(VectorLoadError) as err:
             load_vec(vec_file("1 2\na x 1\n"))
         assert "line 2" in str(err.value)
@@ -58,20 +67,27 @@ class TestLoadVec:
         with pytest.raises(VectorLoadError, match="^line 2002: not valid UTF-8$"):
             load_vec(path)
 
-    def test_bad_header(self):
-        with pytest.raises(VectorLoadError):
-            load_vec(vec_file("hello\n"))
+    def test_bad_header(self, vec_file):
+        for text in ("hello\n", "2 -3\na 1 2 3\n", "2 0\na\n"):
+            with pytest.raises(VectorLoadError, match="^line 1: "):
+                load_vec(vec_file(text))
 
-    def test_duplicates_keep_first(self):
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_component_reports_line(self, vec_file, bad):
+        # a row that is not kept still feeds the UNK/USR/URL mean
+        with pytest.raises(VectorLoadError, match="^line 3: non-finite vector component$"):
+            load_vec(vec_file(f"3 2\na 1 0\nb 0 {bad}\nc 1 1\n"), keep={"a"})
+
+    def test_duplicates_keep_first(self, vec_file):
         table = load_vec(vec_file("2 2\na 1 1\na 2 2\n"))
         assert len(table.vocabulary) == 1
         assert np.array_equal(table.vectors[0], [1, 1])
 
-    def test_trailing_space_tolerated(self):
+    def test_trailing_space_tolerated(self, vec_file):
         table = load_vec(vec_file("1 2\na 1 2 \n"))
         assert np.array_equal(table.vectors[0], [1, 2])
 
-    def test_prune_keeps_requested_and_full_mean(self):
+    def test_prune_keeps_requested_and_full_mean(self, vec_file):
         text = "3 2\na 1 0\nb 3 0\nc 5 0\n"
         pruned = load_vec(vec_file(text), keep={"b"})
         assert pruned.vocabulary.tokens == ["b"]
@@ -80,28 +96,30 @@ class TestLoadVec:
 
 
 class TestMerge:
-    def eng(self):
+    @pytest.fixture
+    def eng(self, vec_file):
         return load_vec(vec_file("2 2\na 1 1\nb 2 2\n"))
 
-    def spa(self):
+    @pytest.fixture
+    def spa(self, vec_file):
         return load_vec(vec_file("2 2\nb 9 9\nc 3 3\n"))
 
-    def test_first_wins_and_specials(self):
-        merged = merge_tables(self.eng(), self.spa())
+    def test_first_wins_and_specials(self, eng, spa):
+        merged = merge_tables(eng, spa)
         assert merged.vocabulary.tokens == list(SPECIAL_TOKENS) + ["a", "b", "c"]
         b_row = merged.vectors[merged.vocabulary.index("b")]
         assert np.array_equal(b_row, [2, 2])  # the English vector, bit for bit
 
-    def test_merge_with_empty(self):
-        merged = merge_tables(self.eng(), empty_table(2))
+    def test_merge_with_empty(self, eng):
+        merged = merge_tables(eng, empty_table(2))
         assert merged.vocabulary.tokens == list(SPECIAL_TOKENS) + ["a", "b"]
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, eng):
         with pytest.raises(ValueError):
-            merge_tables(self.eng(), empty_table(5))
+            merge_tables(eng, empty_table(5))
 
-    def test_special_rows(self):
-        merged = merge_tables(self.eng(), self.spa())
+    def test_special_rows(self, eng, spa):
+        merged = merge_tables(eng, spa)
         mean = np.array([1 + 2 + 9 + 3, 1 + 2 + 9 + 3], dtype=float) / 4
         assert np.array_equal(merged.vectors[0], [0, 0])  # PAD
         assert np.allclose(merged.vectors[1], mean)  # UNK = mean of all loaded
@@ -109,11 +127,20 @@ class TestMerge:
         assert merged.vocabulary.index(PAD_TOKEN) == 0
         assert merged.vocabulary.index(UNK_TOKEN) == 1
 
-    def test_unknown_token_falls_back_to_unk(self):
-        merged = merge_tables(self.eng(), self.spa())
+    def test_reserved_rows_win_in_either_table(self, vec_file):
+        eng = load_vec(vec_file("3 2\nURL 9 9\na 1 1\nUSR 7 7\n"))
+        spa = load_vec(vec_file("2 2\n<UNK> 5 5\nb 3 3\n"))
+        merged = merge_tables(eng, spa)
+        assert merged.vocabulary.tokens == list(SPECIAL_TOKENS) + ["a", "b"]
+        mean = np.array([9 + 1 + 7 + 5 + 3] * 2, dtype=float) / 5
+        assert np.array_equal(merged.vectors[1:4], [mean] * 3)  # UNK, USR, URL
+        assert np.array_equal(merged.vectors[4:], [[1, 1], [3, 3]])
+
+    def test_unknown_token_falls_back_to_unk(self, eng, spa):
+        merged = merge_tables(eng, spa)
         assert merged.vocabulary.index("nope") == 1
 
-    def test_merged_oov_never_above_single_table(self):
+    def test_merged_oov_never_above_single_table(self, vec_file):
         rng = np.random.default_rng(8)
         words = [f"w{i}" for i in range(60)]
         eng_words, spa_words = words[:40], words[25:]
@@ -157,7 +184,7 @@ class TestPruning:
         pruned = vocab & (candidate_forms(token) | set(SPECIAL_TOKENS))
         assert preprocess_token(token, vocab) == preprocess_token(token, pruned)
 
-    def test_pruned_pipeline_matches_full(self):
+    def test_pruned_pipeline_matches_full(self, vec_file):
         corpus = parse_conll("HOLAAA\tO\n@ana\tO\nBarcelona\tO\nzzz\tO\n\n")
         words = ["hola", "Barcelona", "adios", "otro", "mas"]
         text = f"{len(words)} 2\n" + "".join(f"{w} 1 2\n" for w in words)

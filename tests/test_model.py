@@ -281,18 +281,6 @@ class TestSpellingColumns:
 
 
 class TestEndToEndGradient:
-    def test_full_model_finite_differences(self, micro_setup):
-        corpus, tables, params = micro_setup
-        from csner.trainer import make_batches
-
-        batch = make_batches(corpus, 4, tables, np.float64)[0]
-
-        def loss():
-            return batch_loss(batch.arrays, batch.gold_flat % 5, tables, params)
-
-        err = ad.finite_diff_check(loss, params.tensors(), h=1e-4)
-        assert err < 1e-4
-
     def test_full_model_matches_per_step_reference(self, micro_setup, monkeypatch):
         _, tables, params = micro_setup
         from csner import model
