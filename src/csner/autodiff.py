@@ -185,24 +185,6 @@ def slice_axis(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _make(data, (t,), bw)
 
 
-def tanh(t: Tensor) -> Tensor:
-    out = np.tanh(t.data)
-
-    def bw(g):
-        _accum(t, g * (1.0 - out * out))
-
-    return _make(out, (t,), bw)
-
-
-def sum_all(t: Tensor) -> Tensor:
-    data = np.asarray(t.data.sum())
-
-    def bw(g):
-        _accum(t, np.broadcast_to(g, t.data.shape))
-
-    return _make(data, (t,), bw)
-
-
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row gather; gradients scatter-add back into the table."""
     data = table.data[indices]
@@ -285,17 +267,17 @@ def _activate_gates(z, n: int) -> None:
         block *= 0.5
 
 
-def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) -> Tensor:
-    """One LSTM direction over a whole padded sequence, as a single op.
+def lstm_seq(x: Tensor, lengths, p: LstmParams, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a padded batch of sequences, as one op.
 
     ``x`` is flat time-major, shape (T*B, input_size): step t lives at
-    rows [t*B, (t+1)*B).  ``mask`` is (T, B), and at every step its live
-    rows must come first: sort the sequences longest first.  Starting
-    from a zero state the steps run in order (last to first when
-    ``reverse``) through the standard gated update c' = f*c + i*g,
-    h' = o*tanh(c'), computed for the live rows only; the other rows
-    carry h and c through untouched.  Returns the carried h of every
-    step, shape (T*B, hidden).
+    rows [t*B, (t+1)*B).  ``lengths`` holds the B sequences' lengths,
+    longest first, so T = len(x) // B, and at every step the live rows
+    come first.  Starting from a zero state the steps run in order (last
+    to first when ``reverse``) through the standard gated update
+    c' = f*c + i*g, h' = o*tanh(c'), computed for the live rows only;
+    the other rows carry h and c through untouched.  Returns the carried
+    h of every step, shape (T*B, hidden).
 
     Backward is hand-written BPTT over the whole sequence.  When the
     result is taped, each step's activated gates and incoming cell state
@@ -305,15 +287,16 @@ def lstm_seq(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) 
     forward, and the gradients of x, wx, wh and b are each one GEMM or
     reduction over the live rows alone.
     """
-    n_steps, batch = mask.shape
+    lengths = np.asarray(lengths)
+    batch = len(lengths)
+    n_steps = len(x.data) // batch
     n = p.wh.data.shape[0]
-    expected = (n_steps * batch, p.wx.data.shape[0])
-    if x.data.shape != expected:
-        raise ValueError(f"input shape {x.data.shape}, expected {expected}")
-    alive = mask > 0
+    if (x.data.shape != (n_steps * batch, p.wx.data.shape[0])
+            or lengths[0] > n_steps or (np.diff(lengths) > 0).any()):
+        raise ValueError(f"input shape {x.data.shape} and lengths {lengths.tolist()}: expected "
+                         f"(T*{batch}, {p.wx.data.shape[0]}) and T >= lengths[0] >= lengths[1] >= ...")
+    alive = np.arange(n_steps)[:, None] < lengths
     counts = alive.sum(axis=1)
-    if not np.array_equal(alive, np.arange(batch) < counts[:, None]):
-        raise ValueError("mask is not a prefix at every step: live rows must come first")
     live = counts.tolist()
     parents = (x, p.wx, p.wh, p.b)
     taped = _recording(parents)
@@ -458,39 +441,3 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
 def zero_grads(params: dict[str, Tensor]) -> None:
     for p in params.values():
         p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-def finite_diff_check(loss_fn, params: dict[str, Tensor], h: float = 1e-4,
-                      floor: float = 1e-3) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` must be deterministic and return a scalar Tensor.  The
-    relative error denominator is floored at ``floor`` so near-zero
-    gradients are compared absolutely.  Run in float64.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    zero_grads(params)
-    loss = loss_fn()
-    backward(loss)
-    analytic = {name: _grad(p).copy() for name, p in params.items()}
-    worst = 0.0
-    with no_grad():
-        for name, p in params.items():
-            flat = p.data.reshape(-1)
-            ana = analytic[name].reshape(-1)
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + h
-                up = float(loss_fn().data)
-                flat[i] = saved - h
-                down = float(loss_fn().data)
-                flat[i] = saved
-                numeric = (up - down) / (2.0 * h)
-                err = abs(ana[i] - numeric) / max(abs(ana[i]), abs(numeric), floor)
-                worst = max(worst, err)
-    return worst

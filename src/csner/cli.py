@@ -142,6 +142,11 @@ def _require_files(**paths) -> None:
             raise ConfigError(f"{name} file not found: {path}")
 
 
+def _require_given(cfg: RunConfig, *names) -> None:
+    """``_require_files`` for the optional paths among ``names`` that are set."""
+    _require_files(**{name: getattr(cfg, name) for name in names if getattr(cfg, name)})
+
+
 def _require_writable(**paths) -> None:
     for name, path in paths.items():
         if path is None:
@@ -162,15 +167,13 @@ def _prune_set(cfg: RunConfig, *datasets):
     """Vector rows to retain: the normalization candidate closure of
     either an explicit --prune-to corpus or the pipeline's own corpora."""
     if cfg.prune_to:
-        _require_files(prune_to=cfg.prune_to)
         return corpus_candidate_forms(read_conll(cfg.prune_to))
     return corpus_candidate_forms(*datasets)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     _require_files(train=cfg.train, dev=cfg.dev, vec_eng=cfg.vec_eng)
-    if cfg.vec_spa:
-        _require_files(vec_spa=cfg.vec_spa)
+    _require_given(cfg, "vec_spa", "test", "prune_to")
     if cfg.checkpoint is None:
         raise ConfigError("missing required path: checkpoint")
     _require_writable(checkpoint=cfg.checkpoint, out=cfg.out)
@@ -180,7 +183,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if not train_raw.labeled or not dev_raw.labeled:
         raise TrainingError("train and dev corpora must carry gold tags")
     extras = []
-    if cfg.test and os.path.isfile(cfg.test):
+    if cfg.test:
         extras.append(read_conll(cfg.test, "test"))
     table = _load_tables(cfg, _prune_set(cfg, train_raw, dev_raw, *extras))[1]
 
@@ -256,8 +259,7 @@ def cmd_stats(corpus_path: str) -> int:
 
 def cmd_preprocess(cfg: RunConfig, corpus_path: str) -> int:
     _require_files(corpus=corpus_path, vec_eng=cfg.vec_eng)
-    if cfg.vec_spa:
-        _require_files(vec_spa=cfg.vec_spa)
+    _require_given(cfg, "vec_spa", "train", "prune_to")
     _require_writable(out=cfg.out)
     corpus = read_conll(corpus_path)
     if len(corpus) == 0:
@@ -276,7 +278,6 @@ def cmd_preprocess(cfg: RunConfig, corpus_path: str) -> int:
 
     rows = []
     if cfg.train:
-        _require_files(train=cfg.train)
         train_vocab = {t for s in read_conll(cfg.train) for t in s.tokens}
         rows.append(("corpus", oov_report(corpus, train_vocab)))
     rows.append(("vectors (eng)", oov_report(corpus, eng.vocabulary)))

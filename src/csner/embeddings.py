@@ -114,7 +114,7 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
                 np.errstate(over="ignore", invalid="ignore"):
             header = fp.readline()  # outside the try: UnicodeDecodeError is a ValueError
             try:
-                _, dim = map(int, header.split())
+                count, dim = map(int, header.split())
             except ValueError:
                 raise VectorLoadError("line 1: expected header 'count dim'") from None
             if dim < 1:
@@ -147,6 +147,8 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
     if not np.isfinite(stat_sum).all():
         bad = _non_finite_line(path, dim)
         raise VectorLoadError(f"line {bad}: non-finite vector component")
+    if stat_count != count:
+        raise VectorLoadError(f"line 1: header declares {count} rows, file has {stat_count}")
     vectors = np.vstack(list(kept.values())) if kept else np.zeros((0, dim), dtype=np.float64)
     return EmbeddingTable(
         Vocabulary(kept, specials=False),

@@ -4,11 +4,11 @@ pre-trained word vector, and a word-level BiLSTM plus a linear layer
 produce per-token tag scores.
 
 All internal computation is time-major: word position (t, b) lives at
-flat row t*B + b, so every LSTM step is a contiguous row slice.  Padding
-is handled by masked state updates, which keep padded inputs out of the
-loss and the gradients exactly (not just approximately).  The arrays
-stay padded; ``autodiff.lstm_seq`` steps only the live rows, and its
-backward history and gradient GEMMs cover only those.
+flat row t*B + b, so every LSTM step is a contiguous row slice.  The
+arrays stay padded; each LSTM takes its sequences' lengths, steps only
+the live rows and carries the state through the rest, and the loss
+weighs padded words 0, so padded inputs stay out of the loss and the
+gradients exactly (not just approximately).
 """
 
 from __future__ import annotations
@@ -126,9 +126,9 @@ class BatchArrays:
 
     word_idx: np.ndarray  # (T, B) int
     char_idx: np.ndarray  # (V, U) int
-    char_mask: np.ndarray  # (V, U)
+    char_lengths: np.ndarray  # (U,) int, each spelling's length
     spelling_idx: np.ndarray  # (T*B,) int, a column of char_idx
-    mask: np.ndarray  # (T, B); 1 iff t < lengths[b]
+    mask: np.ndarray  # (T, B), the loss's weight; 1 iff t < lengths[b]
     lengths: list[int]
 
     @property
@@ -150,25 +150,22 @@ def build_arrays(
 
     Word indices come from ``token_seqs`` (normalized forms); characters
     come from ``surface_seqs`` when given (the raw pre-replacement
-    spellings) so the char encoder sees original orthography.  With the
-    sentences and the spellings longest first, every step of both masks
-    is a prefix, as ``autodiff.lstm_seq`` needs.
+    spellings) so the char encoder sees original orthography.  The
+    spellings are sorted longest first here; the sentences must already
+    be, as ``autodiff.lstm_seq`` checks.
     """
+    lengths = [len(s) for s in token_seqs]
     if surface_seqs is None:
         surface_seqs = token_seqs
-    elif [len(s) for s in surface_seqs] != [len(s) for s in token_seqs]:
+    elif [len(s) for s in surface_seqs] != lengths:
         raise ValueError("surface sentences are not aligned with the tokens")
-    b = len(token_seqs)
-    lengths = [len(s) for s in token_seqs]
-    if any(a < z for a, z in zip(lengths, lengths[1:])):
-        raise ValueError(f"sentence lengths {lengths} are not non-increasing")
-    t_max = max(lengths)
+    b, t_max = len(lengths), max(lengths)
     # first occurrence, then a stable sort longest first: the same order
     # in every process, whatever the string hash seed
     spellings = sorted(dict.fromkeys(w for sent in surface_seqs for w in sent),
                        key=len, reverse=True)
     column = {w: u for u, w in enumerate(spellings)}
-    v_max = len(spellings[0])
+    char_lengths = np.array([len(w) for w in spellings], dtype=np.int64)
 
     word_idx = np.zeros((t_max, b), dtype=np.int64)
     mask = np.zeros((t_max, b), dtype=dtype)
@@ -178,27 +175,25 @@ def build_arrays(
             word_idx[t, j] = tables.words.vocabulary.index(token)
             spelling_idx[t * b + j] = column[surface]
         mask[: len(tokens), j] = 1.0
-    char_idx = np.zeros((v_max, len(spellings)), dtype=np.int64)
-    char_mask = np.zeros((v_max, len(spellings)), dtype=dtype)
+    char_idx = np.zeros((char_lengths[0], len(spellings)), dtype=np.int64)
     for u, spelling in enumerate(spellings):
         char_idx[: len(spelling), u] = tables.chars.indices(spelling)
-        char_mask[: len(spelling), u] = 1.0
-    return BatchArrays(word_idx, char_idx, char_mask, spelling_idx, mask, lengths)
+    return BatchArrays(word_idx, char_idx, char_lengths, spelling_idx, mask, lengths)
 
 
-def _run_bilstm(x: Tensor, mask, fwd: LstmParams, bwd: LstmParams):
-    """Both directions over flat time-major input ``x`` (T*B rows) with a
-    (T, B) ``mask`` whose live rows are a prefix at every step; masked
-    steps carry the previous state through unchanged.  Returns each
+def _run_bilstm(x: Tensor, lengths, fwd: LstmParams, bwd: LstmParams):
+    """Both directions over flat time-major input ``x`` (T*B rows) holding
+    B sequences of the given ``lengths``, longest first; past its length
+    a sequence carries its state through unchanged.  Returns each
     direction's (T*B, hidden) states."""
-    return ad.lstm_seq(x, mask, fwd), ad.lstm_seq(x, mask, bwd, reverse=True)
+    return ad.lstm_seq(x, lengths, fwd), ad.lstm_seq(x, lengths, bwd, reverse=True)
 
 
-def _encode_chars(params: ModelParams, char_idx, char_mask) -> Tensor:
+def _encode_chars(params: ModelParams, char_idx, char_lengths) -> Tensor:
     """(V, U) character indices -> (U, 2*char_hidden) spelling encodings."""
     v_max, n = char_idx.shape
     x = ad.embedding(params.char_embed, char_idx.reshape(-1))
-    h_fwd, h_bwd = _run_bilstm(x, char_mask, params.char_fwd, params.char_bwd)
+    h_fwd, h_bwd = _run_bilstm(x, char_lengths, params.char_fwd, params.char_bwd)
     # forward freezes at each word's last character; backward ends after
     # consuming the first
     return ad.concat(
@@ -227,14 +222,14 @@ def encode_batch(
 ) -> Tensor:
     """Token context vectors, flat time-major shape (T*B, 2*word_hidden).
     Dropout is on exactly when ``rng`` is given (training)."""
-    a = _encode_chars(params, arrays.char_idx, arrays.char_mask)
+    a = _encode_chars(params, arrays.char_idx, arrays.char_lengths)
     # each spelling is encoded once; the gather's backward sums its uses
     a = ad.embedding(a, arrays.spelling_idx)
     x = _word_vectors(params, tables.words, arrays.word_idx.reshape(-1))
     u = ad.concat([x, a], axis=1)
     u = ad.dropout(u, dropout_rate, rng)
 
-    h_fwd, h_bwd = _run_bilstm(u, arrays.mask, params.word_fwd, params.word_bwd)
+    h_fwd, h_bwd = _run_bilstm(u, arrays.lengths, params.word_fwd, params.word_bwd)
     c = ad.concat([h_fwd, h_bwd], axis=1)
     return ad.dropout(c, dropout_rate, rng)
 

@@ -3,18 +3,20 @@ fused ``autodiff.lstm_seq`` is checked against.
 
 Each step tapes its own matmuls, slices, gate activations and masked
 blend, so its gradients come from the generic backward closures rather
-than hand-written BPTT.
+than hand-written BPTT.  It builds its own per-step mask from the
+lengths and needs them in no particular order.
 """
 
 import numpy as np
 
 from csner import autodiff as ad
+from reference_ops import tanh
 
 
 def sigmoid(t):
     """0.5 + 0.5*tanh(x/2), composed so the tape differentiates it."""
     half = ad.Tensor(np.asarray(0.5, dtype=t.data.dtype))
-    return ad.add(half, ad.mul(half, ad.tanh(ad.mul(t, half))))
+    return ad.add(half, ad.mul(half, tanh(ad.mul(t, half))))
 
 
 def lstm_step(x, h, c, p):
@@ -23,10 +25,10 @@ def lstm_step(x, h, c, p):
     z = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h, p.wh)), p.b)
     i = sigmoid(ad.slice_axis(z, -1, 0, n))
     f = sigmoid(ad.slice_axis(z, -1, n, 2 * n))
-    g = ad.tanh(ad.slice_axis(z, -1, 2 * n, 3 * n))
+    g = tanh(ad.slice_axis(z, -1, 2 * n, 3 * n))
     o = sigmoid(ad.slice_axis(z, -1, 3 * n, 4 * n))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    return ad.mul(o, ad.tanh(c_new)), c_new
+    return ad.mul(o, tanh(c_new)), c_new
 
 
 def masked(new, prev, m):
@@ -34,10 +36,12 @@ def masked(new, prev, m):
     return ad.add(ad.mul(new, ad.Tensor(m)), ad.mul(prev, ad.Tensor(1.0 - m)))
 
 
-def lstm_seq(x, mask, p, reverse=False):
+def lstm_seq(x, lengths, p, reverse=False):
     """Same contract as ``autodiff.lstm_seq``, one taped step at a time."""
-    n_steps, batch = mask.shape
+    batch = len(lengths)
+    n_steps = len(x.data) // batch
     dtype = x.data.dtype
+    mask = (np.arange(n_steps)[:, None] < np.asarray(lengths)).astype(dtype)
     n = p.wh.data.shape[0]
     h = ad.Tensor(np.zeros((batch, n), dtype=dtype))
     c = ad.Tensor(np.zeros((batch, n), dtype=dtype))
@@ -45,15 +49,15 @@ def lstm_seq(x, mask, p, reverse=False):
     for t in (reversed(range(n_steps)) if reverse else range(n_steps)):
         x_t = ad.slice_axis(x, 0, t * batch, (t + 1) * batch)
         h_new, c_new = lstm_step(x_t, h, c, p)
-        m = mask[t][:, None].astype(dtype)
+        m = mask[t][:, None]
         h, c = masked(h_new, h, m), masked(c_new, c, m)
         outs[t] = h
     return ad.concat(outs, axis=0)
 
 
-def run_bilstm(x, mask, fwd, bwd):
+def run_bilstm(x, lengths, fwd, bwd):
     """Drop-in for ``model._run_bilstm`` on the per-step reference."""
-    return lstm_seq(x, mask, fwd), lstm_seq(x, mask, bwd, reverse=True)
+    return lstm_seq(x, lengths, fwd), lstm_seq(x, lengths, bwd, reverse=True)
 
 
 def tape_size(root):

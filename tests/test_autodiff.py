@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 import threading
 import tracemalloc
 
@@ -9,26 +11,22 @@ import pytest
 import lstm_reference
 from csner import autodiff as ad
 from csner.model import init_params
+from reference_ops import finite_diff_check, sum_all, tanh
 
 
 def fd_check(loss_fn, params, h=1e-4, floor=1e-3):
-    return ad.finite_diff_check(loss_fn, params, h=h, floor=floor)
+    return finite_diff_check(loss_fn, params, h=h, floor=floor)
 
 
 def weighted_sum(t, rng):
     w = ad.Tensor(rng.normal(size=t.data.shape))
-    return ad.sum_all(ad.mul(t, w))
+    return sum_all(ad.mul(t, w))
 
 
 def lstm_direction(n_in, n, rng):
     """One float64 LSTM direction, initialized as the model initializes it."""
     return init_params(n_chars=1, word_dim=1, rng=rng, char_dim=n_in, char_hidden=n,
                        word_hidden=1, n_tags=1, dtype=np.float64).char_fwd
-
-
-def length_mask(lengths):
-    """(T, B) mask of sequences of the given lengths, longest first."""
-    return (np.arange(max(lengths))[:, None] < np.asarray(lengths)).astype(np.float64)
 
 
 def gate_probe(preactivations, hidden=1):
@@ -40,7 +38,7 @@ def gate_probe(preactivations, hidden=1):
         ad.param(np.zeros((hidden, 4 * hidden))),
         ad.param(np.zeros(4 * hidden)),
     )
-    return ad.lstm_seq(ad.Tensor(z), np.ones((len(z), 1)), p).data
+    return ad.lstm_seq(ad.Tensor(z), [len(z)], p).data
 
 
 class TestPrimitives:
@@ -68,7 +66,7 @@ class TestPrimitives:
         a = ad.param(rng.normal(size=(3, 4)))
         b = ad.param(rng.normal(size=(4, 5)))
         w = ad.Tensor(rng.normal(size=(3, 5)))
-        loss = lambda: ad.sum_all(ad.mul(ad.matmul(a, b), w))
+        loss = lambda: sum_all(ad.mul(ad.matmul(a, b), w))
         assert fd_check(loss, {"a": a, "b": b}, h=1e-5, floor=1.0) < 1e-6
 
     def test_matmul_shape_contract(self):
@@ -90,9 +88,9 @@ class TestPrimitives:
             "concat": lambda: weighted_sum(ad.concat([x, y], axis=1), np.random.default_rng(5)),
             "slice": lambda: weighted_sum(ad.slice_axis(x, 1, 1, 4), np.random.default_rng(6)),
             "lstm_seq": lambda: weighted_sum(
-                ad.lstm_seq(x, np.ones((2, 1)), lstm), np.random.default_rng(7)
+                ad.lstm_seq(x, [2], lstm), np.random.default_rng(7)
             ),
-            "tanh": lambda: weighted_sum(ad.tanh(x), np.random.default_rng(8)),
+            "tanh": lambda: weighted_sum(tanh(x), np.random.default_rng(8)),
             "embedding": lambda: weighted_sum(ad.embedding(table, idx), np.random.default_rng(9)),
         }
         params = {"x": x, "y": y, "row": row, "table": table}
@@ -115,19 +113,19 @@ class TestLstm:
             ad.param(np.zeros(4 * n_hidden)),
         )
 
-    def padded_case(self, seed, mask=None):
-        """Random (T*B, 3) input with junk in the padding; lengths 4, 2, 1
-        unless a (T, B) ``mask`` is given."""
+    def padded_case(self, seed, lengths=(4, 2, 1), n_steps=None):
+        """Random (T*B, 3) input with junk in the padding; T is the longest
+        length unless ``n_steps`` is given."""
         rng = np.random.default_rng(seed)
-        mask = length_mask((4, 2, 1)) if mask is None else mask
-        x = ad.param(rng.normal(size=(mask.size, 3)))
-        w = ad.Tensor(rng.normal(size=(mask.size, 4)))
-        return lstm_direction(3, 4, rng), x, mask, w
+        rows = (n_steps or max(lengths)) * len(lengths)
+        x = ad.param(rng.normal(size=(rows, 3)))
+        w = ad.Tensor(rng.normal(size=(rows, 4)))
+        return lstm_direction(3, 4, rng), x, list(lengths), w
 
     def test_zero_fixed_point(self):
         p = self.zero_params()
         for reverse in (False, True):
-            out = ad.lstm_seq(ad.Tensor(np.zeros((6, 3))), np.ones((3, 2)), p, reverse)
+            out = ad.lstm_seq(ad.Tensor(np.zeros((6, 3))), [3, 3], p, reverse)
             assert np.array_equal(out.data, np.zeros((6, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
@@ -141,30 +139,32 @@ class TestLstm:
 
     def test_gradients_match_finite_differences(self):
         for reverse in (False, True):
-            p, x, mask, w = self.padded_case(2)
+            p, x, lengths, w = self.padded_case(2)
 
             def loss():
-                return ad.sum_all(ad.mul(ad.lstm_seq(x, mask, p, reverse), w))
+                return sum_all(ad.mul(ad.lstm_seq(x, lengths, p, reverse), w))
 
             params = {"x": x, **p.tensors("lstm")}
             assert fd_check(loss, params) < 1e-4
-            assert np.all(x.grad[mask.reshape(-1) == 0.0] == 0.0)
+            padded = np.arange(4)[:, None] >= np.array(lengths)
+            assert np.all(x.grad[padded.reshape(-1)] == 0.0)
 
     def test_matches_per_step_reference(self):
-        masks = [
-            length_mask((4, 2, 1)),
+        cases = [
+            ((4, 2, 1), None),
             # read in reverse, rows join at steps 5, 3 (two at once), 1 and 0
-            length_mask((6, 4, 4, 2, 1)),
-            # rows 1 and 2 pause and resume, carrying their state through
-            np.array([[1.0, 1, 1], [1, 0, 0], [1, 1, 0], [1, 1, 1]]),
+            ((6, 4, 4, 2, 1), None),
+            # two trailing steps where every row carries its state through;
+            # read in reverse, the first steps run with no row live
+            ((3, 2, 2), 5),
         ]
-        for mask, reverse in itertools.product(masks, (False, True)):
-            p, x, mask, w = self.padded_case(3, mask)
+        for (lengths, n_steps), reverse in itertools.product(cases, (False, True)):
+            p, x, lengths, w = self.padded_case(3, lengths, n_steps)
             params = {"x": x, **p.tensors("lstm")}
             results = []
             for op in (ad.lstm_seq, lstm_reference.lstm_seq):
                 ad.zero_grads(params)
-                loss = ad.sum_all(ad.mul(op(x, mask, p, reverse), w))
+                loss = sum_all(ad.mul(op(x, lengths, p, reverse), w))
                 ad.backward(loss)
                 results.append((float(loss.data), {k: t.grad.copy() for k, t in params.items()}))
             (fused_loss, fused), (ref_loss, ref) = results
@@ -174,25 +174,26 @@ class TestLstm:
 
     def test_taped_and_untaped_forward_identical(self):
         for reverse in (False, True):
-            p, x, mask, _ = self.padded_case(4)
-            taped = ad.lstm_seq(x, mask, p, reverse)
+            p, x, lengths, _ = self.padded_case(4)
+            taped = ad.lstm_seq(x, lengths, p, reverse)
             with ad.no_grad():
-                untaped = ad.lstm_seq(x, mask, p, reverse)
+                untaped = ad.lstm_seq(x, lengths, p, reverse)
             assert taped.requires_grad and not untaped.requires_grad
             assert np.array_equal(taped.data, untaped.data)
 
     def test_taped_history_holds_live_rows_only(self):
         # one 64-step sequence beside 63 one-step ones: 127 of 4,096 rows live
-        mask = length_mask([64] + [1] * 63)
+        lengths = [64] + [1] * 63
+        rows = 64 * len(lengths)
         rng = np.random.default_rng(6)
         n = 32
         p = lstm_direction(8, n, rng)
-        x = ad.param(rng.normal(size=(mask.size, 8)))
-        padded_history = mask.size * 5 * n * 8  # float64 gates and cells of every row
+        x = ad.param(rng.normal(size=(rows, 8)))
+        padded_history = rows * 5 * n * 8  # float64 gates and cells of every row
         for reverse in (False, True):
             tracemalloc.start()
             try:
-                out = ad.lstm_seq(x, mask, p, reverse)
+                out = ad.lstm_seq(x, lengths, p, reverse)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -200,22 +201,32 @@ class TestLstm:
             assert peak - out.data.nbytes < padded_history / 10
 
     def test_backward_runs_once_per_forward(self):
-        p, x, mask, _ = self.padded_case(5)
-        out = ad.lstm_seq(x, mask, p)
+        p, x, lengths, _ = self.padded_case(5)
+        out = ad.lstm_seq(x, lengths, p)
         out._backward(np.ones_like(out.data))
         with pytest.raises(RuntimeError):
             out._backward(np.ones_like(out.data))
 
-    def test_mask_must_be_prefix(self):
+    def test_increasing_lengths_rejected(self):
         p = self.zero_params()
-        # row 1 live while row 0 is not
-        with pytest.raises(ValueError, match="prefix"):
-            ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), np.array([[1.0, 1.0], [0.0, 1.0]]), p)
+        # at step 1, row 1 would be live while row 0 is not
+        with pytest.raises(ValueError, match=r"T >= lengths\[0\] >= lengths\[1\]"):
+            ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), [1, 2], p)
+
+    def test_length_above_steps_rejected(self):
+        p = self.zero_params()
+        # 4 rows of 2 sequences are T = 2 steps
+        for lengths in ([3, 1], [3, 3]):
+            with pytest.raises(ValueError, match=r"T >= lengths\[0\]"):
+                ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), lengths, p)
 
     def test_input_width_contract(self):
         p = self.zero_params()
         with pytest.raises(ValueError):
-            ad.lstm_seq(ad.Tensor(np.zeros((1, 5))), np.ones((1, 1)), p)
+            ad.lstm_seq(ad.Tensor(np.zeros((1, 5))), [1], p)
+        # 5 rows do not split into 2 sequences
+        with pytest.raises(ValueError):
+            ad.lstm_seq(ad.Tensor(np.zeros((5, 3))), [2, 2], p)
 
     def test_forget_bias_initialized_to_one(self):
         p = lstm_direction(3, 4, np.random.default_rng(0))
@@ -380,13 +391,13 @@ class TestFiniteDiff:
     def test_linear_loss_near_machine_epsilon(self):
         x = ad.param(np.array([1.0, -2.0, 3.0]))
         w = ad.Tensor(np.array([2.0, 0.5, -1.0]))
-        loss = lambda: ad.sum_all(ad.mul(x, w))
+        loss = lambda: sum_all(ad.mul(x, w))
         assert fd_check(loss, {"x": x}, floor=1.0) < 1e-10
 
     def test_zero_step_contract(self):
         x = ad.param(np.array([1.0]))
         with pytest.raises(ValueError):
-            ad.finite_diff_check(lambda: ad.sum_all(x), {"x": x}, h=0.0)
+            finite_diff_check(lambda: sum_all(x), {"x": x}, h=0.0)
 
 
 def test_no_grad_blocks_taping():
@@ -414,12 +425,44 @@ def test_no_grad_is_per_thread():
     worker.start()
     try:
         assert inside.wait(timeout=10)
-        out = ad.lstm_seq(x, np.ones((2, 1)), p)
+        out = ad.lstm_seq(x, [2], p)
     finally:
         release.set()
         worker.join(timeout=10)
     assert not worker.is_alive()
     assert seen["other_thread"] is False
     assert out.requires_grad
-    ad.backward(ad.sum_all(out))
+    ad.backward(sum_all(out))
     assert x.grad is not None and p.wh.grad is not None
+
+
+def test_every_public_engine_name_is_used_in_src():
+    """The engine keeps only what the package uses: each public function
+    and class of ``csner.autodiff`` is referenced somewhere in
+    ``src/csner`` outside its own definition."""
+    src = pathlib.Path(ad.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    public = {node.name for node in trees["autodiff.py"].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    used = set()
+    for name, tree in trees.items():
+        if name == "autodiff.py":
+            for stmt in tree.body:
+                own = getattr(stmt, "name", None)
+                used |= {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and n.id != own}
+            continue
+        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1]
+        # ``from . import autodiff as ad`` and ``from .autodiff import X``
+        modules = {a.asname or a.name for n in imports if n.module is None
+                   for a in n.names if a.name == "autodiff"}
+        names = {a.asname or a.name: a.name for n in imports if n.module == "autodiff"
+                 for a in n.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id in names:
+                used.add(names[node.id])
+    assert sorted(public - used) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csner import cli
 from csner.cli import ConfigError, build_run_config, main, parse_config_file
 from csner.corpus_io import read_conll
 from csner.postprocess import postprocess_sentence
@@ -212,6 +213,28 @@ class TestPruneFlag:
         )
         assert code == 1
         assert "ghost.conll" in capsys.readouterr().err
+
+
+class TestPathsCheckedFirst:
+    """Every path given is checked before any corpus or vector file is read."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--test"), ("train", "--prune-to"), ("train", "--vec-spa"),
+        ("preprocess", "--train"), ("preprocess", "--prune-to"), ("preprocess", "--vec-spa"),
+    ])
+    def test_missing_given_path_fails_before_reading(self, workdir, capsys, monkeypatch,
+                                                     command, flag):
+        tmp_path, config = workdir
+        reads = []
+        monkeypatch.setattr(cli, "load_vec", lambda *args, **kwargs: reads.append(args))
+        monkeypatch.setattr(cli, "read_conll", lambda *args, **kwargs: reads.append(args))
+        corpus = [str(tmp_path / "train.conll")] if command == "preprocess" else []
+        ghost = tmp_path / "ghost.conll"
+        code = main([command, *corpus, "--config", str(config), flag, str(ghost)])
+        assert code == 1
+        assert reads == []
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} file not found: {ghost}\n"
 
 
 class TestOutputValidation:

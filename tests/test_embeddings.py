@@ -78,6 +78,22 @@ class TestLoadVec:
         with pytest.raises(VectorLoadError, match="^line 3: non-finite vector component$"):
             load_vec(vec_file(f"3 2\na 1 0\nb 0 {bad}\nc 1 1\n"), keep={"a"})
 
+    @pytest.mark.parametrize("count", [5, 1])
+    def test_header_count_must_match_rows(self, vec_file, count):
+        # a truncated file, and one longer than its header says
+        with pytest.raises(VectorLoadError,
+                           match=f"^line 1: header declares {count} rows, file has 2$"):
+            load_vec(vec_file(f"{count} 2\na 1 0\nb 0 1\n"))
+
+    @pytest.mark.parametrize("rows, message", [
+        ("a 1 0\nb 0\n", "line 3: expected 2 components, got 1"),
+        ("a 1 0\nb x 1\n", "line 3: non-numeric vector component"),
+        ("a 1 0\nb inf 1\n", "line 3: non-finite vector component"),
+    ])
+    def test_line_errors_come_before_the_row_count(self, vec_file, rows, message):
+        with pytest.raises(VectorLoadError, match=f"^{message}$"):
+            load_vec(vec_file("5 2\n" + rows))
+
     def test_duplicates_keep_first(self, vec_file):
         table = load_vec(vec_file("2 2\na 1 1\na 2 2\n"))
         assert len(table.vocabulary) == 1

@@ -41,7 +41,7 @@ def char_vectors(words, tables, params):
     """The char encoding of each word, through the batch's spelling columns."""
     arrays = build_arrays([words], tables, params.dtype)
     with ad.no_grad():
-        spellings = _encode_chars(params, arrays.char_idx, arrays.char_mask).data
+        spellings = _encode_chars(params, arrays.char_idx, arrays.char_lengths).data
     return spellings[arrays.spelling_idx]
 
 
@@ -210,8 +210,10 @@ class TestBatchSemantics:
             assert np.array_equal(plain[i], shuffled[i]), i
 
     def test_unsorted_lengths_rejected(self, tiny_tables):
-        with pytest.raises(ValueError, match="non-increasing"):
-            build_arrays([["pan"], ["el", "rio"]], tiny_tables, np.float64)
+        params = small_model(n_chars=len(tiny_tables.chars))
+        arrays = build_arrays([["pan"], ["el", "rio"]], tiny_tables, np.float64)
+        with pytest.raises(ValueError, match=r"lengths \[1, 2\]"):
+            predict_batch(arrays, tiny_tables, params)
 
     def test_fixed_vectors_never_accumulate_gradient(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
@@ -232,8 +234,8 @@ class TestSpellingColumns:
 
     def test_one_column_per_spelling_longest_first(self, tiny_tables):
         a = build_arrays(self.SENTS, tiny_tables, np.float64)
-        columns = ["".join(tiny_tables.chars.chars[i] for i in a.char_idx[: int(n), u])
-                   for u, n in enumerate(a.char_mask.sum(axis=0))]
+        columns = ["".join(tiny_tables.chars.chars[i] for i in a.char_idx[:n, u])
+                   for u, n in enumerate(a.char_lengths)]
         # first occurrence, then a stable sort longest first
         assert columns == ["come", "azul", "Ana", "pan", "rio", "el"]
         slots = a.spelling_idx.reshape(a.max_len, a.batch_size)
@@ -269,9 +271,9 @@ class TestSpellingColumns:
         columns = []
         encode_chars = model._encode_chars
 
-        def counting(params, char_idx, char_mask):
+        def counting(params, char_idx, char_lengths):
             columns.append(char_idx.shape[1])
-            return encode_chars(params, char_idx, char_mask)
+            return encode_chars(params, char_idx, char_lengths)
 
         monkeypatch.setattr(model, "_encode_chars", counting)
         ds = Dataset([TaggedSentence(s) for s in self.SENTS])
@@ -292,12 +294,12 @@ class TestEndToEndGradient:
                              "Ana/B-PER come/O\nel/O")
         batch = make_batches(corpus, 4, tables, np.float64)[0]
         a = batch.arrays
-        # the reference layout: one char column per word slot, with
-        # padded slots on all-padding columns
-        live = a.mask.reshape(-1)
+        # the reference layout: one char column per word slot, in slot
+        # order, with padded slots on all-padding columns of length 0
+        live = a.mask.reshape(-1).astype(np.int64)
         per_slot = dataclasses.replace(
-            a, char_idx=a.char_idx[:, a.spelling_idx] * live.astype(np.int64),
-            char_mask=a.char_mask[:, a.spelling_idx] * live,
+            a, char_idx=a.char_idx[:, a.spelling_idx] * live,
+            char_lengths=a.char_lengths[a.spelling_idx] * live,
             spelling_idx=np.arange(a.spelling_idx.size),
         )
         assert a.char_idx.shape[1] == 6 and per_slot.char_idx.shape[1] == 16

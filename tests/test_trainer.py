@@ -216,8 +216,7 @@ class TestPaddingNeutrality:
         mask = np.vstack([a.mask, np.zeros((1, bsz))])
         spelling_idx = np.concatenate([a.spelling_idx, np.zeros(bsz, dtype=np.int64)])
         char_idx = np.vstack([a.char_idx, np.full((1, n_cols), 2, dtype=np.int64)])
-        char_mask = np.vstack([a.char_mask, np.zeros((1, n_cols))])
-        padded = BatchArrays(word_idx, char_idx, char_mask, spelling_idx, mask, a.lengths)
+        padded = BatchArrays(word_idx, char_idx, a.char_lengths, spelling_idx, mask, a.lengths)
         gold = np.concatenate(
             [batch.gold_flat.reshape(t_max, bsz), np.ones((1, bsz), dtype=np.int64)]
         ).reshape(-1)
