@@ -67,13 +67,10 @@ class RunConfig:
     no_post: bool = False
 
 
-# each key is typed by its field's annotation, the types validate() checks
-_FIELDS = fields(TrainingConfig) + fields(RunConfig)
-_INT_KEYS = {f.name for f in _FIELDS if f.type == "int"}
-_FLOAT_KEYS = {f.name for f in _FIELDS if f.type == "float"}
-_BOOL_KEYS = {f.name for f in _FIELDS if f.type == "bool"}
-_PATH_KEYS = {f.name for f in _FIELDS if f.type == "str | None"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _PATH_KEYS
+# each key, in a config file or as a flag, is typed by its field's
+# annotation: the types validate() checks
+_KEY_TYPES = {f.name: f.type for f in fields(TrainingConfig) + fields(RunConfig)
+              if f.name != "training"}
 
 
 def parse_config_file(path) -> dict:
@@ -89,7 +86,7 @@ def parse_config_file(path) -> dict:
                     raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in _ALL_KEYS:
+                if key not in _KEY_TYPES:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 values[key] = _convert(key, value, f"{path}:{line_no}")
     except UnicodeDecodeError:  # text decodes in chunks: find the line
@@ -98,12 +95,13 @@ def parse_config_file(path) -> dict:
 
 
 def _convert(key: str, value: str, where: str):
+    kind = _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
+        if kind == "int":
             return int(value)
-        if key in _FLOAT_KEYS:
+        if kind == "float":
             return float(value)
-        if key in _BOOL_KEYS:
+        if kind == "bool":
             lowered = value.lower()
             if lowered in ("true", "1", "yes"):
                 return True
@@ -121,9 +119,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if not os.path.isfile(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         values.update(parse_config_file(args.config))
-    for key in _ALL_KEYS:
+    for key in _KEY_TYPES:
         flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
+        if flag is not None:
             values[key] = flag
 
     def given(cls):
@@ -297,6 +295,12 @@ def cmd_preprocess(cfg: RunConfig, corpus_path: str) -> int:
     return 0
 
 
+_HELP = {"config": "key = value settings file", "train": "training corpus",
+         "dev": "development corpus", "test": "test corpus", "vec_eng": "English .vec file",
+         "vec_spa": "Spanish .vec file", "checkpoint": "model checkpoint path",
+         "out": "output path", "prune_to": "retain only vector rows reachable from this corpus"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csner",
@@ -304,53 +308,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--train", help="training corpus")
-        p.add_argument("--dev", help="development corpus")
-        p.add_argument("--test", help="test corpus / prediction input")
-        p.add_argument("--vec-eng", dest="vec_eng", help="English .vec file")
-        p.add_argument("--vec-spa", dest="vec_spa", help="Spanish .vec file")
-        p.add_argument("--checkpoint", help="model checkpoint path")
-        p.add_argument("--out", help="output path")
-        p.add_argument(
-            "--prune-to", dest="prune_to", metavar="CORPUS",
-            help="retain only vector rows reachable from this corpus",
-        )
-        p.add_argument("--seed", type=int)
-        p.add_argument("--max-epochs", dest="max_epochs", type=int)
-        p.add_argument("--no-post", dest="no_post", action="store_true", default=None)
-        p.add_argument("--float64", action="store_true", default=None)
+    def command(name, summary, *keys):
+        """A subcommand with a flag for each of the settings it reads."""
+        p = sub.add_parser(name, help=summary)
+        for key in keys:
+            flag, kind = "--" + key.replace("_", "-"), _KEY_TYPES.get(key)
+            if kind == "bool":
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, type=int if kind == "int" else None, help=_HELP.get(key),
+                               metavar="CORPUS" if key == "prune_to" else None)
         return p
 
-    common(sub.add_parser("train", help="train a tagger"))
-    p = common(sub.add_parser("predict", help="tag a corpus with a trained model"))
-    p.add_argument("input", nargs="?", help="corpus to tag (default: --test)")
-    p = common(sub.add_parser("eval", help="score predictions against gold"))
+    command("train", "train a tagger", "config", "train", "dev", "test", "vec_eng", "vec_spa",
+            "checkpoint", "out", "prune_to", "seed", "max_epochs", "float64")
+    p = command("predict", "tag a corpus with a trained model",
+                "config", "checkpoint", "out", "no_post")
+    p.add_argument("input", nargs="?", help="corpus to tag (default: the config's test key)")
+    p = command("eval", "score predictions against gold")
     p.add_argument("gold")
     p.add_argument("pred")
-    p = common(sub.add_parser("stats", help="corpus statistics"))
-    p.add_argument("corpus")
-    p = common(sub.add_parser("preprocess", help="normalize a corpus, report OOV rates"))
-    p.add_argument("corpus")
+    command("stats", "corpus statistics").add_argument("corpus")
+    command("preprocess", "normalize a corpus, report OOV rates",
+            "config", "train", "vec_eng", "vec_spa", "out", "prune_to").add_argument("corpus")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "eval":
+            return cmd_eval(args.gold, args.pred)
+        if args.command == "stats":
+            return cmd_stats(args.corpus)
         cfg = build_run_config(args)
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "predict":
             return cmd_predict(cfg, args.input)
-        if args.command == "eval":
-            return cmd_eval(args.gold, args.pred)
-        if args.command == "stats":
-            return cmd_stats(args.corpus)
-        if args.command == "preprocess":
-            return cmd_preprocess(cfg, args.corpus)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_preprocess(cfg, args.corpus)
     except (ConfigError, ParseError, VectorLoadError, TrainingError,
             CheckpointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

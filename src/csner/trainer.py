@@ -78,8 +78,8 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.lr0 <= 0 or self.decay <= 0:
-            raise ValueError("lr0 and decay must be positive")
+        if not (0 < self.lr0 < math.inf and 0 < self.decay < math.inf):  # nan fails too
+            raise ValueError("lr0 and decay must be positive and finite")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
 
@@ -447,11 +447,11 @@ def load_checkpoint(path) -> Checkpoint:
 
     tensors = {}
     for name, shape, offset, dtype in tensor_specs:
-        size = dtype.itemsize * int(np.prod(shape))
+        size = dtype.itemsize * math.prod(shape)  # exact: np.prod wraps in int64
         if offset + size > len(payload):
             raise CheckpointError(f"tensor {name} overruns the payload")
         tensors[name] = (
-            np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)), offset=offset)
+            np.frombuffer(payload, dtype=dtype, count=math.prod(shape), offset=offset)
             .reshape(shape)
             .copy()
         )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ seed = 3
         encoding="utf-8",
     )
     return tmp_path, config
+
+
+def record_reads(monkeypatch) -> list:
+    """Patch out the CLI's corpus, vector and checkpoint readers; the list
+    collects each call's arguments."""
+    reads = []
+    for reader in ("read_conll", "load_vec", "load_checkpoint"):
+        monkeypatch.setattr(cli, reader, lambda *args, **kwargs: reads.append(args))
+    return reads
 
 
 class TestConfig:
@@ -175,12 +186,16 @@ class TestErrors:
         code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
         assert (code, capsys.readouterr().err) == (1, "error: vocab word entry 7: not valid UTF-8\n")
 
-    def test_non_utf8_config_fails_cleanly(self, tmp_path, capsys):
+    def test_non_utf8_config_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        reads = record_reads(monkeypatch)
         cfg = tmp_path / "bad.cfg"
         # past the first 8 KB, which a text file decodes as one chunk
         cfg.write_bytes(b"# padding\n" * 1000 + b"seed = 3\nout = caf\xe9.conll\n")
-        assert main(["stats", "--config", str(cfg), "x"]) == 1
+        corpus = tmp_path / "in.conll"
+        corpus.write_text("mira\n\n")
+        assert main(["predict", str(corpus), "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:1002: not valid UTF-8\n"
+        assert reads == []
 
     def test_non_utf8_corpus_fails_cleanly(self, tmp_path, capsys):
         corpus = tmp_path / "c.conll"
@@ -188,10 +203,25 @@ class TestErrors:
         assert main(["stats", str(corpus)]) == 1
         assert capsys.readouterr().err == "error: line 41: not valid UTF-8\n"
 
-    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        reads = record_reads(monkeypatch)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("frobnicate = 1\n")
-        assert main(["stats", "--config", str(cfg), "x"]) == 1
+        cfg.write_text("seed = 3\nfrobnicate = 1\n")
+        corpus = tmp_path / "in.conll"
+        corpus.write_text("mira\n\n")
+        assert main(["predict", str(corpus), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'frobnicate'\n"
+        assert reads == []
+
+    @pytest.mark.parametrize("line", ["decay = inf", "decay = nan", "lr0 = inf", "lr0 = nan"])
+    def test_non_finite_rate_fails_before_reading(self, workdir, capsys, monkeypatch, line):
+        tmp_path, config = workdir
+        reads = record_reads(monkeypatch)
+        with open(config, "a", encoding="utf-8") as fp:
+            fp.write(line + "\n")
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: lr0 and decay must be positive and finite\n"
+        assert reads == []
 
 
 class TestPruneFlag:
@@ -215,25 +245,101 @@ class TestPruneFlag:
         assert "ghost.conll" in capsys.readouterr().err
 
 
+FLAGS = ("--config", "--train", "--dev", "--test", "--vec-eng", "--vec-spa", "--checkpoint",
+         "--out", "--prune-to", "--seed", "--max-epochs", "--no-post", "--float64")
+# The flags each command accepts: a path's role, or the value a flag sets.
+# Every other (command, flag) pair is rejected.
+ACCEPTED = {
+    "train": {"--config": "config", "--train": "input", "--dev": "input", "--test": "input",
+              "--vec-eng": "input", "--vec-spa": "input", "--checkpoint": "output",
+              "--out": "output", "--prune-to": "input", "--seed": 7, "--max-epochs": 7,
+              "--float64": True},
+    "predict": {"--config": "config", "--checkpoint": "input", "--out": "output",
+                "--no-post": True},
+    "preprocess": {"--config": "config", "--train": "input", "--vec-eng": "input",
+                   "--vec-spa": "input", "--out": "output", "--prune-to": "input"},
+    "eval": {},
+    "stats": {},
+}
+MATRIX = [(command, flag) for command in ACCEPTED for flag in FLAGS]
+PATH_ROLES = ("config", "input", "output")
+
+
+def positionals(command, tmp_path) -> list:
+    corpus = str(tmp_path / "train.conll")
+    return {"train": [], "predict": [corpus], "preprocess": [corpus],
+            "eval": [corpus, corpus], "stats": [corpus]}[command]
+
+
 class TestPathsCheckedFirst:
-    """Every path given is checked before any corpus or vector file is read."""
+    """Each command accepts only the flags it reads, and every path given
+    is checked before any corpus, vector file or checkpoint is read."""
+
+    @pytest.mark.parametrize("command", ACCEPTED)
+    def test_help_lists_exactly_the_accepted_flags(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+        assert flags == set(ACCEPTED[command])
 
     @pytest.mark.parametrize("command, flag", [
-        ("train", "--test"), ("train", "--prune-to"), ("train", "--vec-spa"),
-        ("preprocess", "--train"), ("preprocess", "--prune-to"), ("preprocess", "--vec-spa"),
+        cell for cell in MATRIX if ACCEPTED[cell[0]].get(cell[1]) in PATH_ROLES
     ])
     def test_missing_given_path_fails_before_reading(self, workdir, capsys, monkeypatch,
                                                      command, flag):
         tmp_path, config = workdir
-        reads = []
-        monkeypatch.setattr(cli, "load_vec", lambda *args, **kwargs: reads.append(args))
-        monkeypatch.setattr(cli, "read_conll", lambda *args, **kwargs: reads.append(args))
-        corpus = [str(tmp_path / "train.conll")] if command == "preprocess" else []
-        ghost = tmp_path / "ghost.conll"
-        code = main([command, *corpus, "--config", str(config), flag, str(ghost)])
-        assert code == 1
-        assert reads == []
+        (tmp_path / "model.ck").touch()  # the config's checkpoint, for predict
+        reads = record_reads(monkeypatch)
+        ghost = tmp_path / "no" / "ghost.conll"
+        code = main([command, *positionals(command, tmp_path), "--config", str(config),
+                     flag, str(ghost)])
+        assert (code, reads) == (1, [])
         name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == {
+            "config": f"error: config file not found: {ghost}\n",
+            "input": f"error: {name} file not found: {ghost}\n",
+            "output": f"error: directory for {name} does not exist: {ghost.parent}\n",
+        }[ACCEPTED[command][flag]]
+
+    @pytest.mark.parametrize("command, flag", [
+        cell for cell in MATRIX
+        if cell[1] in ACCEPTED[cell[0]] and ACCEPTED[cell[0]][cell[1]] not in PATH_ROLES
+    ])
+    def test_value_flag_sets_its_key(self, command, flag):
+        value = ACCEPTED[command][flag]
+        argv = [command, flag] if value is True else [command, flag, str(value)]
+        cfg = build_run_config(cli._build_parser().parse_args(argv))
+        got = {**vars(cfg), **vars(cfg.training)}[flag[2:].replace("-", "_")]
+        assert (got, type(got)) == (value, type(value))
+
+    @pytest.mark.parametrize("command, flag", [
+        cell for cell in MATRIX if cell[1] not in ACCEPTED[cell[0]]
+    ])
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *positionals(command, tmp_path), flag, "x"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["predict", "{ghost}", "--config", "{config}"], "input"),
+        (["predict", "--config", "{config}"], "input"),  # the config's test key
+        (["preprocess", "{ghost}", "--config", "{config}"], "corpus"),
+        (["eval", "{ghost}", "{corpus}"], "gold"),
+        (["eval", "{corpus}", "{ghost}"], "predictions"),
+        (["stats", "{ghost}"], "corpus"),
+    ])
+    def test_missing_positional_fails_before_reading(self, workdir, capsys, monkeypatch,
+                                                     argv, name):
+        tmp_path, config = workdir
+        (tmp_path / "model.ck").touch()
+        ghost = tmp_path / "ghost.conll"
+        with open(config, "a", encoding="utf-8") as fp:
+            fp.write(f"test = {ghost}\n")
+        reads = record_reads(monkeypatch)
+        paths = {"ghost": ghost, "config": config, "corpus": tmp_path / "train.conll"}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert reads == []
         assert capsys.readouterr().err == f"error: {name} file not found: {ghost}\n"
 
 

@@ -51,6 +51,14 @@ def small_setup(overfit_corpus):
     return cfg, model, overfit_corpus
 
 
+class TestConfigValidate:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["lr0", "decay"])
+    def test_non_finite_rate_rejected(self, name, value):
+        with pytest.raises(ValueError, match="^lr0 and decay must be positive and finite$"):
+            quick_cfg(**{name: value}).validate()
+
+
 class TestMakeBatches:
     def test_sorted_then_chunked(self, small_setup):
         cfg, model, _ = small_setup
@@ -349,6 +357,8 @@ class TestCheckpointIO:
          "bad meta block: hidden must be int"),
         ("meta", lambda rest: rest.replace('"batch_size": 4', '"batch_size": -4'),
          "bad meta block: batch_size must be positive"),
+        ("meta", lambda rest: rest.replace('"lr0": 0.01', '"lr0": NaN'),
+         "bad meta block: lr0 and decay must be positive and finite"),
     ])
     def test_malformed_header_line_located(self, small_setup, tmp_path, kind, edit, message):
         path = tmp_path / "model.ck"
@@ -444,6 +454,19 @@ class TestCheckpointIO:
         ckpt.char_list = ckpt.char_list[:2] + ckpt.char_list[:1:-1]
         with pytest.raises(CheckpointError, match="character list is not in vocabulary order"):
             restore_model(ckpt)
+
+    # products that wrap around in int64: to 0, to 0, and past 2**63
+    @pytest.mark.parametrize("shape", ["4294967296,4294967296", "4611686018427387904,4",
+                                       "3037000500,3037000500"])
+    def test_overflowing_shape_overruns(self, small_setup, tmp_path, shape):
+        path = tmp_path / "model.ck"
+        save_checkpoint(self.make_checkpoint(small_setup), path)
+        blob = path.read_bytes()
+        patched = blob.replace(b"tensor proj_w 12,19", b"tensor proj_w " + shape.encode(), 1)
+        assert patched != blob
+        path.write_bytes(patched)
+        with pytest.raises(CheckpointError, match="^tensor proj_w overruns the payload$"):
+            load_checkpoint(path)
 
     def test_shape_disagreement_rejected(self, small_setup, tmp_path):
         ckpt = self.make_checkpoint(small_setup)
