@@ -249,9 +249,6 @@ class LstmParams:
     wh: Tensor  # hidden x 4*hidden
     b: Tensor  # 4*hidden
 
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.wx": self.wx, f"{prefix}.wh": self.wh, f"{prefix}.b": self.b}
-
 
 def _activate_gates(z, n: int) -> None:
     """In place: sigmoid on the i, f and o blocks of ``z``, tanh on g.

@@ -175,6 +175,8 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.checkpoint is None:
         raise ConfigError("missing required path: checkpoint")
     _require_writable(checkpoint=cfg.checkpoint, out=cfg.out)
+    if cfg.out and os.path.realpath(cfg.out) == os.path.realpath(cfg.checkpoint):
+        raise ConfigError(f"out and checkpoint name the same file: {cfg.out}")
 
     train_raw = read_conll(cfg.train, "train")
     dev_raw = read_conll(cfg.dev, "dev")

@@ -75,8 +75,6 @@ class EvalReport:
     per_class: dict[EntityCategory, ClassCounts]
     harmonic_f1: float
     micro_f1: float
-    micro_precision: float
-    micro_recall: float
     sentences: int
     tokens: int
 
@@ -136,8 +134,6 @@ def score(gold: Dataset, pred: Dataset) -> EvalReport:
         per_class=per_class,
         harmonic_f1=harmonic,
         micro_f1=micro.f1,
-        micro_precision=micro.precision,
-        micro_recall=micro.recall,
         sentences=len(gold),
         tokens=tokens,
     )

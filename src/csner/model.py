@@ -13,7 +13,7 @@ gradients exactly (not just approximately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,50 +33,16 @@ class Tables:
     chars: CharVocabulary
 
 
-@dataclass
-class ModelParams:
-    """Every trainable tensor; ``param_shapes`` gives their shapes.
+def param_shapes(n_chars: int, word_dim: int, char_dim: int, char_hidden: int,
+                 word_hidden: int, n_tags: int = N_TAGS) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor, in the order checkpoints
+    store them and Adam walks them.  The word BiLSTM reads a word vector
+    joined to both char directions.
 
     The pre-trained word matrix is not here (it stays fixed inside
     EmbeddingTable and can never accumulate gradient); its four special
     rows PAD/UNK/USR/URL are trainable and live in ``word_specials``.
     """
-
-    char_embed: Tensor
-    char_fwd: LstmParams
-    char_bwd: LstmParams
-    word_fwd: LstmParams
-    word_bwd: LstmParams
-    proj_w: Tensor
-    proj_b: Tensor
-    word_specials: Tensor
-
-    def tensors(self) -> dict[str, Tensor]:
-        """Name -> tensor in field order; LSTM ``d`` gives ``d.wx``, ``d.wh``, ``d.b``."""
-        out = {}
-        for f in fields(self):
-            part = getattr(self, f.name)
-            out.update(part.tensors(f.name) if isinstance(part, LstmParams) else {f.name: part})
-        return out
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, Tensor]) -> ModelParams:
-        """The inverse of ``tensors()``."""
-        return cls(**{
-            f.name: LstmParams(*(tensors[f"{f.name}.{k}"] for k in ("wx", "wh", "b")))
-            if f.type == "LstmParams" else tensors[f.name]
-            for f in fields(cls)
-        })
-
-    @property
-    def dtype(self):
-        return self.proj_w.data.dtype
-
-
-def param_shapes(n_chars: int, word_dim: int, char_dim: int, char_hidden: int,
-                 word_hidden: int, n_tags: int = N_TAGS) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every trainable tensor, in ``tensors()`` order.  The
-    word BiLSTM reads a word vector joined to both char directions."""
     shapes = {"char_embed": (n_chars, char_dim)}
     for layer, n_in, n in (("char", char_dim, char_hidden),
                            ("word", word_dim + 2 * char_hidden, word_hidden)):
@@ -98,8 +64,9 @@ def init_params(
     n_tags: int = N_TAGS,
     dtype=np.float32,
     special_rows: np.ndarray | None = None,
-) -> ModelParams:
-    """Uniform(-0.1, 0.1) everywhere, forget-gate biases at 1.0.
+) -> dict[str, Tensor]:
+    """Name -> tensor in ``param_shapes`` order: Uniform(-0.1, 0.1)
+    everywhere, forget-gate biases at 1.0.
 
     ``special_rows`` seeds the trainable PAD/UNK/USR/URL word rows,
     normally from the merged table (zero + three mean vectors).
@@ -112,7 +79,7 @@ def init_params(
             data[data.size // 4 : data.size // 2] = 1.0
     specials = np.zeros(specials_shape) if special_rows is None else special_rows
     arrays["word_specials"] = specials.astype(dtype)
-    return ModelParams.from_tensors({name: ad.param(data) for name, data in arrays.items()})
+    return {name: ad.param(data) for name, data in arrays.items()}
 
 
 @dataclass
@@ -189,11 +156,17 @@ def _run_bilstm(x: Tensor, lengths, fwd: LstmParams, bwd: LstmParams):
     return ad.lstm_seq(x, lengths, fwd), ad.lstm_seq(x, lengths, bwd, reverse=True)
 
 
-def _encode_chars(params: ModelParams, char_idx, char_lengths) -> Tensor:
+def _directions(params: dict[str, Tensor], layer: str) -> list[LstmParams]:
+    """``layer``'s forward and backward LstmParams, read by tensor name."""
+    return [LstmParams(*(params[f"{layer}_{d}.{k}"] for k in ("wx", "wh", "b")))
+            for d in ("fwd", "bwd")]
+
+
+def _encode_chars(params: dict[str, Tensor], char_idx, char_lengths) -> Tensor:
     """(V, U) character indices -> (U, 2*char_hidden) spelling encodings."""
     v_max, n = char_idx.shape
-    x = ad.embedding(params.char_embed, char_idx.reshape(-1))
-    h_fwd, h_bwd = _run_bilstm(x, char_lengths, params.char_fwd, params.char_bwd)
+    x = ad.embedding(params["char_embed"], char_idx.reshape(-1))
+    h_fwd, h_bwd = _run_bilstm(x, char_lengths, *_directions(params, "char"))
     # forward freezes at each word's last character; backward ends after
     # consuming the first
     return ad.concat(
@@ -202,21 +175,21 @@ def _encode_chars(params: ModelParams, char_idx, char_lengths) -> Tensor:
     )
 
 
-def _word_vectors(params: ModelParams, table: EmbeddingTable, word_flat) -> Tensor:
+def _word_vectors(params: dict[str, Tensor], table: EmbeddingTable, word_flat) -> Tensor:
     """Fixed-row lookup plus the trainable special rows (indices 0-3)."""
-    dtype = params.dtype
+    dtype = params["proj_w"].data.dtype
     fixed = table.vectors[word_flat].astype(dtype)
     special = word_flat < 4
     fixed[special] = 0.0
     onehot = np.zeros((word_flat.size, 4), dtype=dtype)
     onehot[special, word_flat[special]] = 1.0
-    return ad.add(Tensor(fixed), ad.matmul(Tensor(onehot), params.word_specials))
+    return ad.add(Tensor(fixed), ad.matmul(Tensor(onehot), params["word_specials"]))
 
 
 def encode_batch(
     arrays: BatchArrays,
     tables: Tables,
-    params: ModelParams,
+    params: dict[str, Tensor],
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.4,
 ) -> Tensor:
@@ -229,20 +202,20 @@ def encode_batch(
     u = ad.concat([x, a], axis=1)
     u = ad.dropout(u, dropout_rate, rng)
 
-    h_fwd, h_bwd = _run_bilstm(u, arrays.lengths, params.word_fwd, params.word_bwd)
+    h_fwd, h_bwd = _run_bilstm(u, arrays.lengths, *_directions(params, "word"))
     c = ad.concat([h_fwd, h_bwd], axis=1)
     return ad.dropout(c, dropout_rate, rng)
 
 
-def batch_logits(encoded: Tensor, params: ModelParams) -> Tensor:
-    return ad.add(ad.matmul(encoded, params.proj_w), params.proj_b)
+def batch_logits(encoded: Tensor, params: dict[str, Tensor]) -> Tensor:
+    return ad.add(ad.matmul(encoded, params["proj_w"]), params["proj_b"])
 
 
 def batch_loss(
     arrays: BatchArrays,
     gold_flat: np.ndarray,
     tables: Tables,
-    params: ModelParams,
+    params: dict[str, Tensor],
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.4,
 ) -> Tensor:
@@ -253,7 +226,8 @@ def batch_loss(
     )
 
 
-def predict_batch(arrays: BatchArrays, tables: Tables, params: ModelParams) -> list[list[int]]:
+def predict_batch(arrays: BatchArrays, tables: Tables,
+                  params: dict[str, Tensor]) -> list[list[int]]:
     """Per-sentence argmax tag ids; ties resolve to the lowest tag index."""
     with ad.no_grad():
         encoded = encode_batch(arrays, tables, params)

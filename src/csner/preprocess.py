@@ -64,7 +64,6 @@ def strip_repeats(token: str) -> str:
 
 @dataclass(frozen=True)
 class NormalizedToken:
-    original: str
     result: str
     rule: str
 
@@ -91,20 +90,20 @@ def normalize_token(token: str, vocab) -> NormalizedToken:
     in-vocabulary candidate wins, and if all miss the token stays as is.
     """
     if token in vocab:
-        return NormalizedToken(token, token, RULE_NONE)
+        return NormalizedToken(token, RULE_NONE)
     for candidate, rule in normalization_candidates(token):
         if candidate in vocab:
-            return NormalizedToken(token, candidate, rule)
-    return NormalizedToken(token, token, RULE_UNRESOLVED)
+            return NormalizedToken(candidate, rule)
+    return NormalizedToken(token, RULE_UNRESOLVED)
 
 
 def preprocess_token(token: str, vocab) -> NormalizedToken:
     """Replacement followed by normalization, as one per-token record."""
     replaced = replace_token(token)
     if replaced == USR and token != USR:
-        return NormalizedToken(token, USR, RULE_USR)
+        return NormalizedToken(USR, RULE_USR)
     if replaced == URL and token != URL:
-        return NormalizedToken(token, URL, RULE_URL)
+        return NormalizedToken(URL, RULE_URL)
     return normalize_token(token, vocab)
 
 

@@ -30,7 +30,6 @@ from .embeddings import (
 from .evaluate import score
 from .model import (
     BatchArrays,
-    ModelParams,
     Tables,
     batch_loss,
     build_arrays,
@@ -90,7 +89,7 @@ class TrainingConfig:
 
 @dataclass
 class TaggerModel:
-    params: ModelParams
+    params: dict[str, ad.Tensor]  # in param_shapes order
     tables: Tables
 
 
@@ -179,13 +178,12 @@ def train_epoch(
     dropout_rate: float = 0.4,
 ) -> float:
     """One optimization pass; returns the token-weighted mean loss."""
-    params = model.params.tensors()
     total_loss = 0.0
     total_tokens = 0
     for batch in batches:
         if batch.gold_flat is None:
             raise TrainingError("cannot train on unlabeled sentences")
-        ad.zero_grads(params)
+        ad.zero_grads(model.params)
         loss = batch_loss(
             batch.arrays, batch.gold_flat, model.tables, model.params,
             rng=rng, dropout_rate=dropout_rate,
@@ -195,7 +193,7 @@ def train_epoch(
             raise TrainingError(f"non-finite loss {value} (lr {lr})")
         ad.backward(loss)
         try:
-            ad.adam_step(params, adam, lr)
+            ad.adam_step(model.params, adam, lr)
         except ad.NonFiniteGradient as exc:
             raise TrainingError(str(exc)) from exc
         total_loss += value * batch.n_tokens
@@ -211,7 +209,7 @@ def predict_dataset(
     post: bool = True,
 ) -> list[list]:
     """Predicted tag sequences in corpus order."""
-    dtype = model.params.dtype
+    dtype = model.params["proj_w"].data.dtype
     batches = make_batches(dataset, batch_size, model.tables, dtype, surfaces)
     results: list[list | None] = [None] * len(dataset)
     for batch in batches:
@@ -244,7 +242,7 @@ class Checkpoint:
 
 
 def snapshot(model: TaggerModel, cfg: TrainingConfig, dev_score: float, epoch: int) -> Checkpoint:
-    tensors = {name: t.data.copy() for name, t in model.params.tensors().items()}
+    tensors = {name: t.data.copy() for name, t in model.params.items()}
     tensors["word_fixed"] = model.tables.words.vectors.copy()
     return Checkpoint(
         tensors=tensors,
@@ -273,9 +271,7 @@ def restore_model(ckpt: Checkpoint) -> TaggerModel:
         if ckpt.tensors[name].shape != shape:
             got = ckpt.tensors[name].shape
             raise CheckpointError(f"tensor {name!r} has shape {got}, expected {shape}")
-    params = ModelParams.from_tensors(
-        {name: ad.param(ckpt.tensors[name].astype(cfg.dtype)) for name in shapes}
-    )
+    params = {name: ad.param(ckpt.tensors[name].astype(cfg.dtype)) for name in shapes}
     table = EmbeddingTable(vocab, ckpt.tensors["word_fixed"].astype(cfg.dtype))
     return TaggerModel(params, Tables(table, chars))
 
@@ -455,6 +451,8 @@ def load_checkpoint(path) -> Checkpoint:
             .reshape(shape)
             .copy()
         )
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"tensor {name} has a non-finite value")
 
     def read_tokens(kind):
         count, offset = vocab_specs[kind]

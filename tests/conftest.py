@@ -102,6 +102,18 @@ def corrupt_vocab_entry(path, kind: str, entry: int) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+def corrupt_tensor_value(path, name: str, value: float) -> None:
+    """Overwrite the first element of a checkpoint's tensor ``name`` with
+    ``value``, in the tensor's stored float width."""
+    blob = bytearray(Path(path).read_bytes())
+    header, sep, _ = bytes(blob).partition(b"\nend\n")
+    line = next(x for x in header.decode().split("\n") if x.startswith(f"tensor {name} "))
+    _, _, _, offset, *mark = line.split(" ")
+    fmt = "<d" if mark == ["<f8"] else "<f"
+    struct.pack_into(fmt, blob, len(header) + len(sep) + int(offset), value)
+    Path(path).write_bytes(bytes(blob))
+
+
 @pytest.fixture(scope="session")
 def overfit_corpus() -> Dataset:
     return corpus_from(OVERFIT_SENTENCES, "train")

@@ -67,10 +67,9 @@ def test_criterion_1_gradient_correctness(micro_setup):
         def loss():
             return batch_loss(batch.arrays, gold, tables, params)
 
-        tensors = params.tensors()
-        err = finite_diff_check(loss, tensors, h=1e-4)
+        err = finite_diff_check(loss, params, h=1e-4)
         elapsed = time.monotonic() - start
-        n = sum(t.data.size for t in tensors.values())
+        n = sum(t.data.size for t in params.values())
         print(f"    max rel err {err:.3e} over {n} parameters in {elapsed:.1f}s")
         assert err < 1e-4
         assert elapsed < 30.0
@@ -171,7 +170,7 @@ def test_criterion_6_masking_neutrality(overfit_corpus, overfit_tables):
         model = new_model(cfg, overfit_tables.words, overfit_tables.chars,
                           np.random.default_rng(cfg.seed))
         batch = make_batches(overfit_corpus, 16, model.tables, np.float64)[0]
-        params = model.params.tensors()
+        params = model.params
 
         def run(arrays, gold):
             ad.zero_grads(params)

@@ -25,8 +25,9 @@ def weighted_sum(t, rng):
 
 def lstm_direction(n_in, n, rng):
     """One float64 LSTM direction, initialized as the model initializes it."""
-    return init_params(n_chars=1, word_dim=1, rng=rng, char_dim=n_in, char_hidden=n,
-                       word_hidden=1, n_tags=1, dtype=np.float64).char_fwd
+    params = init_params(n_chars=1, word_dim=1, rng=rng, char_dim=n_in, char_hidden=n,
+                         word_hidden=1, n_tags=1, dtype=np.float64)
+    return ad.LstmParams(*(params[f"char_fwd.{k}"] for k in ("wx", "wh", "b")))
 
 
 def gate_probe(preactivations, hidden=1):
@@ -144,7 +145,7 @@ class TestLstm:
             def loss():
                 return sum_all(ad.mul(ad.lstm_seq(x, lengths, p, reverse), w))
 
-            params = {"x": x, **p.tensors("lstm")}
+            params = {"x": x, **vars(p)}
             assert fd_check(loss, params) < 1e-4
             padded = np.arange(4)[:, None] >= np.array(lengths)
             assert np.all(x.grad[padded.reshape(-1)] == 0.0)
@@ -160,7 +161,7 @@ class TestLstm:
         ]
         for (lengths, n_steps), reverse in itertools.product(cases, (False, True)):
             p, x, lengths, w = self.padded_case(3, lengths, n_steps)
-            params = {"x": x, **p.tensors("lstm")}
+            params = {"x": x, **vars(p)}
             results = []
             for op in (ad.lstm_seq, lstm_reference.lstm_seq):
                 ad.zero_grads(params)

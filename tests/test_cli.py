@@ -9,7 +9,13 @@ from csner.corpus_io import read_conll
 from csner.postprocess import postprocess_sentence
 from csner.trainer import load_checkpoint, save_checkpoint
 
-from conftest import OVERFIT_SENTENCES, corrupt_vocab_entry, tagged_text, write_vec_file
+from conftest import (
+    OVERFIT_SENTENCES,
+    corrupt_tensor_value,
+    corrupt_vocab_entry,
+    tagged_text,
+    write_vec_file,
+)
 
 
 @pytest.fixture()
@@ -186,6 +192,20 @@ class TestErrors:
         code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
         assert (code, capsys.readouterr().err) == (1, "error: vocab word entry 7: not valid UTF-8\n")
 
+    def test_checkpoint_non_finite_tensor_fails_cleanly(self, workdir, capsys):
+        tmp_path, config = workdir
+        assert main(["train", "--config", str(config)]) == 0
+        path = tmp_path / "model.ck"
+        trained = path.read_bytes()
+        for name, value in (("proj_w", float("nan")), ("word_fixed", float("inf"))):
+            path.write_bytes(trained)
+            corrupt_tensor_value(path, name, value)
+            capsys.readouterr()
+            code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
+            assert (code, capsys.readouterr().err) == (
+                1, f"error: tensor {name} has a non-finite value\n"
+            )
+
     def test_non_utf8_config_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         reads = record_reads(monkeypatch)
         cfg = tmp_path / "bad.cfg"
@@ -352,6 +372,22 @@ class TestOutputValidation:
         )
         assert code == 1
         assert "does not exist" in capsys.readouterr().err
+
+    def test_out_same_as_checkpoint_fails_before_reading(self, workdir, capsys, monkeypatch):
+        tmp_path, config = workdir
+        assert main(["train", "--config", str(config)]) == 0
+        checkpoint = tmp_path / "model.ck"
+        trained = checkpoint.read_bytes()
+        (tmp_path / "link.ck").symlink_to(checkpoint)
+        capsys.readouterr()
+        reads = record_reads(monkeypatch)
+        for out in (checkpoint, f"{tmp_path}/./model.ck", tmp_path / "link.ck"):
+            assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: out and checkpoint name the same file: {out}\n"
+            )
+        assert reads == []
+        assert checkpoint.read_bytes() == trained
 
 
 class TestStatsAndEval:

@@ -11,7 +11,6 @@ from csner import autodiff as ad
 from csner.corpus_io import TAG_INDEX, TAGS, Dataset, TaggedSentence
 from csner.embeddings import CharVocabulary, EmbeddingTable, Vocabulary
 from csner.model import (
-    ModelParams,
     Tables,
     _encode_chars,
     batch_logits,
@@ -39,19 +38,19 @@ def tiny_tables():
 
 def char_vectors(words, tables, params):
     """The char encoding of each word, through the batch's spelling columns."""
-    arrays = build_arrays([words], tables, params.dtype)
+    arrays = build_arrays([words], tables, params["proj_w"].data.dtype)
     with ad.no_grad():
         spellings = _encode_chars(params, arrays.char_idx, arrays.char_lengths).data
     return spellings[arrays.spelling_idx]
 
 
 def encode(tokens, tables, params, **kwargs):
-    arrays = build_arrays([tokens], tables, params.dtype)
+    arrays = build_arrays([tokens], tables, params["proj_w"].data.dtype)
     return encode_batch(arrays, tables, params, **kwargs)
 
 
 def predict(tokens, tables, params, surfaces=None):
-    arrays = build_arrays([tokens], tables, params.dtype, None if surfaces is None else [surfaces])
+    arrays = build_arrays([tokens], tables, params["proj_w"].data.dtype, None if surfaces is None else [surfaces])
     return predict_batch(arrays, tables, params)[0]
 
 
@@ -60,22 +59,16 @@ class TestParamShapes:
         # every size distinct, so a swapped dimension shows
         sizes = dict(n_chars=7, word_dim=6, char_dim=3, char_hidden=4, word_hidden=5)
         shapes = param_shapes(**sizes)
-        tensors = init_params(rng=np.random.default_rng(0), **sizes).tensors()
+        tensors = init_params(rng=np.random.default_rng(0), **sizes)
         assert list(shapes) == list(tensors)
         assert {name: t.data.shape for name, t in tensors.items()} == shapes
-
-    def test_from_tensors_inverts_tensors(self):
-        tensors = small_model().tensors()
-        rebuilt = ModelParams.from_tensors(tensors).tensors()
-        assert list(rebuilt) == list(tensors)
-        assert all(rebuilt[name] is t for name, t in tensors.items())
 
 
 class TestCharEncode:
     def test_single_char_word_shape(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
         out = char_vectors(["a"], tiny_tables, params)
-        assert out.shape == (1, 2 * params.char_fwd.wh.data.shape[0])
+        assert out.shape == (1, 2 * params["char_fwd.wh"].data.shape[0])
 
     def test_default_dimensions(self, tiny_tables):
         params = init_params(
@@ -83,10 +76,10 @@ class TestCharEncode:
             rng=np.random.default_rng(0),
         )
         assert char_vectors(["ab"], tiny_tables, params).shape == (1, 300)
-        assert params.char_embed.data.shape[1] == 150
-        assert params.word_fwd.wx.data.shape == (600, 800)
-        assert params.word_fwd.wh.data.shape == (200, 800)
-        assert params.proj_w.data.shape == (400, 19)
+        assert params["char_embed"].data.shape[1] == 150
+        assert params["word_fwd.wx"].data.shape == (600, 800)
+        assert params["word_fwd.wh"].data.shape == (200, 800)
+        assert params["proj_w"].data.shape == (400, 19)
 
     def test_distinct_words_distinct_vectors(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
@@ -95,7 +88,7 @@ class TestCharEncode:
 
     def test_zero_params_give_zero_vector(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        for t in params.tensors().values():
+        for t in params.values():
             t.data[...] = 0.0
         out = char_vectors(["pan"], tiny_tables, params)
         assert np.array_equal(out, np.zeros_like(out))
@@ -105,7 +98,7 @@ class TestEncodeSentence:
     def test_single_token_shape(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
         enc = encode(["pan"], tiny_tables, params)
-        assert enc.data.shape == (1, 2 * params.word_fwd.wh.data.shape[0])
+        assert enc.data.shape == (1, 2 * params["word_fwd.wh"].data.shape[0])
 
     def test_inference_deterministic(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
@@ -116,9 +109,11 @@ class TestEncodeSentence:
 
     def test_reversal_swaps_directions(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        mirror = dataclasses.replace(params, word_fwd=params.word_bwd, word_bwd=params.word_fwd)
+        mirror = {**params, **{f"word_{a}.{k}": params[f"word_{b}.{k}"]
+                               for a, b in (("fwd", "bwd"), ("bwd", "fwd"))
+                               for k in ("wx", "wh", "b")}}
         tokens = ["el", "rio", "azul", "pan"]
-        h = params.word_fwd.wh.data.shape[0]
+        h = params["word_fwd.wh"].data.shape[0]
         forward = encode(tokens, tiny_tables, params).data
         swapped = encode(tokens[::-1], tiny_tables, mirror).data
         n = len(tokens)
@@ -139,8 +134,8 @@ class TestEncodeSentence:
 class TestTagLogits:
     def test_zero_projection_uniform_softmax(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        params.proj_w.data[...] = 0.0
-        params.proj_b.data[...] = 0.0
+        params["proj_w"].data[...] = 0.0
+        params["proj_b"].data[...] = 0.0
         logits = batch_logits(encode(["el", "pan"], tiny_tables, params), params)
         # every tag scores the same, so the softmax is uniform
         assert np.array_equal(logits.data, np.zeros((2, 19)))
@@ -170,8 +165,8 @@ class TestPredict:
 
     def test_tie_break_lowest_index(self, tiny_tables):
         params = small_model(n_chars=len(tiny_tables.chars))
-        params.proj_w.data[...] = 0.0
-        params.proj_b.data[...] = 0.0
+        params["proj_w"].data[...] = 0.0
+        params["proj_b"].data[...] = 0.0
         # all-equal logits resolve to the lowest index, which is O
         assert predict(["pan", "el"], tiny_tables, params) == [0, 0]
 
@@ -303,20 +298,19 @@ class TestEndToEndGradient:
             spelling_idx=np.arange(a.spelling_idx.size),
         )
         assert a.char_idx.shape[1] == 6 and per_slot.char_idx.shape[1] == 16
-        tensors = params.tensors()
 
         def run(arrays):
-            ad.zero_grads(tensors)
+            ad.zero_grads(params)
             loss = batch_loss(arrays, batch.gold_flat % 5, tables, params,
                               rng=np.random.default_rng(0))
             ad.backward(loss)
-            return float(loss.data), {k: t.grad.copy() for k, t in tensors.items()}
+            return float(loss.data), {k: t.grad.copy() for k, t in params.items()}
 
         fused_loss, fused = run(a)
         monkeypatch.setattr(model, "_run_bilstm", lstm_reference.run_bilstm)
         ref_loss, ref = run(per_slot)
         assert abs(fused_loss - ref_loss) < 1e-10
-        for name in tensors:
+        for name in params:
             assert np.max(np.abs(fused[name] - ref[name])) < 1e-10, name
 
     def test_tape_size_independent_of_length(self, tiny_tables):

@@ -27,7 +27,7 @@ from csner.trainer import (
     train_epoch,
 )
 
-from conftest import corpus_from, corrupt_vocab_entry, random_table
+from conftest import corpus_from, corrupt_tensor_value, corrupt_vocab_entry, random_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,10 +122,10 @@ class TestTrainEpoch:
     def test_zero_lr_keeps_parameters(self, small_setup):
         cfg, model, corpus = small_setup
         batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype)
-        before = {k: t.data.copy() for k, t in model.params.tensors().items()}
+        before = {k: t.data.copy() for k, t in model.params.items()}
         loss = train_epoch(model, batches, 0.0, np.random.default_rng(0), ad.AdamState(), cfg.dropout)
         assert math.isfinite(loss) and loss > 0
-        for k, t in model.params.tensors().items():
+        for k, t in model.params.items():
             assert np.array_equal(t.data, before[k])
 
     def test_loss_decreases_over_first_five_epochs(self, small_setup):
@@ -205,7 +205,7 @@ class TestPaddingNeutrality:
         model = new_model(cfg64, random_table(words, cfg64.word_dim),
                           build_char_vocab(corpus), np.random.default_rng(3))
         batch = make_batches(corpus, 8, model.tables, np.float64)[0]
-        params = model.params.tensors()
+        params = model.params
 
         def grads_for(arrays, gold):
             ad.zero_grads(params)
@@ -384,9 +384,36 @@ class TestCheckpointIO:
         for name, data in ckpt.tensors.items():
             assert loaded.tensors[name].dtype == np.float64, name
             assert np.array_equal(loaded.tensors[name], data), name
-        restored = restore_model(loaded).params.tensors()
-        for name, t in model.params.tensors().items():
+        restored = restore_model(loaded).params
+        for name, t in model.params.items():
             assert np.array_equal(restored[name].data, t.data), name
+
+    def test_model_round_trip_is_byte_identical(self, overfit_corpus, tmp_path):
+        """load -> restore_model -> snapshot -> save gives back the file's
+        bytes: the model holds its tensors in the order checkpoints store
+        them, in float32 and float64 alike."""
+        words = {t for s in overfit_corpus for t in s.tokens}
+        cfg = quick_cfg(float64=True)
+        model = new_model(cfg, random_table(words, cfg.word_dim),
+                          build_char_vocab(overfit_corpus), np.random.default_rng(cfg.seed))
+        fresh = tmp_path / "f64.ck"
+        save_checkpoint(snapshot(model, cfg, 0.5, 1), fresh)
+        for path in (DATA / "checkpoint_f32.ck", fresh):
+            ckpt = load_checkpoint(path)
+            again = tmp_path / "again.ck"
+            save_checkpoint(snapshot(restore_model(ckpt), ckpt.config, ckpt.dev_score,
+                                     ckpt.epoch), again)
+            assert again.read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("name, value", [("proj_w", math.nan), ("word_fixed", math.inf),
+                                             ("word_fwd.wx", -math.inf)])
+    def test_non_finite_tensor_rejected(self, small_setup, tmp_path, name, value):
+        path = tmp_path / "model.ck"
+        save_checkpoint(self.make_checkpoint(small_setup), path)
+        corrupt_tensor_value(path, name, value)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"tensor {name} has a non-finite value"
 
     def test_float32_checkpoint_without_dtype_field(self, overfit_corpus, tmp_path):
         """A float32 checkpoint written before tensor lines could carry a
