@@ -240,16 +240,6 @@ def masked_cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.nd
 # LSTM
 
 
-@dataclass
-class LstmParams:
-    """One direction's weights; gate columns are blocked [input | forget |
-    candidate | output]."""
-
-    wx: Tensor  # input_size x 4*hidden
-    wh: Tensor  # hidden x 4*hidden
-    b: Tensor  # 4*hidden
-
-
 def _activate_gates(z, n: int) -> None:
     """In place: sigmoid on the i, f and o blocks of ``z``, tanh on g.
 
@@ -264,13 +254,16 @@ def _activate_gates(z, n: int) -> None:
         block *= 0.5
 
 
-def lstm_seq(x: Tensor, lengths, p: LstmParams, reverse: bool = False) -> Tensor:
+def lstm_seq(x: Tensor, lengths, wx: Tensor, wh: Tensor, b: Tensor,
+             reverse: bool = False) -> Tensor:
     """One LSTM direction over a padded batch of sequences, as one op.
 
-    ``x`` is flat time-major, shape (T*B, input_size): step t lives at
-    rows [t*B, (t+1)*B).  ``lengths`` holds the B sequences' lengths,
-    longest first, so T = len(x) // B, and at every step the live rows
-    come first.  Starting from a zero state the steps run in order (last
+    The weights are ``wx`` (input_size, 4*hidden), ``wh`` (hidden,
+    4*hidden) and ``b`` (4*hidden,), their gate columns blocked [input |
+    forget | candidate | output].  ``x`` is flat time-major, shape (T*B,
+    input_size): step t lives at rows [t*B, (t+1)*B).  ``lengths`` holds
+    the B sequences' lengths, longest first, so T = len(x) // B, and at
+    every step the live rows come first.  Starting from a zero state the steps run in order (last
     to first when ``reverse``) through the standard gated update
     c' = f*c + i*g, h' = o*tanh(c'), computed for the live rows only;
     the other rows carry h and c through untouched.  Returns the carried
@@ -287,18 +280,18 @@ def lstm_seq(x: Tensor, lengths, p: LstmParams, reverse: bool = False) -> Tensor
     lengths = np.asarray(lengths)
     batch = len(lengths)
     n_steps = len(x.data) // batch
-    n = p.wh.data.shape[0]
-    if (x.data.shape != (n_steps * batch, p.wx.data.shape[0])
+    xs, wxs, whs, bs = x.data, wx.data, wh.data, b.data
+    n = whs.shape[0]
+    if (xs.shape != (n_steps * batch, wxs.shape[0])
             or lengths[0] > n_steps or (np.diff(lengths) > 0).any()):
-        raise ValueError(f"input shape {x.data.shape} and lengths {lengths.tolist()}: expected "
-                         f"(T*{batch}, {p.wx.data.shape[0]}) and T >= lengths[0] >= lengths[1] >= ...")
+        raise ValueError(f"input shape {xs.shape} and lengths {lengths.tolist()}: expected "
+                         f"(T*{batch}, {wxs.shape[0]}) and T >= lengths[0] >= lengths[1] >= ...")
     alive = np.arange(n_steps)[:, None] < lengths
     counts = alive.sum(axis=1)
     live = counts.tolist()
-    parents = (x, p.wx, p.wh, p.b)
+    parents = (x, wx, wh, b)
     taped = _recording(parents)
-    xs, wx, wh, b = x.data, p.wx.data, p.wh.data, p.b.data
-    dtype = np.result_type(xs, wx)
+    dtype = np.result_type(xs, wxs)
     out = np.empty((n_steps * batch, n), dtype=dtype)
     if taped:
         offsets = (np.cumsum(counts) - counts).tolist()
@@ -313,9 +306,9 @@ def lstm_seq(x: Tensor, lengths, p: LstmParams, reverse: bool = False) -> Tensor
         k = live[t]
         start = t * batch
         z = gates[offsets[t] : offsets[t] + k] if taped else scratch[:k]
-        np.matmul(xs[start : start + k], wx, out=z)
-        z += h[:k] @ wh
-        z += b
+        np.matmul(xs[start : start + k], wxs, out=z)
+        z += h[:k] @ whs
+        z += bs
         _activate_gates(z, n)
         c_live = c[:k]
         if taped:
@@ -371,20 +364,20 @@ def lstm_seq(x: Tensor, lengths, p: LstmParams, reverse: bool = False) -> Tensor
             tmp *= tc
             tmp *= dh_live
             o *= tmp
-            np.matmul(dz, wh.T, out=dh_live)
+            np.matmul(dz, whs.T, out=dh_live)
         rows = np.flatnonzero(alive)  # the live rows of x, in history order
         if x.requires_grad:
             dx = np.zeros(xs.shape, dtype=dtype)
-            dx[rows] = dz_all @ wx.T
+            dx[rows] = dz_all @ wxs.T
             _accum_fresh(x, dx)
-        _accum_fresh(p.wx, xs[rows].T @ dz_all)
+        _accum_fresh(wx, xs[rows].T @ dz_all)
         # a step's previous h is the neighbouring step's block of ``out``;
         # the direction's first step starts from h = 0 and is left out
         first = live[order[0]] if live else 0
         later = slice(0, len(rows) - first) if reverse else slice(first, len(rows))
         prev_rows = rows[later] + (batch if reverse else -batch)
-        _accum_fresh(p.wh, out[prev_rows].T @ dz_all[later])
-        _accum_fresh(p.b, dz_all.sum(axis=0))
+        _accum_fresh(wh, out[prev_rows].T @ dz_all[later])
+        _accum_fresh(b, dz_all.sum(axis=0))
 
     return _make(out, parents, bw)
 

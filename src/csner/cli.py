@@ -2,8 +2,8 @@
 
 Settings are layered: built-in defaults,
 then a ``key = value`` config file, then command-line flags.  Unknown
-config keys are rejected and every input path is checked before any real
-work starts.
+config keys are rejected, and every path is checked before any real work
+starts: each input exists, and no output names an input or another output.
 """
 
 from __future__ import annotations
@@ -65,12 +65,13 @@ class RunConfig:
     out: str | None = None
     prune_to: str | None = None  # corpus whose candidate forms limit retention
     no_post: bool = False
+    config: str | None = None  # the settings file these were read from, if any
 
 
 # each key, in a config file or as a flag, is typed by its field's
 # annotation: the types validate() checks
 _KEY_TYPES = {f.name: f.type for f in fields(TrainingConfig) + fields(RunConfig)
-              if f.name != "training"}
+              if f.name not in ("training", "config")}
 
 
 def parse_config_file(path) -> dict:
@@ -129,29 +130,38 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
     training = TrainingConfig(**given(TrainingConfig))
     training.validate()
-    return RunConfig(training=training, **given(RunConfig))
+    return RunConfig(training=training, config=getattr(args, "config", None), **given(RunConfig))
 
 
-def _require_files(**paths) -> None:
+def _require_files(**paths) -> dict:
     for name, path in paths.items():
         if path is None:
             raise ConfigError(f"missing required path: {name}")
         if not os.path.isfile(path):
             raise ConfigError(f"{name} file not found: {path}")
+    return paths
 
 
-def _require_given(cfg: RunConfig, *names) -> None:
+def _require_given(cfg: RunConfig, *names) -> dict:
     """``_require_files`` for the optional paths among ``names`` that are set."""
-    _require_files(**{name: getattr(cfg, name) for name in names if getattr(cfg, name)})
+    return _require_files(**{name: getattr(cfg, name) for name in names if getattr(cfg, name)})
 
 
-def _require_writable(**paths) -> None:
-    for name, path in paths.items():
+def _require_writable(cfg: RunConfig, inputs: dict, **outputs) -> None:
+    """Each output's directory exists, and no output names the config, one
+    of the command's ``inputs`` or another output."""
+    claimed = {os.path.realpath(path): name
+               for name, path in {"config": cfg.config, **inputs}.items() if path}
+    for name, path in outputs.items():
         if path is None:
             continue
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ConfigError(f"directory for {name} does not exist: {parent}")
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise ConfigError(f"{name} and {claimed[real]} name the same file: {path}")
+        claimed[real] = name
 
 
 def _load_tables(cfg: RunConfig, keep: set[str]):
@@ -170,13 +180,13 @@ def _prune_set(cfg: RunConfig, *datasets):
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _require_files(train=cfg.train, dev=cfg.dev, vec_eng=cfg.vec_eng)
-    _require_given(cfg, "vec_spa", "test", "prune_to")
+    inputs = {**_require_files(train=cfg.train, dev=cfg.dev, vec_eng=cfg.vec_eng),
+              **_require_given(cfg, "vec_spa", "test", "prune_to")}
     if cfg.checkpoint is None:
         raise ConfigError("missing required path: checkpoint")
-    _require_writable(checkpoint=cfg.checkpoint, out=cfg.out)
-    if cfg.out and os.path.realpath(cfg.out) == os.path.realpath(cfg.checkpoint):
-        raise ConfigError(f"out and checkpoint name the same file: {cfg.out}")
+    log_path = cfg.out or cfg.checkpoint + ".log"
+    _require_writable(cfg, inputs, checkpoint=cfg.checkpoint,
+                      **{"out" if cfg.out else "log": log_path})
 
     train_raw = read_conll(cfg.train, "train")
     dev_raw = read_conll(cfg.dev, "dev")
@@ -208,7 +218,6 @@ def cmd_train(cfg: RunConfig) -> int:
     )
     log_lines.append(f"best epoch {best.epoch} dev_f1 {best.dev_score:.6f}")
     save_checkpoint(best, cfg.checkpoint)
-    log_path = cfg.out or cfg.checkpoint + ".log"
     with open(log_path, "w", encoding="utf-8") as fp:
         fp.write("\n".join(log_lines) + "\n")
     print(f"best epoch {best.epoch} dev_f1 {best.dev_score:.6f}")
@@ -218,8 +227,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig, input_path: str | None) -> int:
     input_path = input_path or cfg.test
-    _require_files(checkpoint=cfg.checkpoint, input=input_path)
-    _require_writable(out=cfg.out)
+    inputs = _require_files(checkpoint=cfg.checkpoint, input=input_path)
+    _require_writable(cfg, inputs, out=cfg.out)
     model = restore_model(load_checkpoint(cfg.checkpoint))
     raw = read_conll(input_path, "input")
     if len(raw) == 0:
@@ -258,9 +267,9 @@ def cmd_stats(corpus_path: str) -> int:
 
 
 def cmd_preprocess(cfg: RunConfig, corpus_path: str) -> int:
-    _require_files(corpus=corpus_path, vec_eng=cfg.vec_eng)
-    _require_given(cfg, "vec_spa", "train", "prune_to")
-    _require_writable(out=cfg.out)
+    inputs = {**_require_files(corpus=corpus_path, vec_eng=cfg.vec_eng),
+              **_require_given(cfg, "vec_spa", "train", "prune_to")}
+    _require_writable(cfg, inputs, out=cfg.out)
     corpus = read_conll(corpus_path)
     if len(corpus) == 0:
         raise ConfigError(f"empty corpus: {corpus_path}")

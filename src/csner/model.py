@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import LstmParams, Tensor
+from .autodiff import Tensor
 from .corpus_io import TAGS
 from .embeddings import CharVocabulary, EmbeddingTable
 
@@ -33,53 +33,25 @@ class Tables:
     chars: CharVocabulary
 
 
-def param_shapes(n_chars: int, word_dim: int, char_dim: int, char_hidden: int,
-                 word_hidden: int, n_tags: int = N_TAGS) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every trainable tensor, in the order checkpoints
-    store them and Adam walks them.  The word BiLSTM reads a word vector
-    joined to both char directions.
+def param_shapes(cfg, n_chars: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor, sized by the TrainingConfig
+    ``cfg``, in the order checkpoints store them and Adam walks them.  The
+    word BiLSTM reads a word vector joined to both char directions.
 
     The pre-trained word matrix is not here (it stays fixed inside
     EmbeddingTable and can never accumulate gradient); its four special
     rows PAD/UNK/USR/URL are trainable and live in ``word_specials``.
     """
-    shapes = {"char_embed": (n_chars, char_dim)}
-    for layer, n_in, n in (("char", char_dim, char_hidden),
-                           ("word", word_dim + 2 * char_hidden, word_hidden)):
+    shapes = {"char_embed": (n_chars, cfg.char_dim)}
+    for layer, n_in, n in (("char", cfg.char_dim, cfg.char_hidden),
+                           ("word", cfg.word_dim + 2 * cfg.char_hidden, cfg.hidden)):
         for prefix in (f"{layer}_fwd", f"{layer}_bwd"):
             shapes[f"{prefix}.wx"] = (n_in, 4 * n)
             shapes[f"{prefix}.wh"] = (n, 4 * n)
             shapes[f"{prefix}.b"] = (4 * n,)
-    shapes.update(proj_w=(2 * word_hidden, n_tags), proj_b=(n_tags,), word_specials=(4, word_dim))
+    shapes.update(proj_w=(2 * cfg.hidden, N_TAGS), proj_b=(N_TAGS,),
+                  word_specials=(4, cfg.word_dim))
     return shapes
-
-
-def init_params(
-    n_chars: int,
-    word_dim: int,
-    rng: np.random.Generator,
-    char_dim: int = 150,
-    char_hidden: int = 150,
-    word_hidden: int = 200,
-    n_tags: int = N_TAGS,
-    dtype=np.float32,
-    special_rows: np.ndarray | None = None,
-) -> dict[str, Tensor]:
-    """Name -> tensor in ``param_shapes`` order: Uniform(-0.1, 0.1)
-    everywhere, forget-gate biases at 1.0.
-
-    ``special_rows`` seeds the trainable PAD/UNK/USR/URL word rows,
-    normally from the merged table (zero + three mean vectors).
-    """
-    shapes = param_shapes(n_chars, word_dim, char_dim, char_hidden, word_hidden, n_tags)
-    specials_shape = shapes.pop("word_specials")  # seeded, not drawn
-    arrays = {name: rng.uniform(-0.1, 0.1, shape).astype(dtype) for name, shape in shapes.items()}
-    for name, data in arrays.items():
-        if name.endswith(".b"):  # the forget-gate block of an LSTM bias
-            data[data.size // 4 : data.size // 2] = 1.0
-    specials = np.zeros(specials_shape) if special_rows is None else special_rows
-    arrays["word_specials"] = specials.astype(dtype)
-    return {name: ad.param(data) for name, data in arrays.items()}
 
 
 @dataclass
@@ -148,25 +120,21 @@ def build_arrays(
     return BatchArrays(word_idx, char_idx, char_lengths, spelling_idx, mask, lengths)
 
 
-def _run_bilstm(x: Tensor, lengths, fwd: LstmParams, bwd: LstmParams):
-    """Both directions over flat time-major input ``x`` (T*B rows) holding
-    B sequences of the given ``lengths``, longest first; past its length
-    a sequence carries its state through unchanged.  Returns each
-    direction's (T*B, hidden) states."""
-    return ad.lstm_seq(x, lengths, fwd), ad.lstm_seq(x, lengths, bwd, reverse=True)
-
-
-def _directions(params: dict[str, Tensor], layer: str) -> list[LstmParams]:
-    """``layer``'s forward and backward LstmParams, read by tensor name."""
-    return [LstmParams(*(params[f"{layer}_{d}.{k}"] for k in ("wx", "wh", "b")))
-            for d in ("fwd", "bwd")]
+def _run_bilstm(x: Tensor, lengths, params: dict[str, Tensor], layer: str):
+    """Both directions of ``layer`` (its ``<layer>_fwd``/``_bwd`` tensors)
+    over flat time-major input ``x`` (T*B rows) holding B sequences of the
+    given ``lengths``, longest first; past its length a sequence carries
+    its state through unchanged.  Returns each direction's (T*B, hidden)
+    states."""
+    fwd, bwd = ([params[f"{layer}_{d}.{k}"] for k in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
+    return ad.lstm_seq(x, lengths, *fwd), ad.lstm_seq(x, lengths, *bwd, reverse=True)
 
 
 def _encode_chars(params: dict[str, Tensor], char_idx, char_lengths) -> Tensor:
     """(V, U) character indices -> (U, 2*char_hidden) spelling encodings."""
     v_max, n = char_idx.shape
     x = ad.embedding(params["char_embed"], char_idx.reshape(-1))
-    h_fwd, h_bwd = _run_bilstm(x, char_lengths, *_directions(params, "char"))
+    h_fwd, h_bwd = _run_bilstm(x, char_lengths, params, "char")
     # forward freezes at each word's last character; backward ends after
     # consuming the first
     return ad.concat(
@@ -202,7 +170,7 @@ def encode_batch(
     u = ad.concat([x, a], axis=1)
     u = ad.dropout(u, dropout_rate, rng)
 
-    h_fwd, h_bwd = _run_bilstm(u, arrays.lengths, *_directions(params, "word"))
+    h_fwd, h_bwd = _run_bilstm(u, arrays.lengths, params, "word")
     c = ad.concat([h_fwd, h_bwd], axis=1)
     return ad.dropout(c, dropout_rate, rng)
 

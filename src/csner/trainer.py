@@ -33,7 +33,6 @@ from .model import (
     Tables,
     batch_loss,
     build_arrays,
-    init_params,
     param_shapes,
     predict_batch,
 )
@@ -95,22 +94,22 @@ class TaggerModel:
 
 def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
               rng: np.random.Generator) -> TaggerModel:
+    """A fresh tagger: the tensors of ``param_shapes`` drawn in order from
+    Uniform(-0.1, 0.1), LSTM forget-gate biases at 1.0."""
     if table.dim != cfg.word_dim:
         raise ValueError(
             f"vector file dimension {table.dim} != configured word_dim {cfg.word_dim}"
         )
     # the model's own table: the caller's keeps its array and dtype
     table = replace(table, vectors=table.vectors.astype(cfg.dtype, copy=False))
-    params = init_params(
-        n_chars=len(chars),
-        word_dim=cfg.word_dim,
-        rng=rng,
-        char_dim=cfg.char_dim,
-        char_hidden=cfg.char_hidden,
-        word_hidden=cfg.hidden,
-        dtype=cfg.dtype,
-        special_rows=table.vectors[:4],
-    )
+    params = {}
+    for name, shape in param_shapes(cfg, len(chars)).items():
+        # the trainable PAD/UNK/USR/URL rows start as the table's own
+        data = (table.vectors[:4].copy() if name == "word_specials"
+                else rng.uniform(-0.1, 0.1, shape).astype(cfg.dtype))
+        if name.endswith(".b"):  # the forget-gate block of an LSTM bias
+            data[data.size // 4 : data.size // 2] = 1.0
+        params[name] = ad.param(data)
     return TaggerModel(params, Tables(table, chars))
 
 
@@ -220,8 +219,8 @@ def predict_dataset(
 
 
 def dev_f1(model: TaggerModel, dev: Dataset, batch_size: int,
-           surfaces: Dataset | None = None, post: bool = True) -> float:
-    predicted = predict_dataset(model, dev, batch_size, surfaces, post=post)
+           surfaces: Dataset | None = None) -> float:
+    predicted = predict_dataset(model, dev, batch_size, surfaces)
     pred_ds = Dataset(
         [TaggedSentence(s.tokens, tags) for s, tags in zip(dev, predicted)], "pred"
     )
@@ -243,7 +242,8 @@ class Checkpoint:
 
 def snapshot(model: TaggerModel, cfg: TrainingConfig, dev_score: float, epoch: int) -> Checkpoint:
     tensors = {name: t.data.copy() for name, t in model.params.items()}
-    tensors["word_fixed"] = model.tables.words.vectors.copy()
+    # shared, not copied: nothing writes the fixed matrix after new_model
+    tensors["word_fixed"] = model.tables.words.vectors
     return Checkpoint(
         tensors=tensors,
         word_tokens=list(model.tables.words.vocabulary.tokens),
@@ -264,7 +264,7 @@ def restore_model(ckpt: Checkpoint) -> TaggerModel:
     # row r of char_embed belongs to character r of the stored list
     if chars.chars != ckpt.char_list:
         raise CheckpointError("character list is not in vocabulary order (PAD, UNK, then sorted)")
-    shapes = param_shapes(len(chars), cfg.word_dim, cfg.char_dim, cfg.char_hidden, cfg.hidden)
+    shapes = param_shapes(cfg, len(chars))
     for name, shape in {**shapes, "word_fixed": (len(vocab), cfg.word_dim)}.items():
         if name not in ckpt.tensors:
             raise CheckpointError(f"missing tensor {name!r}")
@@ -303,7 +303,7 @@ def fit(
     for epoch in range(1, cfg.max_epochs + 1):
         lr = lr_schedule(cfg.lr0, epoch - 1, cfg.decay)
         loss = train_epoch(model, batches, lr, rng, adam, cfg.dropout)
-        f1 = dev_f1(model, dev, cfg.batch_size, dev_surfaces, post=True)
+        f1 = dev_f1(model, dev, cfg.batch_size, dev_surfaces)
         if log_fn is not None:
             log_fn(epoch, loss, lr, f1)
         if best is None or f1 > best.dev_score:
@@ -361,18 +361,18 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "epoch": ckpt.epoch,
     }
     header.append("meta " + json.dumps(meta, sort_keys=True))
-    payload = bytearray()
+    blocks, size = [], 0  # the payload, each block written from where it lies
     dtype, mark = ("<f8", " <f8") if ckpt.config.float64 else ("<f4", "")
     for name, data in ckpt.tensors.items():
-        raw = np.ascontiguousarray(data, dtype=dtype).tobytes()
         shape = ",".join(str(n) for n in data.shape)
-        header.append(f"tensor {name} {shape} {len(payload)}{mark}")
-        payload += raw
+        header.append(f"tensor {name} {shape} {size}{mark}")
+        blocks.append(np.ascontiguousarray(data, dtype=dtype))  # a copy only to cast
+        size += blocks[-1].nbytes
     for kind, tokens in (("word", ckpt.word_tokens), ("char", ckpt.char_list)):
-        raw = _pack_tokens(tokens)
-        header.append(f"vocab {kind} {len(tokens)} {len(payload)}")
-        payload += raw
-    header.append(f"payload {len(payload)}")
+        header.append(f"vocab {kind} {len(tokens)} {size}")
+        blocks.append(_pack_tokens(tokens))
+        size += len(blocks[-1])
+    header.append(f"payload {size}")
     header.append("end")
     # write beside the target and rename over it, so a reader or a crash
     # mid-write never sees a partial checkpoint at ``path``
@@ -380,7 +380,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     try:
         with open(tmp, "wb") as fp:
             fp.write("\n".join(header).encode("utf-8") + b"\n")
-            fp.write(bytes(payload))
+            for block in blocks:
+                fp.write(block)
             fp.flush()
             os.fsync(fp.fileno())
         os.replace(tmp, path)
@@ -398,7 +399,8 @@ def load_checkpoint(path) -> Checkpoint:
     except ValueError:
         raise CheckpointError("missing header terminator") from None
     header_lines = blob[:header_end].decode("utf-8", errors="replace").split("\n")
-    payload = blob[header_end + len(b"\nend\n") :]
+    # tensors are views of the one buffer read; restore_model copies them
+    payload = memoryview(blob)[header_end + len(b"\nend\n") :]
     if header_lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {header_lines[0]!r}")
 
@@ -446,11 +448,7 @@ def load_checkpoint(path) -> Checkpoint:
         size = dtype.itemsize * math.prod(shape)  # exact: np.prod wraps in int64
         if offset + size > len(payload):
             raise CheckpointError(f"tensor {name} overruns the payload")
-        tensors[name] = (
-            np.frombuffer(payload, dtype=dtype, count=math.prod(shape), offset=offset)
-            .reshape(shape)
-            .copy()
-        )
+        tensors[name] = np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape)
         if not np.isfinite(tensors[name]).all():
             raise CheckpointError(f"tensor {name} has a non-finite value")
 
@@ -458,7 +456,7 @@ def load_checkpoint(path) -> Checkpoint:
         count, offset = vocab_specs[kind]
         starts = sorted(off for _, off in vocab_specs.values() if off > offset)
         end = starts[0] if starts else declared
-        return _unpack_tokens(payload[offset:end], count, kind)
+        return _unpack_tokens(bytes(payload[offset:end]), count, kind)
 
     try:
         cfg = TrainingConfig(**meta["config"])

@@ -13,7 +13,8 @@ from csner.embeddings import (
     Vocabulary,
     build_char_vocab,
 )
-from csner.model import Tables, init_params
+from csner.model import Tables
+from csner.trainer import TrainingConfig, new_model
 
 # 30 bilingual sentences, 4 entity categories, every token carrying one
 # fixed tag; dense in entities so that span-level scores move early.
@@ -131,7 +132,7 @@ Ana/B-PER come/O pan/O
 el/O rio/B-LOC azul/O
 """
 
-MICRO_DIMS = dict(char_dim=4, char_hidden=6, word_dim=8, word_hidden=10, n_tags=5)
+MICRO_CFG = TrainingConfig(char_dim=4, char_hidden=6, word_dim=8, hidden=10, float64=True)
 
 
 @pytest.fixture()
@@ -141,24 +142,16 @@ def micro_setup():
     rng = np.random.default_rng(7)
     vocab = Vocabulary(sorted(words), specials=True)
     vectors = np.vstack([np.zeros(8), rng.normal(size=(3, 8)), rng.normal(size=(len(vocab) - 4, 8))])
-    table = EmbeddingTable(vocab, vectors)
     chars = CharVocabulary({c for w in words for c in w})
-    params = init_params(
-        n_chars=len(chars),
-        word_dim=8,
-        rng=rng,
-        char_dim=MICRO_DIMS["char_dim"],
-        char_hidden=MICRO_DIMS["char_hidden"],
-        word_hidden=MICRO_DIMS["word_hidden"],
-        n_tags=MICRO_DIMS["n_tags"],
-        dtype=np.float64,
-        special_rows=vectors[:4],
-    )
-    return corpus, Tables(table, chars), params
+    model = new_model(MICRO_CFG, EmbeddingTable(vocab, vectors), chars, rng)
+    return corpus, model.tables, model.params
 
 
-def small_model(n_chars=12, word_dim=6, seed=3, dtype=np.float64, **dims):
-    defaults = dict(char_dim=3, char_hidden=4, word_hidden=5, n_tags=19)
-    defaults.update(dims)
-    rng = np.random.default_rng(seed)
-    return init_params(n_chars=n_chars, word_dim=word_dim, rng=rng, dtype=dtype, **defaults)
+# tiny float64 sizes, every one distinct, so a swapped dimension shows
+SMALL_CFG = TrainingConfig(char_dim=3, char_hidden=4, word_dim=6, hidden=5, float64=True)
+
+
+def small_model(tables: Tables, seed=3) -> dict:
+    """The parameters of a ``SMALL_CFG`` model over ``tables``, whose
+    vectors must be 6-dimensional."""
+    return new_model(SMALL_CFG, tables.words, tables.chars, np.random.default_rng(seed)).params

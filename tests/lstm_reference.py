@@ -19,10 +19,10 @@ def sigmoid(t):
     return ad.add(half, ad.mul(half, tanh(ad.mul(t, half))))
 
 
-def lstm_step(x, h, c, p):
+def lstm_step(x, h, c, wx, wh, b):
     """c' = f*c + i*g, h' = o*tanh(c') with gate blocks [i | f | g | o]."""
-    n = p.wh.data.shape[0]
-    z = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h, p.wh)), p.b)
+    n = wh.data.shape[0]
+    z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
     i = sigmoid(ad.slice_axis(z, -1, 0, n))
     f = sigmoid(ad.slice_axis(z, -1, n, 2 * n))
     g = tanh(ad.slice_axis(z, -1, 2 * n, 3 * n))
@@ -36,28 +36,29 @@ def masked(new, prev, m):
     return ad.add(ad.mul(new, ad.Tensor(m)), ad.mul(prev, ad.Tensor(1.0 - m)))
 
 
-def lstm_seq(x, lengths, p, reverse=False):
+def lstm_seq(x, lengths, wx, wh, b, reverse=False):
     """Same contract as ``autodiff.lstm_seq``, one taped step at a time."""
     batch = len(lengths)
     n_steps = len(x.data) // batch
     dtype = x.data.dtype
     mask = (np.arange(n_steps)[:, None] < np.asarray(lengths)).astype(dtype)
-    n = p.wh.data.shape[0]
+    n = wh.data.shape[0]
     h = ad.Tensor(np.zeros((batch, n), dtype=dtype))
     c = ad.Tensor(np.zeros((batch, n), dtype=dtype))
     outs = [None] * n_steps
     for t in (reversed(range(n_steps)) if reverse else range(n_steps)):
         x_t = ad.slice_axis(x, 0, t * batch, (t + 1) * batch)
-        h_new, c_new = lstm_step(x_t, h, c, p)
+        h_new, c_new = lstm_step(x_t, h, c, wx, wh, b)
         m = mask[t][:, None]
         h, c = masked(h_new, h, m), masked(c_new, c, m)
         outs[t] = h
     return ad.concat(outs, axis=0)
 
 
-def run_bilstm(x, lengths, fwd, bwd):
+def run_bilstm(x, lengths, params, layer):
     """Drop-in for ``model._run_bilstm`` on the per-step reference."""
-    return lstm_seq(x, lengths, fwd), lstm_seq(x, lengths, bwd, reverse=True)
+    fwd, bwd = ([params[f"{layer}_{d}.{k}"] for k in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
+    return lstm_seq(x, lengths, *fwd), lstm_seq(x, lengths, *bwd, reverse=True)
 
 
 def tape_size(root):

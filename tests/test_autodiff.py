@@ -10,7 +10,9 @@ import pytest
 
 import lstm_reference
 from csner import autodiff as ad
-from csner.model import init_params
+from csner.embeddings import CharVocabulary
+from csner.trainer import TrainingConfig, new_model
+from conftest import random_table
 from reference_ops import finite_diff_check, sum_all, tanh
 
 
@@ -24,22 +26,20 @@ def weighted_sum(t, rng):
 
 
 def lstm_direction(n_in, n, rng):
-    """One float64 LSTM direction, initialized as the model initializes it."""
-    params = init_params(n_chars=1, word_dim=1, rng=rng, char_dim=n_in, char_hidden=n,
-                         word_hidden=1, n_tags=1, dtype=np.float64)
-    return ad.LstmParams(*(params[f"char_fwd.{k}"] for k in ("wx", "wh", "b")))
+    """The ``wx``, ``wh`` and ``b`` of a float64 LSTM direction drawn by
+    ``new_model``: the forward char LSTM of a model with char_dim n_in and
+    char_hidden n."""
+    cfg = TrainingConfig(char_dim=n_in, char_hidden=n, word_dim=1, hidden=1, float64=True)
+    params = new_model(cfg, random_table([], 1), CharVocabulary(""), rng).params
+    return {k: params[f"char_fwd.{k}"] for k in ("wx", "wh", "b")}
 
 
 def gate_probe(preactivations, hidden=1):
     """Hidden states of an LSTM whose gate pre-activations are the rows of
     ``preactivations`` (T, 4*hidden), blocked [i | f | g | o]."""
     z = np.asarray(preactivations, dtype=np.float64)
-    p = ad.LstmParams(
-        ad.param(np.eye(4 * hidden)),
-        ad.param(np.zeros((hidden, 4 * hidden))),
-        ad.param(np.zeros(4 * hidden)),
-    )
-    return ad.lstm_seq(ad.Tensor(z), [len(z)], p).data
+    wx, wh, b = np.eye(4 * hidden), np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden)
+    return ad.lstm_seq(ad.Tensor(z), [len(z)], ad.param(wx), ad.param(wh), ad.param(b)).data
 
 
 class TestPrimitives:
@@ -89,7 +89,7 @@ class TestPrimitives:
             "concat": lambda: weighted_sum(ad.concat([x, y], axis=1), np.random.default_rng(5)),
             "slice": lambda: weighted_sum(ad.slice_axis(x, 1, 1, 4), np.random.default_rng(6)),
             "lstm_seq": lambda: weighted_sum(
-                ad.lstm_seq(x, [2], lstm), np.random.default_rng(7)
+                ad.lstm_seq(x, [2], **lstm), np.random.default_rng(7)
             ),
             "tanh": lambda: weighted_sum(tanh(x), np.random.default_rng(8)),
             "embedding": lambda: weighted_sum(ad.embedding(table, idx), np.random.default_rng(9)),
@@ -108,11 +108,8 @@ class TestPrimitives:
 
 class TestLstm:
     def zero_params(self, n_in=3, n_hidden=2):
-        return ad.LstmParams(
-            ad.param(np.zeros((n_in, 4 * n_hidden))),
-            ad.param(np.zeros((n_hidden, 4 * n_hidden))),
-            ad.param(np.zeros(4 * n_hidden)),
-        )
+        shapes = {"wx": (n_in, 4 * n_hidden), "wh": (n_hidden, 4 * n_hidden), "b": (4 * n_hidden,)}
+        return {k: ad.param(np.zeros(shape)) for k, shape in shapes.items()}
 
     def padded_case(self, seed, lengths=(4, 2, 1), n_steps=None):
         """Random (T*B, 3) input with junk in the padding; T is the longest
@@ -126,7 +123,7 @@ class TestLstm:
     def test_zero_fixed_point(self):
         p = self.zero_params()
         for reverse in (False, True):
-            out = ad.lstm_seq(ad.Tensor(np.zeros((6, 3))), [3, 3], p, reverse)
+            out = ad.lstm_seq(ad.Tensor(np.zeros((6, 3))), [3, 3], **p, reverse=reverse)
             assert np.array_equal(out.data, np.zeros((6, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
@@ -143,9 +140,9 @@ class TestLstm:
             p, x, lengths, w = self.padded_case(2)
 
             def loss():
-                return sum_all(ad.mul(ad.lstm_seq(x, lengths, p, reverse), w))
+                return sum_all(ad.mul(ad.lstm_seq(x, lengths, **p, reverse=reverse), w))
 
-            params = {"x": x, **vars(p)}
+            params = {"x": x, **p}
             assert fd_check(loss, params) < 1e-4
             padded = np.arange(4)[:, None] >= np.array(lengths)
             assert np.all(x.grad[padded.reshape(-1)] == 0.0)
@@ -161,11 +158,11 @@ class TestLstm:
         ]
         for (lengths, n_steps), reverse in itertools.product(cases, (False, True)):
             p, x, lengths, w = self.padded_case(3, lengths, n_steps)
-            params = {"x": x, **vars(p)}
+            params = {"x": x, **p}
             results = []
             for op in (ad.lstm_seq, lstm_reference.lstm_seq):
                 ad.zero_grads(params)
-                loss = sum_all(ad.mul(op(x, lengths, p, reverse), w))
+                loss = sum_all(ad.mul(op(x, lengths, **p, reverse=reverse), w))
                 ad.backward(loss)
                 results.append((float(loss.data), {k: t.grad.copy() for k, t in params.items()}))
             (fused_loss, fused), (ref_loss, ref) = results
@@ -176,9 +173,9 @@ class TestLstm:
     def test_taped_and_untaped_forward_identical(self):
         for reverse in (False, True):
             p, x, lengths, _ = self.padded_case(4)
-            taped = ad.lstm_seq(x, lengths, p, reverse)
+            taped = ad.lstm_seq(x, lengths, **p, reverse=reverse)
             with ad.no_grad():
-                untaped = ad.lstm_seq(x, lengths, p, reverse)
+                untaped = ad.lstm_seq(x, lengths, **p, reverse=reverse)
             assert taped.requires_grad and not untaped.requires_grad
             assert np.array_equal(taped.data, untaped.data)
 
@@ -194,7 +191,7 @@ class TestLstm:
         for reverse in (False, True):
             tracemalloc.start()
             try:
-                out = ad.lstm_seq(x, lengths, p, reverse)
+                out = ad.lstm_seq(x, lengths, **p, reverse=reverse)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -203,7 +200,7 @@ class TestLstm:
 
     def test_backward_runs_once_per_forward(self):
         p, x, lengths, _ = self.padded_case(5)
-        out = ad.lstm_seq(x, lengths, p)
+        out = ad.lstm_seq(x, lengths, **p)
         out._backward(np.ones_like(out.data))
         with pytest.raises(RuntimeError):
             out._backward(np.ones_like(out.data))
@@ -212,27 +209,32 @@ class TestLstm:
         p = self.zero_params()
         # at step 1, row 1 would be live while row 0 is not
         with pytest.raises(ValueError, match=r"T >= lengths\[0\] >= lengths\[1\]"):
-            ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), [1, 2], p)
+            ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), [1, 2], **p)
 
     def test_length_above_steps_rejected(self):
         p = self.zero_params()
         # 4 rows of 2 sequences are T = 2 steps
         for lengths in ([3, 1], [3, 3]):
             with pytest.raises(ValueError, match=r"T >= lengths\[0\]"):
-                ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), lengths, p)
+                ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), lengths, **p)
 
     def test_input_width_contract(self):
         p = self.zero_params()
         with pytest.raises(ValueError):
-            ad.lstm_seq(ad.Tensor(np.zeros((1, 5))), [1], p)
+            ad.lstm_seq(ad.Tensor(np.zeros((1, 5))), [1], **p)
         # 5 rows do not split into 2 sequences
         with pytest.raises(ValueError):
-            ad.lstm_seq(ad.Tensor(np.zeros((5, 3))), [2, 2], p)
+            ad.lstm_seq(ad.Tensor(np.zeros((5, 3))), [2, 2], **p)
 
     def test_forget_bias_initialized_to_one(self):
-        p = lstm_direction(3, 4, np.random.default_rng(0))
-        assert np.all(p.b.data[4:8] == 1.0)
-        assert np.all(np.abs(p.b.data[:4]) <= 0.1)
+        cfg = TrainingConfig(char_dim=3, char_hidden=4, word_dim=2, hidden=5)
+        params = new_model(cfg, random_table([], 2), CharVocabulary(""), np.random.default_rng(0)).params
+        biases = {name: t.data for name, t in params.items() if name.endswith(".b")}
+        assert len(biases) == 4
+        for name, b in biases.items():
+            n = len(b) // 4
+            assert np.all(b[n : 2 * n] == 1.0), name
+            assert np.all(np.abs(np.delete(b, np.s_[n : 2 * n])) <= 0.1), name
 
 
 class TestDropout:
@@ -426,7 +428,7 @@ def test_no_grad_is_per_thread():
     worker.start()
     try:
         assert inside.wait(timeout=10)
-        out = ad.lstm_seq(x, [2], p)
+        out = ad.lstm_seq(x, [2], **p)
     finally:
         release.set()
         worker.join(timeout=10)
@@ -434,36 +436,39 @@ def test_no_grad_is_per_thread():
     assert seen["other_thread"] is False
     assert out.requires_grad
     ad.backward(sum_all(out))
-    assert x.grad is not None and p.wh.grad is not None
+    assert x.grad is not None and p["wh"].grad is not None
 
 
 def test_every_public_engine_name_is_used_in_src():
-    """The engine keeps only what the package uses: each public function
-    and class of ``csner.autodiff`` is referenced somewhere in
+    """The engine, the model and the trainer keep only what the package
+    uses: each public function and class of ``csner.autodiff``,
+    ``csner.model`` and ``csner.trainer`` is referenced somewhere in
     ``src/csner`` outside its own definition."""
     src = pathlib.Path(ad.__file__).parent
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
-    public = {node.name for node in trees["autodiff.py"].body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
-    used = set()
-    for name, tree in trees.items():
-        if name == "autodiff.py":
-            for stmt in tree.body:
-                own = getattr(stmt, "name", None)
-                used |= {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and n.id != own}
-            continue
-        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1]
-        # ``from . import autodiff as ad`` and ``from .autodiff import X``
-        modules = {a.asname or a.name for n in imports if n.module is None
-                   for a in n.names if a.name == "autodiff"}
-        names = {a.asname or a.name: a.name for n in imports if n.module == "autodiff"
-                 for a in n.names}
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in modules):
-                used.add(node.attr)
-            elif isinstance(node, ast.Name) and node.id in names:
-                used.add(names[node.id])
-    assert sorted(public - used) == []
+    for module in ("autodiff", "model", "trainer"):
+        public = {node.name for node in trees[module].body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
+        used = set()
+        for name, tree in trees.items():
+            if name == module:
+                for stmt in tree.body:
+                    own = getattr(stmt, "name", None)
+                    used |= {n.id for n in ast.walk(stmt)
+                             if isinstance(n, ast.Name) and n.id != own}
+                continue
+            imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1]
+            # ``from . import autodiff as ad`` and ``from .autodiff import X``
+            aliases = {a.asname or a.name for n in imports if n.module is None
+                       for a in n.names if a.name == module}
+            names = {a.asname or a.name: a.name for n in imports if n.module == module
+                     for a in n.names}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in aliases):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Name) and node.id in names:
+                    used.add(names[node.id])
+        assert sorted(public - used) == [], module

@@ -291,6 +291,19 @@ def positionals(command, tmp_path) -> list:
             "eval": [corpus, corpus], "stats": [corpus]}[command]
 
 
+# the name of the input path a command takes by position
+POSITIONAL_INPUT = {"predict": ["input"], "preprocess": ["corpus"]}
+# every (command, output flag, input) that may not name the same file: the
+# input is a flag of the config or input role, or the positional input
+COLLISIONS = [
+    (command, output, source)
+    for command, flags in ACCEPTED.items()
+    for output in flags if flags[output] == "output"
+    for source in [f for f in flags if flags[f] in ("config", "input")]
+    + POSITIONAL_INPUT.get(command, [])
+]
+
+
 class TestPathsCheckedFirst:
     """Each command accepts only the flags it reads, and every path given
     is checked before any corpus, vector file or checkpoint is read."""
@@ -388,6 +401,43 @@ class TestOutputValidation:
             )
         assert reads == []
         assert checkpoint.read_bytes() == trained
+
+
+    @pytest.mark.parametrize("command, output, source", COLLISIONS)
+    def test_output_naming_an_input_fails_before_reading(self, workdir, capsys, monkeypatch,
+                                                         command, output, source):
+        tmp_path, config = workdir
+        (tmp_path / "model.ck").touch()  # the config's checkpoint, for predict
+        argv = [command, *positionals(command, tmp_path), "--config", str(config)]
+        if source == "--config":
+            target = config
+        else:
+            target = tmp_path / "target.conll"
+            target.write_text(tagged_text("Ana/B-PER"), encoding="utf-8")
+            if source.startswith("--"):
+                argv += [source, str(target)]
+            else:
+                argv[1] = str(target)
+        before = target.read_bytes()
+        reads = record_reads(monkeypatch)
+        assert main([*argv, output, str(target)]) == 1
+        assert reads == []
+        names = [flag.lstrip("-").replace("-", "_") for flag in (output, source)]
+        assert capsys.readouterr().err == (
+            f"error: {names[0]} and {names[1]} name the same file: {target}\n"
+        )
+        assert target.read_bytes() == before
+
+    def test_default_log_naming_an_input_fails_before_reading(self, workdir, capsys,
+                                                              monkeypatch):
+        tmp_path, config = workdir
+        dev = tmp_path / "model.ck.log"  # the log beside the config's checkpoint
+        dev.write_text(tagged_text("Ana/B-PER"), encoding="utf-8")
+        reads = record_reads(monkeypatch)
+        assert main(["train", "--config", str(config), "--dev", str(dev)]) == 1
+        assert reads == []
+        assert capsys.readouterr().err == f"error: log and dev name the same file: {dev}\n"
+        assert dev.read_text(encoding="utf-8") == tagged_text("Ana/B-PER")
 
 
 class TestStatsAndEval:

@@ -17,13 +17,13 @@ from csner.model import (
     batch_loss,
     build_arrays,
     encode_batch,
-    init_params,
     param_shapes,
     predict_batch,
 )
+from csner.trainer import TrainingConfig, new_model
 
 import lstm_reference
-from conftest import corpus_from, small_model
+from conftest import SMALL_CFG, corpus_from, random_table, small_model
 
 
 @pytest.fixture()
@@ -55,26 +55,22 @@ def predict(tokens, tables, params, surfaces=None):
 
 
 class TestParamShapes:
-    def test_table_describes_init_params(self):
-        # every size distinct, so a swapped dimension shows
-        sizes = dict(n_chars=7, word_dim=6, char_dim=3, char_hidden=4, word_hidden=5)
-        shapes = param_shapes(**sizes)
-        tensors = init_params(rng=np.random.default_rng(0), **sizes)
+    def test_table_describes_new_model(self, tiny_tables):
+        shapes = param_shapes(SMALL_CFG, len(tiny_tables.chars))
+        tensors = small_model(tiny_tables)
         assert list(shapes) == list(tensors)
         assert {name: t.data.shape for name, t in tensors.items()} == shapes
 
 
 class TestCharEncode:
     def test_single_char_word_shape(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         out = char_vectors(["a"], tiny_tables, params)
         assert out.shape == (1, 2 * params["char_fwd.wh"].data.shape[0])
 
     def test_default_dimensions(self, tiny_tables):
-        params = init_params(
-            n_chars=len(tiny_tables.chars), word_dim=300,
-            rng=np.random.default_rng(0),
-        )
+        params = new_model(TrainingConfig(), random_table(["ab"], 300), tiny_tables.chars,
+                           np.random.default_rng(0)).params
         assert char_vectors(["ab"], tiny_tables, params).shape == (1, 300)
         assert params["char_embed"].data.shape[1] == 150
         assert params["word_fwd.wx"].data.shape == (600, 800)
@@ -82,12 +78,12 @@ class TestCharEncode:
         assert params["proj_w"].data.shape == (400, 19)
 
     def test_distinct_words_distinct_vectors(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         a, b = char_vectors(["ane", "ana"], tiny_tables, params)
         assert np.max(np.abs(a - b)) > 1e-9
 
     def test_zero_params_give_zero_vector(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         for t in params.values():
             t.data[...] = 0.0
         out = char_vectors(["pan"], tiny_tables, params)
@@ -96,19 +92,19 @@ class TestCharEncode:
 
 class TestEncodeSentence:
     def test_single_token_shape(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         enc = encode(["pan"], tiny_tables, params)
         assert enc.data.shape == (1, 2 * params["word_fwd.wh"].data.shape[0])
 
     def test_inference_deterministic(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         tokens = ["el", "rio", "azul"]
         a = encode(tokens, tiny_tables, params).data
         b = encode(tokens, tiny_tables, params).data
         assert np.array_equal(a, b)
 
     def test_reversal_swaps_directions(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         mirror = {**params, **{f"word_{a}.{k}": params[f"word_{b}.{k}"]
                                for a, b in (("fwd", "bwd"), ("bwd", "fwd"))
                                for k in ("wx", "wh", "b")}}
@@ -122,7 +118,7 @@ class TestEncodeSentence:
             assert np.allclose(forward[t, h:], swapped[n - 1 - t, :h], atol=1e-12)
 
     def test_rng_turns_dropout_on(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         tokens = ["el", "rio", "azul"]
         inference = encode(tokens, tiny_tables, params).data
         dropped = encode(tokens, tiny_tables, params, rng=np.random.default_rng(0)).data
@@ -133,7 +129,7 @@ class TestEncodeSentence:
 
 class TestTagLogits:
     def test_zero_projection_uniform_softmax(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         params["proj_w"].data[...] = 0.0
         params["proj_b"].data[...] = 0.0
         logits = batch_logits(encode(["el", "pan"], tiny_tables, params), params)
@@ -141,12 +137,12 @@ class TestTagLogits:
         assert np.array_equal(logits.data, np.zeros((2, 19)))
 
     def test_shape(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         enc = encode(["el", "rio", "azul"], tiny_tables, params)
         assert batch_logits(enc, params).data.shape == (3, 19)
 
     def test_argmax_shift_invariant(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         logits = batch_logits(encode(["el", "rio"], tiny_tables, params), params).data
         assert np.array_equal(
             logits.argmax(axis=-1), (logits + 7.5).argmax(axis=-1)
@@ -155,7 +151,7 @@ class TestTagLogits:
 
 class TestPredict:
     def test_length_and_determinism(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         tokens = ["Ana", "come", "pan"]
         ids1 = predict(tokens, tiny_tables, params)
         ids2 = predict(tokens, tiny_tables, params)
@@ -164,14 +160,14 @@ class TestPredict:
         assert all(0 <= i < len(TAGS) for i in ids1)
 
     def test_tie_break_lowest_index(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         params["proj_w"].data[...] = 0.0
         params["proj_b"].data[...] = 0.0
         # all-equal logits resolve to the lowest index, which is O
         assert predict(["pan", "el"], tiny_tables, params) == [0, 0]
 
     def test_surfaces_drive_char_encoder(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         plain = predict(["pan", "el"], tiny_tables, params)
         assert predict(["pan", "el"], tiny_tables, params, surfaces=["pan", "el"]) == plain
 
@@ -180,7 +176,7 @@ class TestBatchSemantics:
     def test_permutation_coherence(self, tiny_tables):
         from csner.trainer import make_batches
 
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         words = ["azul", "come", "el", "pan", "rio", "Ana", "nunca"]
         rng = np.random.default_rng(5)
         sents = [[words[i] for i in rng.integers(0, len(words), size=n)]
@@ -205,13 +201,13 @@ class TestBatchSemantics:
             assert np.array_equal(plain[i], shuffled[i]), i
 
     def test_unsorted_lengths_rejected(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         arrays = build_arrays([["pan"], ["el", "rio"]], tiny_tables, np.float64)
         with pytest.raises(ValueError, match=r"lengths \[1, 2\]"):
             predict_batch(arrays, tiny_tables, params)
 
     def test_fixed_vectors_never_accumulate_gradient(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         before = tiny_tables.words.vectors.tobytes()
         arrays = build_arrays([["el", "pan"]], tiny_tables, np.float64)
         gold = np.array([TAG_INDEX[TAGS[0]], TAG_INDEX[TAGS[1]]])
@@ -262,7 +258,7 @@ class TestSpellingColumns:
         from csner import model
         from csner.trainer import make_batches
 
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         columns = []
         encode_chars = model._encode_chars
 
@@ -301,7 +297,7 @@ class TestEndToEndGradient:
 
         def run(arrays):
             ad.zero_grads(params)
-            loss = batch_loss(arrays, batch.gold_flat % 5, tables, params,
+            loss = batch_loss(arrays, batch.gold_flat, tables, params,
                               rng=np.random.default_rng(0))
             ad.backward(loss)
             return float(loss.data), {k: t.grad.copy() for k, t in params.items()}
@@ -314,7 +310,7 @@ class TestEndToEndGradient:
             assert np.max(np.abs(fused[name] - ref[name])) < 1e-10, name
 
     def test_tape_size_independent_of_length(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         sizes = []
         for sent in (["el", "rio"], ["Ana", "come", "pan", "el", "rio", "azul", "azul"]):
             arrays = build_arrays([sent, sent[:1]], tiny_tables, np.float64)
@@ -324,5 +320,5 @@ class TestEndToEndGradient:
         assert sizes[0] == sizes[1]
 
     def test_unk_fallback_path(self, tiny_tables):
-        params = small_model(n_chars=len(tiny_tables.chars))
+        params = small_model(tiny_tables)
         assert len(predict(["nunca_visto"], tiny_tables, params)) == 1

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import csner.trainer as trainer_mod
 from csner import autodiff as ad
 from csner.corpus_io import Dataset, TaggedSentence
 from csner.embeddings import build_char_vocab
-from csner.model import BatchArrays, batch_loss
+from csner.model import BatchArrays, batch_loss, param_shapes
 from csner.trainer import (
     Checkpoint,
     CheckpointError,
@@ -151,7 +153,7 @@ class TestFitStopping:
     def run_with_scores(self, monkeypatch, scores, patience=2, max_epochs=50):
         seen = []
 
-        def fake_dev_f1(model, dev, batch_size, surfaces=None, post=True):
+        def fake_dev_f1(model, dev, batch_size, surfaces=None):
             seen.append(len(seen) + 1)
             return scores[len(seen) - 1]
 
@@ -276,6 +278,20 @@ class TestNewModel:
         assert table.vectors is vectors and vectors.dtype == np.float64
         assert model.tables.words.vectors.dtype == np.float32
         assert np.array_equal(model.tables.words.vectors, vectors.astype(np.float32))
+
+    def test_draws_are_pinned(self, overfit_corpus):
+        """The seeded tensors, in ``param_shapes`` order, hash to a pinned
+        digest: a change to the draws, which would change every same-seed
+        checkpoint, shows here."""
+        words = {t for s in overfit_corpus for t in s.tokens}
+        cfg = quick_cfg(float64=True)
+        model = new_model(cfg, random_table(words, cfg.word_dim),
+                          build_char_vocab(overfit_corpus), np.random.default_rng(cfg.seed))
+        assert list(model.params) == list(param_shapes(cfg, len(model.tables.chars)))
+        digest = hashlib.sha256(b"".join(t.data.tobytes() for t in model.params.values()))
+        assert digest.hexdigest() == (
+            "9f762a96c60745d8c327729d2ccac217c2e6c74cdf53ef1cc2a9588becbee85f"
+        )
 
 
 class TestCheckpointIO:
@@ -506,3 +522,40 @@ class TestCheckpointIO:
         path.write_bytes(patched)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def traced_peak(fn):
+    """The peak of traced allocations while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointMemory:
+    """Each checkpoint array is held once: saving writes every tensor from
+    where it lies, and loading views the one buffer it read.  At paper
+    sizes with a 4,004-row word matrix the file is about 11.5 MB."""
+
+    @pytest.fixture(scope="class")
+    def paper_model(self):
+        words = [f"w{i}" for i in range(4000)]
+        cfg = TrainingConfig()
+        chars = build_char_vocab(Dataset([TaggedSentence(words)]))
+        return cfg, new_model(cfg, random_table(words, cfg.word_dim), chars,
+                              np.random.default_rng(0))
+
+    def test_snapshot_and_save_peak_below_file_size(self, paper_model, tmp_path):
+        cfg, model = paper_model
+        path = tmp_path / "model.ck"
+        peak = traced_peak(lambda: save_checkpoint(snapshot(model, cfg, 0.5, 1), path))
+        assert path.stat().st_size > 11_000_000
+        assert peak < path.stat().st_size
+
+    def test_load_peak_below_one_and_a_half_file_sizes(self, paper_model, tmp_path):
+        cfg, model = paper_model
+        path = tmp_path / "model.ck"
+        save_checkpoint(snapshot(model, cfg, 0.5, 1), path)
+        assert traced_peak(lambda: load_checkpoint(path)) < 1.5 * path.stat().st_size
