@@ -10,6 +10,7 @@ is fixed during training except for those four rows.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ ASCII_EXTRA = (
     "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
 )
 DEFAULT_CHAR_EXTRA = SPANISH_EXTRA + ASCII_EXTRA
+
+# a ``.vec`` file is read about this many characters of rows at a time:
+# large enough that numpy's per-call cost vanishes, small enough that the
+# block adds little to peak memory (4 Mi-character blocks added ~20 MB)
+_BLOCK_CHARS = 1 << 16
 
 
 class VectorLoadError(Exception):
@@ -122,25 +128,20 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
             kept: dict[str, np.ndarray] = {}  # word -> row, in file order
             stat_sum = np.zeros(dim, dtype=np.float64)
             stat_count = 0
-            for line_no, line in enumerate(fp, start=2):
-                parts = line.rstrip("\n").split(" ")
-                if parts and parts[-1] == "":  # tolerate trailing space
-                    parts.pop()
-                if len(parts) - 1 != dim:
-                    raise VectorLoadError(
-                        f"line {line_no}: expected {dim} components, got {len(parts) - 1}"
-                    )
-                word = parts[0]
-                try:
-                    vector = np.array(parts[1:], dtype=np.float64)
-                except ValueError:
-                    raise VectorLoadError(
-                        f"line {line_no}: non-numeric vector component"
-                    ) from None
-                stat_sum += vector
-                stat_count += 1
-                if word not in kept and (keep is None or word in keep):
-                    kept[word] = vector
+            while lines := fp.readlines(_BLOCK_CHARS):
+                words, tails = [], []
+                for line in lines:
+                    word, _, tail = line.rstrip("\n").partition(" ")
+                    words.append(word)
+                    tails.append(tail[:-1] if tail.endswith(" ") else tail)
+                rows = _parse_block(tails, dim) if all(tails) else None
+                if rows is None:
+                    rows = _parse_rows(lines, 2 + stat_count, dim)
+                for word, row in zip(words, rows):
+                    stat_sum += row  # row by row, in file order
+                    if word not in kept and (keep is None or word in keep):
+                        kept[word] = row.copy()  # not a view that holds the block
+                stat_count += len(lines)
     except UnicodeDecodeError:
         bad = non_utf8_line(path, newline="\n")
         raise VectorLoadError(f"line {bad}: not valid UTF-8") from None
@@ -156,6 +157,44 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
         stat_sum=stat_sum,
         stat_count=stat_count,
     )
+
+
+def _parse_block(tails: list[str], dim: int) -> np.ndarray | None:
+    """The ``(len(tails), dim)`` components of a block of rows, each tail a
+    row without its word, or None if numpy's reader does not take every
+    row as exactly ``dim`` components (then ``_parse_rows`` decides)."""
+    try:
+        # numpy skips a row it reads as blank (a lone "\r"), and warns when
+        # every row is: the shape shows the one, the warning the other
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(tails, delimiter=" ", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    return rows if rows.shape == (len(tails), dim) else None
+
+
+def _parse_rows(lines: list[str], first_line_no: int, dim: int) -> np.ndarray:
+    """The components of ``lines``, one row at a time, or the
+    ``VectorLoadError`` of the first bad row.  Accepts every number
+    Python's ``float`` does (``1_0``, full-width digits), unlike numpy's
+    reader."""
+    rows = np.empty((len(lines), dim), dtype=np.float64)
+    for i, line in enumerate(lines):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) > 1 and parts[-1] == "":  # tolerate trailing space
+            parts.pop()
+        if len(parts) - 1 != dim:
+            raise VectorLoadError(
+                f"line {first_line_no + i}: expected {dim} components, got {len(parts) - 1}"
+            )
+        try:
+            rows[i] = np.array(parts[1:], dtype=np.float64)
+        except ValueError:
+            raise VectorLoadError(
+                f"line {first_line_no + i}: non-numeric vector component"
+            ) from None
+    return rows
 
 
 def _non_finite_line(path, dim: int) -> int:

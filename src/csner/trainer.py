@@ -100,6 +100,9 @@ def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
         raise ValueError(
             f"vector file dimension {table.dim} != configured word_dim {cfg.word_dim}"
         )
+    if table.vocabulary.tokens[:4] != list(SPECIAL_TOKENS):
+        raise ValueError("vocabulary does not start with PAD/UNK/USR/URL: "
+                         "build the table with merge_tables")
     # the model's own table: the caller's keeps its array and dtype
     table = replace(table, vectors=table.vectors.astype(cfg.dtype, copy=False))
     params = {}

@@ -1,6 +1,7 @@
 """Shared fixtures: synthetic corpora, vector tables, reduced models."""
 
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,16 @@ def write_vec_file(path, words, dim, seed=123, scale=1.5) -> None:
         for word in words:
             values = rng.normal(size=dim) * scale
             fp.write(word + " " + " ".join(f"{v:.6f}" for v in values) + "\n")
+
+
+def traced_peak(fn):
+    """The peak of traced allocations while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def corrupt_vocab_entry(path, kind: str, entry: int) -> None:

@@ -490,6 +490,14 @@ class TestPreprocessCommand:
         assert main(["preprocess", str(corpus), "--vec-eng", str(vec)]) == 1
         assert capsys.readouterr().err == "error: line 3: non-finite vector component\n"
 
+    def test_blank_vector_rows_fail_cleanly(self, tmp_path, capsys):
+        corpus = tmp_path / "c.conll"
+        corpus.write_text("mira\tO\n\n")
+        vec = tmp_path / "eng.vec"
+        vec.write_text("2 2\n\n\n")
+        assert main(["preprocess", str(corpus), "--vec-eng", str(vec)]) == 1
+        assert capsys.readouterr().err == "error: line 2: expected 2 components, got 0\n"
+
 
 class TestTrainPredict:
     def test_train_then_predict(self, workdir, capsys):

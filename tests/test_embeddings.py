@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from csner.corpus_io import Dataset, TaggedSentence, parse_conll
 from csner.embeddings import (
+    _BLOCK_CHARS,
     PAD_TOKEN,
     SPECIAL_TOKENS,
     UNK_TOKEN,
@@ -27,6 +29,9 @@ from csner.preprocess import (
     preprocess_token,
     strip_repeats,
 )
+
+from conftest import traced_peak, write_vec_file
+from vec_reference import load_vec_per_row
 
 
 @pytest.fixture
@@ -109,6 +114,112 @@ class TestLoadVec:
         assert pruned.vocabulary.tokens == ["b"]
         assert pruned.stat_count == 3
         assert np.allclose(pruned.stat_sum / pruned.stat_count, [3, 0])
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_blank_row_reports_its_line(self, vec_file, at):
+        rows = ["a 1 0", "b 0 1"]
+        rows.insert(at, "")  # first, between the rows, last
+        with pytest.raises(VectorLoadError,
+                           match=f"^line {at + 2}: expected 2 components, got 0$"):
+            load_vec(vec_file("3 2\n" + "".join(row + "\n" for row in rows)))
+
+    @pytest.mark.parametrize("row, got", [("", 0), ("a \r", 1)])
+    def test_rows_without_data_raise_no_warning(self, vec_file, row, got):
+        # numpy's reader warns on a block it reads as holding no data.  The
+        # warnings are recorded, not raised: raised, one would be taken by
+        # load_vec's own fallback and not show here even if it escaped
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(VectorLoadError,
+                               match=f"^line 2: expected 2 components, got {got}$"):
+                load_vec(vec_file("3 2\n" + f"{row}\n" * 3))
+        assert caught == []
+
+
+def assert_same_table(got, want):
+    assert got.vocabulary.tokens == want.vocabulary.tokens
+    assert got.vectors.shape == want.vectors.shape
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.stat_sum.tobytes() == want.stat_sum.tobytes()
+    assert got.stat_count == want.stat_count
+
+
+def vec_text(rows, count=None) -> str:
+    return f"{len(rows) if count is None else count} 8\n" + "".join(r + "\n" for r in rows)
+
+
+def third_block_row(rows) -> int:
+    """The index of a row that ``load_vec`` reads in its third block: each
+    block ends within one row past a multiple of ``_BLOCK_CHARS``."""
+    longest = max(len(row) for row in rows) + 1
+    offset = 0
+    for i, row in enumerate(rows):
+        if offset >= 2 * (_BLOCK_CHARS + longest):
+            assert offset < 3 * _BLOCK_CHARS
+            return i
+        offset += len(row) + 1
+
+
+class TestBlocks:
+    """``load_vec`` parses a block of rows per numpy call; it must agree
+    with the per-row reference bit for bit and locate the same errors."""
+
+    @pytest.fixture
+    def rows(self):
+        """2,000 rows of 8 components over 17 orders of magnitude, so that
+        a change in summation order changes ``stat_sum``; words repeat,
+        and every third row ends in a space, as FastText rows do."""
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(2000, 8)) * 10.0 ** rng.integers(-8, 9, size=(2000, 1))
+        words = rng.integers(0, 1000, 2000)
+        rows = [f"w{w} " + " ".join(map(repr, row.tolist())) + " " * (i % 3 == 0)
+                for i, (w, row) in enumerate(zip(words, values))]
+        assert len(vec_text(rows)) > 3 * _BLOCK_CHARS
+        return rows
+
+    @pytest.mark.parametrize("keep", [None, {f"w{i}" for i in range(0, 1000, 3)}])
+    def test_matches_per_row_reference(self, vec_file, rows, keep):
+        path = vec_file(vec_text(rows))
+        table = load_vec(path, keep=keep)
+        assert len(table.vocabulary) < len(rows)
+        assert_same_table(table, load_vec_per_row(path, keep=keep))
+
+    def test_numbers_only_python_reads(self, vec_file, rows):
+        # numpy's reader rejects underscores and non-ASCII digits, Python's float does not
+        odd = ["odd 1_0" + " 1" * 7, "full \uff11" + " 2" * 7, "arabic \u0663" + " 3" * 7]
+        rows[100], rows[third_block_row(rows)], rows[-1] = odd
+        path = vec_file(vec_text(rows))
+        table = load_vec(path)
+        assert_same_table(table, load_vec_per_row(path))
+        for word, first in (("odd", 10.0), ("full", 1.0), ("arabic", 3.0)):
+            assert table.vectors[table.vocabulary.index(word)][0] == first
+
+    @pytest.mark.parametrize("bad, message", [
+        ("bad x" + " 0" * 7, "non-numeric vector component"),
+        ("bad 1 0", "expected 8 components, got 2"),
+        ("", "expected 8 components, got 0"),
+    ])
+    def test_bad_row_in_third_block_reports_its_line(self, vec_file, rows, bad, message):
+        i = third_block_row(rows)
+        rows[i] = bad
+        path = vec_file(vec_text(rows))
+        with pytest.raises(VectorLoadError, match=f"^line {i + 2}: {message}$"):
+            load_vec(path)
+        with pytest.raises(VectorLoadError, match=f"^line {i + 2}: {message}$"):
+            load_vec_per_row(path)
+
+    def test_late_line_error_before_row_count(self, vec_file, rows):
+        rows[-2] = "bad 1 0"
+        with pytest.raises(VectorLoadError,
+                           match=f"^line {len(rows)}: expected 8 components, got 2$"):
+            load_vec(vec_file(vec_text(rows, count=len(rows) + 5)))
+
+    def test_peak_memory_is_one_block(self, tmp_path):
+        # with no row kept, the rows read live only as long as their block
+        path = tmp_path / "big.vec"
+        write_vec_file(path, [f"w{i}" for i in range(10000)], 30)
+        assert path.stat().st_size > 2_500_000
+        assert traced_peak(lambda: load_vec(path, keep=set())) < 1_000_000
 
 
 class TestMerge:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 import csner.trainer as trainer_mod
 from csner import autodiff as ad
 from csner.corpus_io import Dataset, TaggedSentence
-from csner.embeddings import build_char_vocab
+from csner.embeddings import build_char_vocab, empty_table, merge_tables
 from csner.model import BatchArrays, batch_loss, param_shapes
 from csner.trainer import (
     Checkpoint,
@@ -29,7 +28,13 @@ from csner.trainer import (
     train_epoch,
 )
 
-from conftest import corpus_from, corrupt_tensor_value, corrupt_vocab_entry, random_table
+from conftest import (
+    corpus_from,
+    corrupt_tensor_value,
+    corrupt_vocab_entry,
+    random_table,
+    traced_peak,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -279,6 +284,23 @@ class TestNewModel:
         assert model.tables.words.vectors.dtype == np.float32
         assert np.array_equal(model.tables.words.vectors, vectors.astype(np.float32))
 
+    def test_table_without_reserved_rows_rejected(self, overfit_corpus):
+        cfg = quick_cfg()
+        with pytest.raises(ValueError, match="does not start with PAD/UNK/USR/URL"):
+            new_model(cfg, empty_table(cfg.word_dim), build_char_vocab(overfit_corpus),
+                      np.random.default_rng(0))
+
+    def test_merged_table_builds_and_round_trips(self, overfit_corpus, tmp_path):
+        cfg = quick_cfg()
+        table = merge_tables(empty_table(cfg.word_dim), empty_table(cfg.word_dim))
+        model = new_model(cfg, table, build_char_vocab(overfit_corpus),
+                          np.random.default_rng(0))
+        assert model.params["word_specials"].data.shape == (4, cfg.word_dim)
+        path = tmp_path / "model.ck"
+        save_checkpoint(snapshot(model, cfg, 0.0, 0), path)
+        restored = restore_model(load_checkpoint(path))
+        assert restored.tables.words.vocabulary.tokens == table.vocabulary.tokens
+
     def test_draws_are_pinned(self, overfit_corpus):
         """The seeded tensors, in ``param_shapes`` order, hash to a pinned
         digest: a change to the draws, which would change every same-seed
@@ -522,16 +544,6 @@ class TestCheckpointIO:
         path.write_bytes(patched)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
-
-
-def traced_peak(fn):
-    """The peak of traced allocations while ``fn()`` runs, in bytes."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestCheckpointMemory:
