@@ -6,15 +6,14 @@ the tape in reverse topological order.  Values are numpy arrays of
 whatever float dtype the caller builds them with (float64 in tests,
 float32 in production training).
 
-A tape belongs to one thread; run concurrent models on separate
-instances.  Whether operations record at all is per-thread too
-(``no_grad`` in one thread leaves every other thread taping).
+An operation records only when one of its parents requires a gradient,
+so a forward pass over untaped tensors (inference, finite differences)
+builds no tape.  A tape belongs to one thread; run concurrent models on
+separate instances.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,20 +21,6 @@ import numpy as np
 
 class NonFiniteGradient(FloatingPointError):
     """A NaN or infinity reached the optimizer."""
-
-
-# a context variable, so each thread (and each asyncio task) has its own flag
-_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording in this thread (inference, finite differences)."""
-    token = _grad_enabled.set(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -57,7 +42,7 @@ def param(data) -> Tensor:
 
 
 def _recording(parents) -> bool:
-    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+    return any(p.requires_grad for p in parents)
 
 
 def _make(data, parents, backward) -> Tensor:

@@ -153,11 +153,11 @@ def parse_conll(text: str, split: str = "") -> Dataset:
     return Dataset(sentences, split)
 
 
-def non_utf8_line(path, newline: str | None = None) -> int:
+def non_utf8_line(path) -> int:
     """The 1-based number of the first line of ``path`` that is not UTF-8,
-    lines split as ``open(path, newline=newline)`` splits them."""
+    lines split as text mode splits them."""
     # each undecodable byte becomes a lone surrogate in U+DC80..U+DCFF
-    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fp:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fp:
         return next(n for n, line in enumerate(fp, 1) if re.search("[\udc80-\udcff]", line))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import Dataset, non_utf8_line
+from .corpus_io import Dataset
 from .preprocess import URL, USR, normalization_candidates, replace_token
 
 PAD_TOKEN = "<PAD>"
@@ -34,10 +34,10 @@ ASCII_EXTRA = (
 )
 DEFAULT_CHAR_EXTRA = SPANISH_EXTRA + ASCII_EXTRA
 
-# a ``.vec`` file is read about this many characters of rows at a time:
-# large enough that numpy's per-call cost vanishes, small enough that the
-# block adds little to peak memory (4 Mi-character blocks added ~20 MB)
-_BLOCK_CHARS = 1 << 16
+# a ``.vec`` file is read about this many bytes of rows at a time: large
+# enough that numpy's per-call cost vanishes, small enough that the block
+# adds little to peak memory (4 MiB blocks added ~20 MB)
+_BLOCK_BYTES = 1 << 16
 
 
 class VectorLoadError(Exception):
@@ -114,45 +114,62 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
     normalization candidate closure of a corpus.  Duplicate words keep
     their first occurrence.
     """
-    try:
-        # a NaN, an infinity or an overflow shows in the sum, checked once below
-        with open(path, encoding="utf-8", newline="\n") as fp, \
-                np.errstate(over="ignore", invalid="ignore"):
-            header = fp.readline()  # outside the try: UnicodeDecodeError is a ValueError
-            try:
-                count, dim = map(int, header.split())
-            except ValueError:
-                raise VectorLoadError("line 1: expected header 'count dim'") from None
-            if dim < 1:
-                raise VectorLoadError(f"line 1: dimension {dim} is not positive")
-            kept: dict[str, np.ndarray] = {}  # word -> row, in file order
-            stat_sum = np.zeros(dim, dtype=np.float64)
-            stat_count = 0
-            while lines := fp.readlines(_BLOCK_CHARS):
-                words, tails = [], []
-                for line in lines:
-                    word, _, tail = line.rstrip("\n").partition(" ")
-                    words.append(word)
-                    tails.append(tail[:-1] if tail.endswith(" ") else tail)
-                rows = _parse_block(tails, dim) if all(tails) else None
-                if rows is None:
-                    rows = _parse_rows(lines, 2 + stat_count, dim)
-                for word, row in zip(words, rows):
-                    stat_sum += row  # row by row, in file order
-                    if word not in kept and (keep is None or word in keep):
-                        kept[word] = row.copy()  # not a view that holds the block
-                stat_count += len(lines)
-    except UnicodeDecodeError:
-        bad = non_utf8_line(path, newline="\n")
-        raise VectorLoadError(f"line {bad}: not valid UTF-8") from None
-    if not np.isfinite(stat_sum).all():
-        bad = _non_finite_line(path, dim)
-        raise VectorLoadError(f"line {bad}: non-finite vector component")
+    # a NaN, an infinity or an overflow shows in the sum, checked once a block
+    with open(path, "rb") as fp, np.errstate(over="ignore", invalid="ignore"):
+        try:
+            header = fp.readline().decode()
+        except UnicodeDecodeError:
+            raise VectorLoadError("line 1: not valid UTF-8") from None
+        try:
+            count, dim = map(int, header.split())
+        except ValueError:
+            raise VectorLoadError("line 1: expected header 'count dim'") from None
+        if dim < 1:
+            raise VectorLoadError(f"line 1: dimension {dim} is not positive")
+        index: dict[str, int] = {}  # kept word -> its row of ``vectors``
+        vectors = np.empty((0, dim), dtype=np.float64)  # grown in place
+        stat_sum = np.zeros(dim, dtype=np.float64)
+        stat_count = 0
+        non_finite = None  # the line at which the sum stopped being finite
+        while raw := fp.readlines(_BLOCK_BYTES):
+            lines, words, tails = [], [], []
+            for data in raw:  # up to the first line that is not UTF-8
+                try:
+                    line = data.decode()
+                except UnicodeDecodeError:
+                    break
+                word, _, tail = line.rstrip("\n").partition(" ")
+                lines.append(line)
+                words.append(word)
+                tails.append(tail[:-1] if tail.endswith(" ") else tail)
+            rows = _parse_block(tails, dim) if all(tails) else None
+            if rows is None:
+                rows = _parse_rows(lines, 2 + stat_count, dim)
+            before = stat_sum.copy()
+            for word, row in zip(words, rows):
+                stat_sum += row  # row by row, in file order
+                if word not in index and (keep is None or word in keep):
+                    if len(index) == len(vectors):
+                        vectors.resize((len(vectors) * 5 // 4 + 16, dim), refcheck=False)
+                    vectors[len(index)] = row
+                    index[word] = len(index)
+            if non_finite is None and not np.isfinite(stat_sum).all():
+                # a sum stays non-finite once it is: replay this block to find the row
+                for i, row in enumerate(rows):
+                    before += row
+                    if not np.isfinite(before).all():
+                        non_finite = 2 + stat_count + i
+                        break
+            stat_count += len(lines)
+            if len(lines) < len(raw):
+                raise VectorLoadError(f"line {2 + stat_count}: not valid UTF-8")
+    if non_finite is not None:
+        raise VectorLoadError(f"line {non_finite}: non-finite vector component")
     if stat_count != count:
         raise VectorLoadError(f"line 1: header declares {count} rows, file has {stat_count}")
-    vectors = np.vstack(list(kept.values())) if kept else np.zeros((0, dim), dtype=np.float64)
+    vectors.resize((len(index), dim), refcheck=False)
     return EmbeddingTable(
-        Vocabulary(kept, specials=False),
+        Vocabulary(index, specials=False),
         vectors,
         stat_sum=stat_sum,
         stat_count=stat_count,
@@ -195,19 +212,6 @@ def _parse_rows(lines: list[str], first_line_no: int, dim: int) -> np.ndarray:
                 f"line {first_line_no + i}: non-numeric vector component"
             ) from None
     return rows
-
-
-def _non_finite_line(path, dim: int) -> int:
-    """The 1-based number of the line of a well-formed ``.vec`` file at
-    which ``load_vec``'s running component sum stops being finite."""
-    total = np.zeros(dim, dtype=np.float64)
-    with open(path, encoding="utf-8", newline="\n") as fp, \
-            np.errstate(over="ignore", invalid="ignore"):
-        next(fp)
-        for line_no, line in enumerate(fp, start=2):
-            total += np.array(line.rstrip("\n").split(" ")[1 : dim + 1], dtype=np.float64)
-            if not np.isfinite(total).all():
-                return line_no
 
 
 def empty_table(dim: int) -> EmbeddingTable:

@@ -197,8 +197,7 @@ def batch_loss(
 def predict_batch(arrays: BatchArrays, tables: Tables,
                   params: dict[str, Tensor]) -> list[list[int]]:
     """Per-sentence argmax tag ids; ties resolve to the lowest tag index."""
-    with ad.no_grad():
-        encoded = encode_batch(arrays, tables, params)
-        logits = batch_logits(encoded, params)
+    params = {name: Tensor(p.data) for name, p in params.items()}  # untaped views
+    logits = batch_logits(encode_batch(arrays, tables, params), params)
     ids = logits.data.argmax(axis=-1).reshape(arrays.max_len, arrays.batch_size)
     return [list(ids[: n, j]) for j, n in enumerate(arrays.lengths)]

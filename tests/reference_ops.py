@@ -41,7 +41,10 @@ def finite_diff_check(loss_fn, params: dict[str, Tensor], h: float = 1e-4,
     ad.backward(loss)
     analytic = {name: _grad(p).copy() for name, p in params.items()}
     worst = 0.0
-    with ad.no_grad():
+    flags = [(p, p.requires_grad) for p in params.values()]
+    for p, _ in flags:
+        p.requires_grad = False  # the numeric evaluations build no tape
+    try:
         for name, p in params.items():
             flat = p.data.reshape(-1)
             ana = analytic[name].reshape(-1)
@@ -55,4 +58,7 @@ def finite_diff_check(loss_fn, params: dict[str, Tensor], h: float = 1e-4,
                 numeric = (up - down) / (2.0 * h)
                 err = abs(ana[i] - numeric) / max(abs(ana[i]), abs(numeric), floor)
                 worst = max(worst, err)
+    finally:
+        for p, flag in flags:
+            p.requires_grad = flag
     return worst

@@ -6,6 +6,7 @@ import pathlib
 
 import numpy as np
 
+from csner import autodiff as ad
 from csner import corpus_io, embeddings, preprocess, trainer
 
 from conftest import OVERFIT_SENTENCES, tagged_text, write_vec_file
@@ -35,8 +36,14 @@ def test_every_layer_found_and_every_hook_runs(tmp_path, monkeypatch):
         model = trainer.new_model(cfg, table, embeddings.build_char_vocab(raw),
                                   np.random.default_rng(0))
         trainer.predict_dataset(model, norm, 8, surfaces=raw, post=True)
+        first_training_span = len(tracer.spans)
+        batches = trainer.make_batches(norm, 8, model.tables, surfaces=raw)
+        trainer.train_epoch(model, batches[:1], 0.01, np.random.default_rng(0), ad.AdamState())
 
     assert tracer.missing_layers == set()
     assert tracer.failed_hooks == set()
     traced = {span[0] for span in tracer.spans}
     assert {layer for _, _, layer, hook in tracing.LAYERS if hook is not None} <= traced
+    training = {span[0] for span in tracer.spans[first_training_span:]}
+    assert {"trainer.train_epoch", "autodiff.backward", "autodiff.adam",
+            "model.projection_loss"} <= training

@@ -1,4 +1,9 @@
+import filecmp
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +21,8 @@ from conftest import (
     tagged_text,
     write_vec_file,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -500,6 +507,19 @@ class TestPreprocessCommand:
 
 
 class TestTrainPredict:
+    def test_separate_processes_at_one_blas_thread_write_identical_files(self, workdir):
+        # the bits hold for one numpy/BLAS build, machine and BLAS thread count
+        tmp_path, config = workdir
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+        for run in ("a", "b"):
+            subprocess.run(
+                [sys.executable, "-m", "csner.cli", "train", "--config", str(config),
+                 "--checkpoint", str(tmp_path / f"{run}.ck"), "--out", str(tmp_path / f"{run}.log")],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+        for suffix in ("ck", "log"):
+            assert filecmp.cmp(tmp_path / f"a.{suffix}", tmp_path / f"b.{suffix}", shallow=False)
+
     def test_train_then_predict(self, workdir, capsys):
         tmp_path, config = workdir
         assert main(["train", "--config", str(config)]) == 0

@@ -114,7 +114,6 @@ class TestParse:
         path = tmp_path / "f"
         path.write_bytes(b"a\rb\r\nc\n\xe9\n")
         assert non_utf8_line(path) == 4
-        assert non_utf8_line(path, newline="\n") == 3
 
 
 class TestWrite:

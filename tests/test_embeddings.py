@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from csner.corpus_io import Dataset, TaggedSentence, parse_conll
 from csner.embeddings import (
-    _BLOCK_CHARS,
+    _BLOCK_BYTES,
     PAD_TOKEN,
     SPECIAL_TOKENS,
     UNK_TOKEN,
@@ -70,6 +70,21 @@ class TestLoadVec:
         path = tmp_path / "bad.vec"
         path.write_bytes(b"2001 2\n" + rows + b"caf\xe9 1 0\n")
         with pytest.raises(VectorLoadError, match="^line 2002: not valid UTF-8$"):
+            load_vec(path)
+
+    def test_row_error_before_a_later_non_utf8_row(self, tmp_path):
+        # both in one block: the rows before the undecodable one are parsed first
+        rows = "".join(f"w{i} 1 0\n" for i in range(200)).encode()
+        path = tmp_path / "bad.vec"
+        path.write_bytes(b"202 2\na 1\n" + rows + b"caf\xe9 1 0\n")
+        with pytest.raises(VectorLoadError, match="^line 2: expected 2 components, got 1$"):
+            load_vec(path)
+
+    @pytest.mark.parametrize("header", [b"2 2\xe9\n", b"\xe9\n"])
+    def test_non_utf8_header_reports_line_1(self, tmp_path, header):
+        path = tmp_path / "bad.vec"
+        path.write_bytes(header + b"a 1 0\nb 0 1\n")
+        with pytest.raises(VectorLoadError, match="^line 1: not valid UTF-8$"):
             load_vec(path)
 
     def test_bad_header(self, vec_file):
@@ -150,12 +165,12 @@ def vec_text(rows, count=None) -> str:
 
 def third_block_row(rows) -> int:
     """The index of a row that ``load_vec`` reads in its third block: each
-    block ends within one row past a multiple of ``_BLOCK_CHARS``."""
+    block ends within one row past a multiple of ``_BLOCK_BYTES``."""
     longest = max(len(row) for row in rows) + 1
     offset = 0
     for i, row in enumerate(rows):
-        if offset >= 2 * (_BLOCK_CHARS + longest):
-            assert offset < 3 * _BLOCK_CHARS
+        if offset >= 2 * (_BLOCK_BYTES + longest):
+            assert offset < 3 * _BLOCK_BYTES
             return i
         offset += len(row) + 1
 
@@ -174,7 +189,7 @@ class TestBlocks:
         words = rng.integers(0, 1000, 2000)
         rows = [f"w{w} " + " ".join(map(repr, row.tolist())) + " " * (i % 3 == 0)
                 for i, (w, row) in enumerate(zip(words, values))]
-        assert len(vec_text(rows)) > 3 * _BLOCK_CHARS
+        assert len(vec_text(rows)) > 3 * _BLOCK_BYTES
         return rows
 
     @pytest.mark.parametrize("keep", [None, {f"w{i}" for i in range(0, 1000, 3)}])
@@ -198,6 +213,7 @@ class TestBlocks:
         ("bad x" + " 0" * 7, "non-numeric vector component"),
         ("bad 1 0", "expected 8 components, got 2"),
         ("", "expected 8 components, got 0"),
+        ("bad inf" + " 0" * 7, "non-finite vector component"),
     ])
     def test_bad_row_in_third_block_reports_its_line(self, vec_file, rows, bad, message):
         i = third_block_row(rows)
@@ -207,6 +223,22 @@ class TestBlocks:
             load_vec(path)
         with pytest.raises(VectorLoadError, match=f"^line {i + 2}: {message}$"):
             load_vec_per_row(path)
+
+    def test_non_utf8_row_in_third_block_reports_its_line(self, tmp_path, rows):
+        i = third_block_row(rows)
+        rows[i - 1] = "early inf" + " 0" * 7  # a row error outranks a non-finite one
+        rows[i] = "caf\udce9" + " 0" * 8  # the lone byte 0xe9 once encoded
+        path = tmp_path / "bad.vec"
+        path.write_bytes(vec_text(rows).encode("utf-8", "surrogateescape"))
+        with pytest.raises(VectorLoadError, match=f"^line {i + 2}: not valid UTF-8$"):
+            load_vec(path)
+
+    def test_row_error_outranks_an_earlier_non_finite_row(self, vec_file, rows):
+        rows[5] = "early inf" + " 0" * 7
+        i = third_block_row(rows)
+        rows[i] = "bad 1 0"
+        with pytest.raises(VectorLoadError, match=f"^line {i + 2}: expected 8 components, got 2$"):
+            load_vec(vec_file(vec_text(rows)))
 
     def test_late_line_error_before_row_count(self, vec_file, rows):
         rows[-2] = "bad 1 0"
@@ -220,6 +252,17 @@ class TestBlocks:
         write_vec_file(path, [f"w{i}" for i in range(10000)], 30)
         assert path.stat().st_size > 2_500_000
         assert traced_peak(lambda: load_vec(path, keep=set())) < 1_000_000
+
+    def test_peak_memory_holds_each_kept_row_once(self, tmp_path):
+        # the kept rows fill one array that grows in place; the growth step
+        # and the block in flight are all that is held beyond the table
+        path = tmp_path / "big.vec"
+        row = " ".join(f"{v:.6f}" for v in np.random.default_rng(5).normal(size=300))
+        path.write_text("6000 300\n" + "".join(f"w{i} {row}\n" for i in range(6000)))
+        tables = []
+        peak = traced_peak(lambda: tables.append(load_vec(path)))
+        assert tables[0].vectors.shape == (6000, 300)
+        assert peak <= 1.4 * tables[0].vectors.nbytes
 
 
 class TestMerge:

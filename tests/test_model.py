@@ -39,8 +39,8 @@ def tiny_tables():
 def char_vectors(words, tables, params):
     """The char encoding of each word, through the batch's spelling columns."""
     arrays = build_arrays([words], tables, params["proj_w"].data.dtype)
-    with ad.no_grad():
-        spellings = _encode_chars(params, arrays.char_idx, arrays.char_lengths).data
+    views = {name: ad.Tensor(p.data) for name, p in params.items()}
+    spellings = _encode_chars(views, arrays.char_idx, arrays.char_lengths).data
     return spellings[arrays.spelling_idx]
 
 
