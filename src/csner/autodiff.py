@@ -83,7 +83,8 @@ def _unbroadcast(g, shape):
 
 
 def backward(root: Tensor):
-    """Accumulate d(root)/d(leaf) into each reachable leaf's ``.grad``."""
+    """Accumulate d(root)/d(leaf) into each reachable leaf's ``.grad``;
+    an op's output drops its gradient once the op has passed it on."""
     # iterative topological order; graphs grow linearly with sequence length
     order = []
     visited = {id(root)}
@@ -104,6 +105,7 @@ def backward(root: Tensor):
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +173,17 @@ def slice_axis(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row gather; gradients scatter-add back into the table."""
+    """Row gather by non-negative ``indices``; backward sums each row's
+    gradients as one segment of the stably sorted indices."""
     data = table.data[indices]
 
     def bw(g):
-        if table.requires_grad:
-            np.add.at(_grad(table), indices.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        if table.requires_grad and indices.size:
+            order = np.argsort(indices, axis=None, kind="stable")
+            ids = indices.reshape(-1)[order]
+            starts = np.flatnonzero(np.diff(ids, prepend=-1))
+            rows = g.reshape(-1, table.data.shape[1])[order]
+            _grad(table)[ids[starts]] += np.add.reduceat(rows, starts, axis=0)
 
     return _make(data, (table,), bw)
 
@@ -239,59 +246,49 @@ def _activate_gates(z, n: int) -> None:
         block *= 0.5
 
 
-def lstm_seq(x: Tensor, lengths, wx: Tensor, wh: Tensor, b: Tensor,
+def lstm_seq(xw: Tensor, lengths, wh: Tensor, b: Tensor, n_steps: int,
              reverse: bool = False) -> Tensor:
-    """One LSTM direction over a padded batch of sequences, as one op.
+    """One LSTM direction over B sequences in ``n_steps`` (T) steps, as one op.
 
-    The weights are ``wx`` (input_size, 4*hidden), ``wh`` (hidden,
-    4*hidden) and ``b`` (4*hidden,), their gate columns blocked [input |
-    forget | candidate | output].  ``x`` is flat time-major, shape (T*B,
-    input_size): step t lives at rows [t*B, (t+1)*B).  ``lengths`` holds
-    the B sequences' lengths, longest first, so T = len(x) // B, and at
-    every step the live rows come first.  Starting from a zero state the steps run in order (last
-    to first when ``reverse``) through the standard gated update
-    c' = f*c + i*g, h' = o*tanh(c'), computed for the live rows only;
-    the other rows carry h and c through untouched.  Returns the carried
-    h of every step, shape (T*B, hidden).
+    ``lengths`` holds the sequences' lengths, longest first and at most T,
+    so at every step the live rows come first.  ``xw`` holds the input
+    projections x @ wx of the live rows only, packed in step order: step
+    0's live rows, then step 1's, and so on.  ``wh`` (hidden, 4*hidden)
+    and ``b`` (4*hidden,) have their gate columns blocked [input | forget
+    | candidate | output].  From a zero state the steps run in order
+    (last to first when ``reverse``) through the gated update
+    c' = f*c + i*g, h' = o*tanh(c') for the live rows only; the others
+    carry h and c through.  Returns the carried h of every step, flat
+    time-major (T*B, hidden).
 
-    Backward is hand-written BPTT over the whole sequence.  When the
-    result is taped, each step's activated gates and incoming cell state
-    are kept for its live rows only, packed: step t holds rows
-    [offsets[t], offsets[t] + live[t]) of the history.  Backward
-    overwrites the gates with their gradients, so it can run once per
-    forward, and the gradients of x, wx, wh and b are each one GEMM or
-    reduction over the live rows alone.
+    The op consumes ``xw``, a buffer nothing else may read afterwards:
+    it adds h @ wh and b into it, so it becomes the gate history.  The
+    taped op also keeps each step's incoming cell state.  Backward is
+    hand-written BPTT: it overwrites the history with the gates'
+    pre-activation gradients and hands that buffer back as ``xw``'s
+    gradient, so it can run once per forward; the gradients of wh and b
+    are one GEMM and one reduction over the live rows.
     """
     lengths = np.asarray(lengths)
     batch = len(lengths)
-    n_steps = len(x.data) // batch
-    xs, wxs, whs, bs = x.data, wx.data, wh.data, b.data
+    zs, whs, bs = xw.data, wh.data, b.data
     n = whs.shape[0]
-    if (xs.shape != (n_steps * batch, wxs.shape[0])
-            or lengths[0] > n_steps or (np.diff(lengths) > 0).any()):
-        raise ValueError(f"input shape {xs.shape} and lengths {lengths.tolist()}: expected "
-                         f"(T*{batch}, {wxs.shape[0]}) and T >= lengths[0] >= lengths[1] >= ...")
     alive = np.arange(n_steps)[:, None] < lengths
     counts = alive.sum(axis=1)
+    if zs.shape != (counts.sum(), 4 * n) or lengths[0] > n_steps or (np.diff(lengths) > 0).any():
+        raise ValueError(f"projections {zs.shape}, lengths {lengths.tolist()}, T = {n_steps}: "
+                         f"expected (sum(lengths), {4 * n}), T >= lengths[0] >= lengths[1] >= ...")
     live = counts.tolist()
-    parents = (x, wx, wh, b)
-    taped = _recording(parents)
-    dtype = np.result_type(xs, wxs)
-    out = np.empty((n_steps * batch, n), dtype=dtype)
+    offsets = (np.cumsum(counts) - counts).tolist()
+    taped = _recording((xw, wh, b))
+    out = np.empty((n_steps * batch, n), dtype=zs.dtype)
     if taped:
-        offsets = (np.cumsum(counts) - counts).tolist()
-        gates = np.empty((int(counts.sum()), 4 * n), dtype=dtype)
-        cells = np.empty((len(gates), n), dtype=dtype)
-    else:
-        scratch = np.empty((batch, 4 * n), dtype=dtype)
-    h = np.zeros((batch, n), dtype=dtype)
-    c = np.zeros((batch, n), dtype=dtype)
+        cells = np.empty((len(zs), n), dtype=zs.dtype)
+    h, c = np.zeros((2, batch, n), dtype=zs.dtype)
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     for t in order:
         k = live[t]
-        start = t * batch
-        z = gates[offsets[t] : offsets[t] + k] if taped else scratch[:k]
-        np.matmul(xs[start : start + k], wxs, out=z)
+        z = zs[offsets[t] : offsets[t] + k]
         z += h[:k] @ whs
         z += bs
         _activate_gates(z, n)
@@ -302,18 +299,17 @@ def lstm_seq(x: Tensor, lengths, wx: Tensor, wh: Tensor, b: Tensor,
         c_live += z[:, :n] * z[:, 2 * n : 3 * n]
         np.tanh(c_live, out=h[:k])
         h[:k] *= z[:, 3 * n :]
-        out[start : start + batch] = h
+        out[t * batch : (t + 1) * batch] = h
     if not taped:
         return Tensor(out)
 
     def bw(g_out):
-        nonlocal gates, cells
-        if gates is None:
+        nonlocal zs, cells
+        if zs is None:
             raise RuntimeError("lstm_seq backward already ran for this forward")
-        dz_all, cells_all = gates, cells
-        gates = cells = None
-        dh = np.zeros((batch, n), dtype=dtype)
-        dc = np.zeros((batch, n), dtype=dtype)
+        dz_all, cells_all = zs, cells
+        zs = cells = None
+        dh, dc = np.zeros((2, batch, n), dtype=dz_all.dtype)
         for t in reversed(order):
             k = live[t]
             start = t * batch
@@ -350,21 +346,17 @@ def lstm_seq(x: Tensor, lengths, wx: Tensor, wh: Tensor, b: Tensor,
             tmp *= dh_live
             o *= tmp
             np.matmul(dz, whs.T, out=dh_live)
-        rows = np.flatnonzero(alive)  # the live rows of x, in history order
-        if x.requires_grad:
-            dx = np.zeros(xs.shape, dtype=dtype)
-            dx[rows] = dz_all @ wxs.T
-            _accum_fresh(x, dx)
-        _accum_fresh(wx, xs[rows].T @ dz_all)
         # a step's previous h is the neighbouring step's block of ``out``;
         # the direction's first step starts from h = 0 and is left out
+        rows = np.flatnonzero(alive)  # each history row's row of ``out``
         first = live[order[0]] if live else 0
         later = slice(0, len(rows) - first) if reverse else slice(first, len(rows))
         prev_rows = rows[later] + (batch if reverse else -batch)
         _accum_fresh(wh, out[prev_rows].T @ dz_all[later])
         _accum_fresh(b, dz_all.sum(axis=0))
+        _accum_fresh(xw, dz_all)
 
-    return _make(out, parents, bw)
+    return _make(out, (xw, wh, b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
                     line = data.decode()
                 except UnicodeDecodeError:
                     break
-                word, _, tail = line.rstrip("\n").partition(" ")
+                word, _, tail = line.rstrip("\n").removesuffix("\r").partition(" ")
                 lines.append(line)
                 words.append(word)
                 tails.append(tail[:-1] if tail.endswith(" ") else tail)
@@ -198,7 +198,7 @@ def _parse_rows(lines: list[str], first_line_no: int, dim: int) -> np.ndarray:
     reader."""
     rows = np.empty((len(lines), dim), dtype=np.float64)
     for i, line in enumerate(lines):
-        parts = line.rstrip("\n").split(" ")
+        parts = line.rstrip("\n").removesuffix("\r").split(" ")
         if len(parts) > 1 and parts[-1] == "":  # tolerate trailing space
             parts.pop()
         if len(parts) - 1 != dim:

@@ -120,21 +120,24 @@ def build_arrays(
     return BatchArrays(word_idx, char_idx, char_lengths, spelling_idx, mask, lengths)
 
 
-def _run_bilstm(x: Tensor, lengths, params: dict[str, Tensor], layer: str):
+def _run_bilstm(project, lengths, n_steps: int, params: dict[str, Tensor], layer: str):
     """Both directions of ``layer`` (its ``<layer>_fwd``/``_bwd`` tensors)
-    over flat time-major input ``x`` (T*B rows) holding B sequences of the
-    given ``lengths``, longest first; past its length a sequence carries
-    its state through unchanged.  Returns each direction's (T*B, hidden)
-    states."""
-    fwd, bwd = ([params[f"{layer}_{d}.{k}"] for k in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
-    return ad.lstm_seq(x, lengths, *fwd), ad.lstm_seq(x, lengths, *bwd, reverse=True)
+    over B sequences of the given ``lengths``, longest first, in ``n_steps``
+    steps.  ``project(wx)`` gives a direction's packed live-row projections
+    (``autodiff.lstm_seq``), made just before it runs so that one is alive
+    at a time.  Returns each direction's (T*B, hidden) states."""
+    return [ad.lstm_seq(project(params[f"{layer}_{d}.wx"]), lengths, params[f"{layer}_{d}.wh"],
+                        params[f"{layer}_{d}.b"], n_steps, reverse=d == "bwd")
+            for d in ("fwd", "bwd")]
 
 
 def _encode_chars(params: dict[str, Tensor], char_idx, char_lengths) -> Tensor:
-    """(V, U) character indices -> (U, 2*char_hidden) spelling encodings."""
+    """(V, U) character indices -> (U, 2*char_hidden) spelling encodings.
+    The projection gathers the live characters' rows of char_embed @ wx."""
     v_max, n = char_idx.shape
-    x = ad.embedding(params["char_embed"], char_idx.reshape(-1))
-    h_fwd, h_bwd = _run_bilstm(x, char_lengths, params, "char")
+    live = char_idx[np.arange(v_max)[:, None] < char_lengths]  # step by step
+    h_fwd, h_bwd = _run_bilstm(lambda wx: ad.embedding(ad.matmul(params["char_embed"], wx), live),
+                               char_lengths, v_max, params, "char")
     # forward freezes at each word's last character; backward ends after
     # consuming the first
     return ad.concat(
@@ -170,7 +173,9 @@ def encode_batch(
     u = ad.concat([x, a], axis=1)
     u = ad.dropout(u, dropout_rate, rng)
 
-    h_fwd, h_bwd = _run_bilstm(u, arrays.lengths, params, "word")
+    u = ad.embedding(u, np.flatnonzero(arrays.mask))  # the live word slots, step by step
+    h_fwd, h_bwd = _run_bilstm(lambda wx: ad.matmul(u, wx), arrays.lengths, arrays.max_len,
+                               params, "word")
     c = ad.concat([h_fwd, h_bwd], axis=1)
     return ad.dropout(c, dropout_rate, rng)
 

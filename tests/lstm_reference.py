@@ -55,8 +55,23 @@ def lstm_seq(x, lengths, wx, wh, b, reverse=False):
     return ad.concat(outs, axis=0)
 
 
-def run_bilstm(x, lengths, params, layer):
-    """Drop-in for ``model._run_bilstm`` on the per-step reference."""
+def run_bilstm(project, lengths, n_steps, params, layer):
+    """Drop-in for ``model._run_bilstm`` on the per-step reference.
+
+    The model's ``project`` applied to an identity matrix gives the live
+    rows of the unprojected input, taped back to where they came from.
+    They are spread into a padded time-major input, its padding rows
+    zero, and each direction projects it step by step with its own wx.
+    """
+    n_in = params[f"{layer}_fwd.wx"].data.shape[0]
+    dtype = params[f"{layer}_fwd.wx"].data.dtype
+    x_live = project(ad.Tensor(np.eye(n_in, dtype=dtype)))
+    alive = (np.arange(n_steps)[:, None] < np.asarray(lengths)).reshape(-1)
+    # stacked under one zero row: each live row takes its row of x_live,
+    # each padding row the zero row
+    rows = np.where(alive, np.cumsum(alive), 0)
+    zeros = ad.Tensor(np.zeros((1, n_in), dtype=dtype))
+    x = ad.embedding(ad.concat([zeros, x_live], axis=0), rows)
     fwd, bwd = ([params[f"{layer}_{d}.{k}"] for k in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
     return lstm_seq(x, lengths, *fwd), lstm_seq(x, lengths, *bwd, reverse=True)
 

@@ -36,9 +36,22 @@ def lstm_direction(n_in, n, rng):
 def gate_probe(preactivations, hidden=1):
     """Hidden states of an LSTM whose gate pre-activations are the rows of
     ``preactivations`` (T, 4*hidden), blocked [i | f | g | o]."""
-    z = np.asarray(preactivations, dtype=np.float64)
-    wx, wh, b = np.eye(4 * hidden), np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden)
-    return ad.lstm_seq(ad.Tensor(z), [len(z)], ad.param(wx), ad.param(wh), ad.param(b)).data
+    z = np.array(preactivations, dtype=np.float64)  # a fresh buffer: lstm_seq consumes it
+    wh, b = np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden)
+    return ad.lstm_seq(ad.Tensor(z), [len(z)], ad.param(wh), ad.param(b), len(z)).data
+
+
+def live_rows(n_steps, lengths):
+    """The rows of a flat time-major (T*B) input that are live, step by step."""
+    return np.flatnonzero(np.arange(n_steps)[:, None] < np.asarray(lengths))
+
+
+def run_lstm(x, lengths, p, reverse=False, n_steps=None):
+    """``lstm_seq`` fed as the model feeds it: the live rows of the padded
+    time-major ``x`` gathered and projected by ``p["wx"]``."""
+    n_steps = n_steps or len(x.data) // len(lengths)
+    xw = ad.matmul(ad.embedding(x, live_rows(n_steps, lengths)), p["wx"])
+    return ad.lstm_seq(xw, lengths, p["wh"], p["b"], n_steps, reverse=reverse)
 
 
 class TestPrimitives:
@@ -88,15 +101,33 @@ class TestPrimitives:
             "concat": lambda: weighted_sum(ad.concat([x, y], axis=1), np.random.default_rng(5)),
             "slice": lambda: weighted_sum(ad.slice_axis(x, 1, 1, 4), np.random.default_rng(6)),
             "lstm_seq": lambda: weighted_sum(
-                ad.lstm_seq(x, [2], **lstm), np.random.default_rng(7)
+                ad.lstm_seq(ad.matmul(x, lstm["wx"]), [2], lstm["wh"], lstm["b"], 2),
+                np.random.default_rng(7),
             ),
             "tanh": lambda: weighted_sum(tanh(x), np.random.default_rng(8)),
             "embedding": lambda: weighted_sum(ad.embedding(table, idx), np.random.default_rng(9)),
         }
-        params = {"x": x, "y": y, "row": row, "table": table}
+        params = {"x": x, "y": y, "row": row, "table": table, **lstm}
         for name, loss in cases.items():
             err = fd_check(loss, params)
             assert err < 1e-4, f"{name}: {err}"
+
+    def test_embedding_backward_sums_as_add_at_does(self):
+        # index 5 is used 40 times and 3 three times, in no order; 2 and 6
+        # once each, and 0, 1 and 4 never.  The segment sum adds in another
+        # order than np.add.at, so float32 sums agree to rounding only
+        rng = np.random.default_rng(12)
+        idx = rng.permutation(np.repeat([5, 3, 2, 6], [40, 3, 1, 1])).reshape(5, 9)
+        g = rng.normal(size=(5, 9, 4)).astype(np.float32)
+        table = ad.param(np.zeros((7, 4), dtype=np.float32))
+        ad.embedding(table, idx)._backward(g)
+        want = np.zeros((7, 4), dtype=np.float32)
+        np.add.at(want, idx.reshape(-1), g.reshape(-1, 4))
+        assert table.grad.dtype == np.float32
+        np.testing.assert_allclose(table.grad, want, rtol=1e-5, atol=1e-5)
+        assert not table.grad[[0, 1, 4]].any()
+        single = [2, 6]
+        assert table.grad[single].tobytes() == want[single].tobytes()
 
     def test_shared_subexpression_accumulates(self):
         x = ad.param(np.array([2.0]))
@@ -106,9 +137,9 @@ class TestPrimitives:
 
 
 class TestLstm:
-    def zero_params(self, n_in=3, n_hidden=2):
-        shapes = {"wx": (n_in, 4 * n_hidden), "wh": (n_hidden, 4 * n_hidden), "b": (4 * n_hidden,)}
-        return {k: ad.param(np.zeros(shape)) for k, shape in shapes.items()}
+    def zero_params(self, n_hidden=2):
+        return {"wh": ad.param(np.zeros((n_hidden, 4 * n_hidden))),
+                "b": ad.param(np.zeros(4 * n_hidden))}
 
     def padded_case(self, seed, lengths=(4, 2, 1), n_steps=None):
         """Random (T*B, 3) input with junk in the padding; T is the longest
@@ -119,10 +150,17 @@ class TestLstm:
         w = ad.Tensor(rng.normal(size=(rows, 4)))
         return lstm_direction(3, 4, rng), x, list(lengths), w
 
+    # read in reverse, rows join at steps 5, 3 (two at once), 1 and 0;
+    # (3, 2, 2) in 5 steps has two trailing steps where every row carries
+    # its state through, and read in reverse the first steps run with no
+    # row live
+    REFERENCE_CASES = [((4, 2, 1), None), ((6, 4, 4, 2, 1), None), ((3, 2, 2), 5)]
+
     def test_zero_fixed_point(self):
         p = self.zero_params()
         for reverse in (False, True):
-            out = ad.lstm_seq(ad.Tensor(np.zeros((6, 3))), [3, 3], **p, reverse=reverse)
+            out = ad.lstm_seq(ad.Tensor(np.zeros((6, 8))), [3, 3], **p, n_steps=3,
+                              reverse=reverse)
             assert np.array_equal(out.data, np.zeros((6, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
@@ -139,7 +177,7 @@ class TestLstm:
             p, x, lengths, w = self.padded_case(2)
 
             def loss():
-                return sum_all(ad.mul(ad.lstm_seq(x, lengths, **p, reverse=reverse), w))
+                return sum_all(ad.mul(run_lstm(x, lengths, p, reverse), w))
 
             params = {"x": x, **p}
             assert fd_check(loss, params) < 1e-4
@@ -147,21 +185,14 @@ class TestLstm:
             assert np.all(x.grad[padded.reshape(-1)] == 0.0)
 
     def test_matches_per_step_reference(self):
-        cases = [
-            ((4, 2, 1), None),
-            # read in reverse, rows join at steps 5, 3 (two at once), 1 and 0
-            ((6, 4, 4, 2, 1), None),
-            # two trailing steps where every row carries its state through;
-            # read in reverse, the first steps run with no row live
-            ((3, 2, 2), 5),
-        ]
-        for (lengths, n_steps), reverse in itertools.product(cases, (False, True)):
+        for (lengths, n_steps), reverse in itertools.product(self.REFERENCE_CASES, (False, True)):
             p, x, lengths, w = self.padded_case(3, lengths, n_steps)
             params = {"x": x, **p}
+            fused_loss = sum_all(ad.mul(run_lstm(x, lengths, p, reverse, n_steps), w))
+            ref_loss = sum_all(ad.mul(lstm_reference.lstm_seq(x, lengths, **p, reverse=reverse), w))
             results = []
-            for op in (ad.lstm_seq, lstm_reference.lstm_seq):
+            for loss in (fused_loss, ref_loss):
                 ad.zero_grads(params)
-                loss = sum_all(ad.mul(op(x, lengths, **p, reverse=reverse), w))
                 ad.backward(loss)
                 results.append((float(loss.data), {k: t.grad.copy() for k, t in params.items()}))
             (fused_loss, fused), (ref_loss, ref) = results
@@ -169,37 +200,74 @@ class TestLstm:
             for name in params:
                 assert np.max(np.abs(fused[name] - ref[name])) < 1e-10, name
 
+    def test_projected_input_matches_reference_on_unprojected_input(self):
+        # float64: lstm_seq on the live rows projected by one numpy GEMM
+        # against the per-step reference, which projects each step itself
+        for (lengths, n_steps), reverse in itertools.product(self.REFERENCE_CASES, (False, True)):
+            p, x, lengths, _ = self.padded_case(7, lengths, n_steps)
+            t = n_steps or max(lengths)
+            xw = x.data[live_rows(t, lengths)] @ p["wx"].data
+            views = {k: ad.Tensor(v.data) for k, v in p.items()}
+            got = ad.lstm_seq(ad.Tensor(xw), lengths, views["wh"], views["b"], t,
+                              reverse=reverse).data
+            want = lstm_reference.lstm_seq(ad.Tensor(x.data), lengths, **views,
+                                           reverse=reverse).data
+            assert got.dtype == want.dtype == np.float64
+            assert np.max(np.abs(got - want)) < 1e-12
+
     def test_taped_and_untaped_forward_identical(self):
         for reverse in (False, True):
             p, x, lengths, _ = self.padded_case(4)
-            taped = ad.lstm_seq(x, lengths, **p, reverse=reverse)
+            taped = run_lstm(x, lengths, p, reverse)
             views = {name: ad.Tensor(t.data) for name, t in p.items()}
-            untaped = ad.lstm_seq(ad.Tensor(x.data), lengths, **views, reverse=reverse)
+            untaped = run_lstm(ad.Tensor(x.data), lengths, views, reverse)
             assert taped.requires_grad and not untaped.requires_grad
             assert np.array_equal(taped.data, untaped.data)
 
     def test_taped_history_holds_live_rows_only(self):
         # one 64-step sequence beside 63 one-step ones: 127 of 4,096 rows live
         lengths = [64] + [1] * 63
-        rows = 64 * len(lengths)
         rng = np.random.default_rng(6)
         n = 32
         p = lstm_direction(8, n, rng)
-        x = ad.param(rng.normal(size=(rows, 8)))
-        padded_history = rows * 5 * n * 8  # float64 gates and cells of every row
+        xw = rng.normal(size=(127, 4 * n))
+        padded_history = 64 * len(lengths) * 5 * n * 8  # float64 gates and cells of every row
         for reverse in (False, True):
             tracemalloc.start()
             try:
-                out = ad.lstm_seq(x, lengths, **p, reverse=reverse)
+                out = ad.lstm_seq(ad.param(xw.copy()), lengths, p["wh"], p["b"], 64,
+                                  reverse=reverse)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert out.requires_grad
-            assert peak - out.data.nbytes < padded_history / 10
+            assert peak - out.data.nbytes - xw.nbytes < padded_history / 10
+
+    def test_consumes_xw(self):
+        # the projections become the gate history in place, and backward
+        # hands the gate gradients back in that same buffer: the taped op
+        # allocates its output and the cell history, and no gate buffer
+        rng = np.random.default_rng(8)
+        n, lengths = 32, [64, 64, 63, 60]
+        p = lstm_direction(8, n, rng)
+        projections = rng.normal(size=(sum(lengths), 4 * n))
+        xw = ad.param(projections.copy())
+        buffer = xw.data
+        tracemalloc.start()
+        try:
+            out = ad.lstm_seq(xw, lengths, p["wh"], p["b"], 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = sum(lengths) * n * 8
+        assert peak - out.data.nbytes - cells < buffer.nbytes / 4
+        assert xw.data is buffer and not np.array_equal(buffer, projections)
+        ad.backward(sum_all(out))
+        assert xw.grad is buffer
 
     def test_backward_runs_once_per_forward(self):
         p, x, lengths, _ = self.padded_case(5)
-        out = ad.lstm_seq(x, lengths, **p)
+        out = run_lstm(x, lengths, p)
         out._backward(np.ones_like(out.data))
         with pytest.raises(RuntimeError):
             out._backward(np.ones_like(out.data))
@@ -208,22 +276,25 @@ class TestLstm:
         p = self.zero_params()
         # at step 1, row 1 would be live while row 0 is not
         with pytest.raises(ValueError, match=r"T >= lengths\[0\] >= lengths\[1\]"):
-            ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), [1, 2], **p)
+            ad.lstm_seq(ad.Tensor(np.zeros((3, 8))), [1, 2], **p, n_steps=2)
 
     def test_length_above_steps_rejected(self):
         p = self.zero_params()
-        # 4 rows of 2 sequences are T = 2 steps
+        # each input holds exactly the live rows within T (3 and 4), so
+        # only the length check can reject it
         for lengths in ([3, 1], [3, 3]):
+            rows = len(live_rows(2, lengths))
             with pytest.raises(ValueError, match=r"T >= lengths\[0\]"):
-                ad.lstm_seq(ad.Tensor(np.zeros((4, 3))), lengths, **p)
+                ad.lstm_seq(ad.Tensor(np.zeros((rows, 8))), lengths, **p, n_steps=2)
 
     def test_input_width_contract(self):
         p = self.zero_params()
-        with pytest.raises(ValueError):
-            ad.lstm_seq(ad.Tensor(np.zeros((1, 5))), [1], **p)
-        # 5 rows do not split into 2 sequences
-        with pytest.raises(ValueError):
-            ad.lstm_seq(ad.Tensor(np.zeros((5, 3))), [2, 2], **p)
+        # 4*hidden = 8 columns, and one row per live step of a sequence
+        with pytest.raises(ValueError, match=r"expected \(sum\(lengths\), 8\)"):
+            ad.lstm_seq(ad.Tensor(np.zeros((1, 5))), [1], **p, n_steps=1)
+        for rows in (3, 5):
+            with pytest.raises(ValueError, match=r"expected \(sum\(lengths\), 8\)"):
+                ad.lstm_seq(ad.Tensor(np.zeros((rows, 8))), [2, 2], **p, n_steps=2)
 
     def test_forget_bias_initialized_to_one(self):
         cfg = TrainingConfig(char_dim=3, char_hidden=4, word_dim=2, hidden=5)

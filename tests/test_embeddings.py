@@ -123,6 +123,16 @@ class TestLoadVec:
         table = load_vec(vec_file("1 2\na 1 2 \n"))
         assert np.array_equal(table.vectors[0], [1, 2])
 
+    # the second file holds a number only Python's float reads, so that
+    # its rows take the row-by-row parse
+    @pytest.mark.parametrize("text", ["2 2\na 1 0\nb 1 1 \n", "2 2\na 1 0 \nb 1_0 1 \n"])
+    def test_crlf_rows_load_as_their_lf_twin(self, vec_file, text):
+        crlf = vec_file(text.replace("\n", "\r\n"))
+        assert crlf.read_bytes().count(b"\r\n") == 3
+        want = load_vec(vec_file(text))
+        assert_same_table(load_vec(crlf), want)
+        assert_same_table(load_vec_per_row(crlf), want)
+
     def test_prune_keeps_requested_and_full_mean(self, vec_file):
         text = "3 2\na 1 0\nb 3 0\nc 5 0\n"
         pruned = load_vec(vec_file(text), keep={"b"})
@@ -138,7 +148,7 @@ class TestLoadVec:
                            match=f"^line {at + 2}: expected 2 components, got 0$"):
             load_vec(vec_file("3 2\n" + "".join(row + "\n" for row in rows)))
 
-    @pytest.mark.parametrize("row, got", [("", 0), ("a \r", 1)])
+    @pytest.mark.parametrize("row, got", [("", 0), ("a \r", 0)])
     def test_rows_without_data_raise_no_warning(self, vec_file, row, got):
         # numpy's reader warns on a block it reads as holding no data.  The
         # warnings are recorded, not raised: raised, one would be taken by

@@ -8,7 +8,7 @@ import pytest
 
 import csner.trainer as trainer_mod
 from csner import autodiff as ad
-from csner.corpus_io import Dataset, TaggedSentence
+from csner.corpus_io import O, Dataset, TaggedSentence
 from csner.embeddings import build_char_vocab, empty_table, merge_tables
 from csner.model import BatchArrays, batch_loss, param_shapes
 from csner.trainer import (
@@ -571,3 +571,51 @@ class TestCheckpointMemory:
         path = tmp_path / "model.ck"
         save_checkpoint(snapshot(model, cfg, 0.5, 1), path)
         assert traced_peak(lambda: load_checkpoint(path)) < 1.5 * path.stat().st_size
+
+
+class TestModelMemory:
+    """The LSTM op consumes its input projections, and each direction is
+    projected just before it runs.  At paper sizes on one batch of 64
+    twenty-word sentences (1,280 word rows, about 6,700 live characters)
+    the char layer's projections are the largest arrays: one direction's
+    are P bytes, and all four LSTMs' gate histories H bytes."""
+
+    @pytest.fixture(scope="class")
+    def paper_batch(self):
+        rng = np.random.default_rng(0)
+        letters = list("abcdefghijklmnopqrstuvwxyzáéíñó")
+        words = ["".join(rng.choice(letters, size=rng.integers(2, 12))) for _ in range(3000)]
+        corpus = Dataset([TaggedSentence([words[i] for i in rng.integers(0, 3000, size=20)],
+                                         [O] * 20) for _ in range(64)])
+        cfg = TrainingConfig()
+        model = new_model(cfg, random_table(set(words), cfg.word_dim), build_char_vocab(corpus),
+                          np.random.default_rng(1))
+        batch = make_batches(corpus, 64, model.tables, np.float32)[0]
+        a = batch.arrays
+        char_rows, word_rows = int(a.char_lengths.sum()), int(a.mask.sum())
+        projection = char_rows * 4 * cfg.char_hidden * 4
+        history = 2 * projection + 2 * word_rows * 4 * cfg.hidden * 4
+        return model, corpus, batch, projection, history
+
+    def test_predict_holds_one_projection_at_a_time(self, paper_batch):
+        # one projection at a time peaked at 2.08 P; both directions
+        # projected before either runs at 2.66 P, and a copy of the
+        # projections taken inside the op at 3.08 P
+        model, corpus, _, projection, _ = paper_batch
+        predict_dataset(model, corpus)
+        assert traced_peak(lambda: predict_dataset(model, corpus)) < 2.35 * projection
+
+    def test_training_step_holds_each_gate_history_once(self, paper_batch):
+        # consuming the projections peaked at 2.74 H, and copying them
+        # into a separate gate history at 3.54 H (the op that projected
+        # each step itself read 3.18 H)
+        model, _, batch, _, history = paper_batch
+
+        def step():
+            loss = batch_loss(batch.arrays, batch.gold_flat, model.tables, model.params,
+                              rng=np.random.default_rng(0))
+            ad.backward(loss)
+
+        step()
+        ad.zero_grads(model.params)
+        assert traced_peak(step) < 3.0 * history

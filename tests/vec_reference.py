@@ -30,7 +30,7 @@ def load_vec_per_row(path, keep=None) -> EmbeddingTable:
     non_finite = None
     with np.errstate(over="ignore", invalid="ignore"):
         for line_no, line in enumerate(lines[1:], start=2):
-            parts = line.split(" ")
+            parts = line.removesuffix("\r").split(" ")
             if len(parts) > 1 and parts[-1] == "":
                 parts.pop()
             if len(parts) - 1 != dim:
