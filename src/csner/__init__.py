@@ -1,6 +1,5 @@
 """Sequence-labeling toolkit: hierarchical BiLSTM named-entity tagging
-for code-switched English-Spanish text, built on a small reverse-mode
-autodiff engine."""
+for code-switched English-Spanish text."""
 
 __version__ = "0.1.0"
 

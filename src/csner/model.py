@@ -9,6 +9,12 @@ arrays stay padded; each LSTM takes its sequences' lengths, steps only
 the live rows and carries the state through the rest, and the loss
 weighs padded words 0, so padded inputs stay out of the loss and the
 gradients exactly (not just approximately).
+
+The graph is fixed, so it is differentiated by hand: each stage returns
+its value and, in training (when an rng is given), a pullback that maps
+the gradient of the value to that of its input and writes its
+parameters' gradients by name.  Inference drops every pullback as soon
+as it is made, and with it all backward state.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus_io import TAGS
 from .embeddings import CharVocabulary, EmbeddingTable
 
@@ -120,89 +125,168 @@ def build_arrays(
     return BatchArrays(word_idx, char_idx, char_lengths, spelling_idx, mask, lengths)
 
 
-def _run_bilstm(project, lengths, n_steps: int, params: dict[str, Tensor], layer: str):
+def _dropout(x: np.ndarray, rate: float, rng):
+    """Inverted dropout with its mask drawn from ``rng``: survivors are
+    scaled by 1/(1-rate).  Returns the result and the mask, which is None
+    without an rng (inference) or at rate 0, where it is the identity."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate {rate} outside [0, 1)")
+    if rng is None or rate == 0.0:
+        return x, None
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    mask = keep / np.asarray(1.0 - rate, dtype=x.dtype)
+    return x * mask, mask
+
+
+def _run_bilstm(x, rows, lengths, n_steps: int, params: dict[str, np.ndarray], layer: str,
+                keep: bool, final: bool = False):
     """Both directions of ``layer`` (its ``<layer>_fwd``/``_bwd`` tensors)
     over B sequences of the given ``lengths``, longest first, in ``n_steps``
-    steps.  ``project(wx)`` gives a direction's packed live-row projections
-    (``autodiff.lstm_seq``), made just before it runs so that one is alive
-    at a time.  Returns each direction's (T*B, hidden) states."""
-    return [ad.lstm_seq(project(params[f"{layer}_{d}.wx"]), lengths, params[f"{layer}_{d}.wh"],
-                        params[f"{layer}_{d}.b"], n_steps, reverse=d == "bwd")
-            for d in ("fwd", "bwd")]
+    steps.  A direction's packed live-row projections (``autodiff.lstm_seq``)
+    are the ``rows`` of x @ wx, all of them when ``rows`` is None, made just
+    before it runs so that one is alive at a time.
+
+    Returns the directions' states side by side: (T*B, 2*hidden), or with
+    ``final`` only each direction's last step, (B, 2*hidden).  When
+    ``keep``, also their pullback, which returns x's gradient; otherwise
+    None, and nothing of the backward stays alive."""
+    n = params[f"{layer}_fwd.wh"].shape[0]
+    batch = len(lengths)
+
+    def direction(d):
+        name, reverse = f"{layer}_{d}", d == "bwd"
+        wx = params[f"{name}.wx"]
+        out, lstm_back = ad.lstm_seq(x @ wx if rows is None else (x @ wx)[rows], lengths,
+                                     params[f"{name}.wh"], params[f"{name}.b"], n_steps, reverse)
+        # forward's last step is step T-1, backward's is step 0
+        last = slice(0, batch) if reverse else slice((n_steps - 1) * batch, n_steps * batch)
+        h = out[last].copy() if final else out
+        if not keep:
+            return h, None
+
+        def pullback(g, grads):
+            if final:
+                g_out = np.zeros_like(out)
+                g_out[last] = g
+                g = g_out
+            d_xw, grads[f"{name}.wh"], grads[f"{name}.b"] = lstm_back(g)
+            if rows is not None:
+                d_xw = ad.segment_sum(d_xw, rows, len(x))
+            grads[f"{name}.wx"] = x.T @ d_xw
+            return d_xw @ wx.T
+
+        return h, pullback
+
+    (h_fwd, fwd_back), (h_bwd, bwd_back) = direction("fwd"), direction("bwd")
+    h = np.concatenate([h_fwd, h_bwd], axis=1)
+    if not keep:
+        return h, None
+
+    def pullback(g, grads):
+        dx = fwd_back(g[:, :n], grads)
+        dx += bwd_back(g[:, n:], grads)
+        return dx
+
+    return h, pullback
 
 
-def _encode_chars(params: dict[str, Tensor], char_idx, char_lengths) -> Tensor:
-    """(V, U) character indices -> (U, 2*char_hidden) spelling encodings.
-    The projection gathers the live characters' rows of char_embed @ wx."""
-    v_max, n = char_idx.shape
+def _encode_chars(params: dict[str, np.ndarray], char_idx, char_lengths, keep: bool = False):
+    """(V, U) character indices -> (U, 2*char_hidden) spelling encodings,
+    and when ``keep`` their pullback, which returns char_embed's gradient.
+    The projection gathers the live characters' rows of char_embed @ wx.
+    Forward freezes at each word's last character; backward ends after
+    consuming the first."""
+    v_max = char_idx.shape[0]
     live = char_idx[np.arange(v_max)[:, None] < char_lengths]  # step by step
-    h_fwd, h_bwd = _run_bilstm(lambda wx: ad.embedding(ad.matmul(params["char_embed"], wx), live),
-                               char_lengths, v_max, params, "char")
-    # forward freezes at each word's last character; backward ends after
-    # consuming the first
-    return ad.concat(
-        [ad.slice_axis(h_fwd, 0, (v_max - 1) * n, v_max * n), ad.slice_axis(h_bwd, 0, 0, n)],
-        axis=1,
-    )
+    return _run_bilstm(params["char_embed"], live, char_lengths, v_max, params, "char", keep,
+                       final=True)
 
 
-def _word_vectors(params: dict[str, Tensor], table: EmbeddingTable, word_flat) -> Tensor:
-    """Fixed-row lookup plus the trainable special rows (indices 0-3)."""
-    dtype = params["proj_w"].data.dtype
-    fixed = table.vectors[word_flat].astype(dtype)
+def _word_vectors(params: dict[str, np.ndarray], table: EmbeddingTable, word_flat):
+    """Fixed-row lookup plus the trainable special rows (indices 0-3).
+    Returns the vectors and the (T*B, 4) one-hot that picks the special
+    rows: their gradient is onehot.T @ (the vectors' gradient)."""
+    dtype = params["proj_w"].dtype
+    vectors = table.vectors[word_flat].astype(dtype)
     special = word_flat < 4
-    fixed[special] = 0.0
+    vectors[special] = 0.0
     onehot = np.zeros((word_flat.size, 4), dtype=dtype)
     onehot[special, word_flat[special]] = 1.0
-    return ad.add(Tensor(fixed), ad.matmul(Tensor(onehot), params["word_specials"]))
+    vectors += onehot @ params["word_specials"]
+    return vectors, onehot
 
 
 def encode_batch(
     arrays: BatchArrays,
     tables: Tables,
-    params: dict[str, Tensor],
+    params: dict[str, np.ndarray],
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.4,
-) -> Tensor:
-    """Token context vectors, flat time-major shape (T*B, 2*word_hidden).
-    Dropout is on exactly when ``rng`` is given (training)."""
-    a = _encode_chars(params, arrays.char_idx, arrays.char_lengths)
+):
+    """Token context vectors, flat time-major shape (T*B, 2*word_hidden),
+    and their pullback.  Dropout and the pullback are on exactly when
+    ``rng`` is given (training); without it the pullback is None."""
+    keep = rng is not None
+    spellings, char_back = _encode_chars(params, arrays.char_idx, arrays.char_lengths, keep)
     # each spelling is encoded once; the gather's backward sums its uses
-    a = ad.embedding(a, arrays.spelling_idx)
-    x = _word_vectors(params, tables.words, arrays.word_idx.reshape(-1))
-    u = ad.concat([x, a], axis=1)
-    u = ad.dropout(u, dropout_rate, rng)
+    x, onehot = _word_vectors(params, tables.words, arrays.word_idx.reshape(-1))
+    u, u_mask = _dropout(np.concatenate([x, spellings[arrays.spelling_idx]], axis=1),
+                         dropout_rate, rng)
+    live = np.flatnonzero(arrays.mask)  # the live word slots, step by step
+    c, word_back = _run_bilstm(u[live], None, arrays.lengths, arrays.max_len, params, "word",
+                               keep)
+    c, c_mask = _dropout(c, dropout_rate, rng)
+    if not keep:
+        return c, None
 
-    u = ad.embedding(u, np.flatnonzero(arrays.mask))  # the live word slots, step by step
-    h_fwd, h_bwd = _run_bilstm(lambda wx: ad.matmul(u, wx), arrays.lengths, arrays.max_len,
-                               params, "word")
-    c = ad.concat([h_fwd, h_bwd], axis=1)
-    return ad.dropout(c, dropout_rate, rng)
+    def pullback(g, grads):
+        if c_mask is not None:
+            g = g * c_mask
+        du = ad.segment_sum(word_back(g, grads), live, arrays.spelling_idx.size)
+        if u_mask is not None:
+            du *= u_mask
+        word_dim = params["word_specials"].shape[1]
+        grads["word_specials"] = onehot.T @ du[:, :word_dim]
+        d_spellings = ad.segment_sum(du[:, word_dim:], arrays.spelling_idx,
+                                     len(arrays.char_lengths))
+        grads["char_embed"] = char_back(d_spellings, grads)
+
+    return c, pullback
 
 
-def batch_logits(encoded: Tensor, params: dict[str, Tensor]) -> Tensor:
-    return ad.add(ad.matmul(encoded, params["proj_w"]), params["proj_b"])
+def batch_logits(encoded: np.ndarray, params: dict[str, np.ndarray]):
+    """Tag scores (T*B, N_TAGS) and their pullback."""
+    proj_w = params["proj_w"]
+
+    def pullback(g, grads):
+        grads["proj_w"] = encoded.T @ g
+        grads["proj_b"] = g.sum(axis=0)
+        return g @ proj_w.T
+
+    return encoded @ proj_w + params["proj_b"], pullback
 
 
 def batch_loss(
     arrays: BatchArrays,
     gold_flat: np.ndarray,
     tables: Tables,
-    params: dict[str, Tensor],
+    params: dict[str, np.ndarray],
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.4,
-) -> Tensor:
-    encoded = encode_batch(arrays, tables, params, rng, dropout_rate)
-    logits = batch_logits(encoded, params)
-    return ad.masked_cross_entropy_logits(
-        logits, gold_flat, arrays.mask.reshape(-1)
-    )
+):
+    """The mean loss over the live word slots, and when ``rng`` is given
+    (training, with dropout) its pullback for ``autodiff.backward``."""
+    encoded, encode_back = encode_batch(arrays, tables, params, rng, dropout_rate)
+    logits, logits_back = batch_logits(encoded, params)
+    loss, loss_back = ad.masked_cross_entropy_logits(logits, gold_flat, arrays.mask.reshape(-1))
+    if encode_back is None:
+        return loss, None
+    return loss, lambda g, grads: encode_back(logits_back(loss_back(g), grads), grads)
 
 
 def predict_batch(arrays: BatchArrays, tables: Tables,
-                  params: dict[str, Tensor]) -> list[list[int]]:
+                  params: dict[str, np.ndarray]) -> list[list[int]]:
     """Per-sentence argmax tag ids; ties resolve to the lowest tag index."""
-    params = {name: Tensor(p.data) for name, p in params.items()}  # untaped views
-    logits = batch_logits(encode_batch(arrays, tables, params), params)
-    ids = logits.data.argmax(axis=-1).reshape(arrays.max_len, arrays.batch_size)
+    logits, _ = batch_logits(encode_batch(arrays, tables, params)[0], params)
+    ids = logits.argmax(axis=-1).reshape(arrays.max_len, arrays.batch_size)
     return [list(ids[: n, j]) for j, n in enumerate(arrays.lengths)]

@@ -88,7 +88,7 @@ class TrainingConfig:
 
 @dataclass
 class TaggerModel:
-    params: dict[str, ad.Tensor]  # in param_shapes order
+    params: dict[str, np.ndarray]  # in param_shapes order
     tables: Tables
 
 
@@ -112,7 +112,7 @@ def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
                 else rng.uniform(-0.1, 0.1, shape).astype(cfg.dtype))
         if name.endswith(".b"):  # the forget-gate block of an LSTM bias
             data[data.size // 4 : data.size // 2] = 1.0
-        params[name] = ad.param(data)
+        params[name] = data
     return TaggerModel(params, Tables(table, chars))
 
 
@@ -185,17 +185,16 @@ def train_epoch(
     for batch in batches:
         if batch.gold_flat is None:
             raise TrainingError("cannot train on unlabeled sentences")
-        ad.zero_grads(model.params)
-        loss = batch_loss(
+        loss, pullback = batch_loss(
             batch.arrays, batch.gold_flat, model.tables, model.params,
             rng=rng, dropout_rate=dropout_rate,
         )
-        value = float(loss.data)
+        value = float(loss)
         if not math.isfinite(value):
             raise TrainingError(f"non-finite loss {value} (lr {lr})")
-        ad.backward(loss)
+        grads = ad.backward(loss, pullback)
         try:
-            ad.adam_step(model.params, adam, lr)
+            ad.adam_step(model.params, grads, adam, lr)
         except ad.NonFiniteGradient as exc:
             raise TrainingError(str(exc)) from exc
         total_loss += value * batch.n_tokens
@@ -211,7 +210,7 @@ def predict_dataset(
     post: bool = True,
 ) -> list[list]:
     """Predicted tag sequences in corpus order."""
-    dtype = model.params["proj_w"].data.dtype
+    dtype = model.params["proj_w"].dtype
     batches = make_batches(dataset, batch_size, model.tables, dtype, surfaces)
     results: list[list | None] = [None] * len(dataset)
     for batch in batches:
@@ -244,7 +243,7 @@ class Checkpoint:
 
 
 def snapshot(model: TaggerModel, cfg: TrainingConfig, dev_score: float, epoch: int) -> Checkpoint:
-    tensors = {name: t.data.copy() for name, t in model.params.items()}
+    tensors = {name: t.copy() for name, t in model.params.items()}
     # shared, not copied: nothing writes the fixed matrix after new_model
     tensors["word_fixed"] = model.tables.words.vectors
     return Checkpoint(
@@ -274,7 +273,7 @@ def restore_model(ckpt: Checkpoint) -> TaggerModel:
         if ckpt.tensors[name].shape != shape:
             got = ckpt.tensors[name].shape
             raise CheckpointError(f"tensor {name!r} has shape {got}, expected {shape}")
-    params = {name: ad.param(ckpt.tensors[name].astype(cfg.dtype)) for name in shapes}
+    params = {name: ckpt.tensors[name].astype(cfg.dtype) for name in shapes}
     table = EmbeddingTable(vocab, ckpt.tensors["word_fixed"].astype(cfg.dtype))
     return TaggerModel(params, Tables(table, chars))
 

@@ -14,7 +14,8 @@ from csner.embeddings import (
     Vocabulary,
     build_char_vocab,
 )
-from csner.model import Tables
+from csner import autodiff as ad
+from csner.model import Tables, batch_loss
 from csner.trainer import TrainingConfig, new_model
 
 # 30 bilingual sentences, 4 entity categories, every token carrying one
@@ -166,3 +167,13 @@ def small_model(tables: Tables, seed=3) -> dict:
     """The parameters of a ``SMALL_CFG`` model over ``tables``, whose
     vectors must be 6-dimensional."""
     return new_model(SMALL_CFG, tables.words, tables.chars, np.random.default_rng(seed)).params
+
+
+def loss_and_grads(arrays, gold_flat, tables, params, rng=None, dropout_rate=0.0):
+    """``model.batch_loss`` and its gradients by name.  An rng is always
+    passed, which keeps the pullback; dropout draws from it only at a
+    rate above 0, so by default the loss is deterministic."""
+    loss, pullback = batch_loss(arrays, gold_flat, tables, params,
+                                rng=np.random.default_rng(0) if rng is None else rng,
+                                dropout_rate=dropout_rate)
+    return float(loss), ad.backward(loss, pullback)

@@ -8,20 +8,12 @@ import numpy as np
 import pytest
 
 import lstm_reference
+import reference_ops as ref
 from csner import autodiff as ad
 from csner.embeddings import CharVocabulary
 from csner.trainer import TrainingConfig, new_model
 from conftest import random_table
-from reference_ops import finite_diff_check, sum_all, tanh
-
-
-def fd_check(loss_fn, params, h=1e-4, floor=1e-3):
-    return finite_diff_check(loss_fn, params, h=h, floor=floor)
-
-
-def weighted_sum(t, rng):
-    w = ad.Tensor(rng.normal(size=t.data.shape))
-    return sum_all(ad.mul(t, w))
+from reference_ops import finite_diff_check
 
 
 def lstm_direction(n_in, n, rng):
@@ -38,7 +30,7 @@ def gate_probe(preactivations, hidden=1):
     ``preactivations`` (T, 4*hidden), blocked [i | f | g | o]."""
     z = np.array(preactivations, dtype=np.float64)  # a fresh buffer: lstm_seq consumes it
     wh, b = np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden)
-    return ad.lstm_seq(ad.Tensor(z), [len(z)], ad.param(wh), ad.param(b), len(z)).data
+    return ad.lstm_seq(z, [len(z)], wh, b, len(z))[0]
 
 
 def live_rows(n_steps, lengths):
@@ -46,15 +38,43 @@ def live_rows(n_steps, lengths):
     return np.flatnonzero(np.arange(n_steps)[:, None] < np.asarray(lengths))
 
 
-def run_lstm(x, lengths, p, reverse=False, n_steps=None):
-    """``lstm_seq`` fed as the model feeds it: the live rows of the padded
-    time-major ``x`` gathered and projected by ``p["wx"]``."""
-    n_steps = n_steps or len(x.data) // len(lengths)
-    xw = ad.matmul(ad.embedding(x, live_rows(n_steps, lengths)), p["wx"])
-    return ad.lstm_seq(xw, lengths, p["wh"], p["b"], n_steps, reverse=reverse)
+def lstm_loss(x, lengths, p, w, reverse=False, n_steps=None):
+    """sum(w * h) over the states h of ``lstm_seq`` fed as the model feeds
+    it (the live rows of the padded time-major ``x`` projected by
+    ``p["wx"]``), and the gradients of ``x`` and of ``p``'s arrays."""
+    n_steps = n_steps or len(x) // len(lengths)
+    live = live_rows(n_steps, lengths)
+    out, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], n_steps, reverse)
+    d_xw, d_wh, d_b = pullback(w)
+    d_x = np.zeros_like(x)
+    d_x[live] = d_xw @ p["wx"].T
+    return float((out * w).sum()), {"x": d_x, "wx": x[live].T @ d_xw, "wh": d_wh, "b": d_b}
+
+
+def taped(loss_fn, leaves):
+    """A ``finite_diff_check`` function for a loss that ``loss_fn`` builds
+    on the oracle tape from the Tensors ``leaves``."""
+
+    def run():
+        for t in leaves.values():
+            t.grad = None
+        loss = loss_fn()
+        ref.backward(loss)
+        return float(loss.data), {k: np.zeros_like(t.data) if t.grad is None else t.grad
+                                  for k, t in leaves.items()}
+
+    return run
+
+
+def weighted_sum(t, rng):
+    return ref.sum_all(ref.mul(t, ref.Tensor(rng.normal(size=t.data.shape))))
 
 
 class TestPrimitives:
+    """The LSTM's gate activations, the segment sum, and the oracle: the
+    generic tape in ``tests/reference_ops.py`` that the hand-written
+    gradients are held against."""
+
     def test_sigmoid_at_zero(self):
         # i = f = o = sigmoid(0), g = 1: c = 0.5, h = 0.5*tanh(0.5), exactly
         h = gate_probe([[0.0, 0.0, 1e4, 0.0]])
@@ -71,45 +91,49 @@ class TestPrimitives:
         assert np.array_equal(h[:, 0], [np.tanh(1.0), 0.0, np.tanh(1.0)])
 
     def test_concat_values(self):
-        out = ad.concat([ad.Tensor(np.array([1.0, 2.0])), ad.Tensor(np.array([3.0]))], axis=0)
+        out = ref.concat([ref.Tensor(np.array([1.0, 2.0])), ref.Tensor(np.array([3.0]))], axis=0)
         assert np.array_equal(out.data, [1.0, 2.0, 3.0])
 
     def test_matmul_gradient_oracle(self):
         rng = np.random.default_rng(0)
-        a = ad.param(rng.normal(size=(3, 4)))
-        b = ad.param(rng.normal(size=(4, 5)))
-        w = ad.Tensor(rng.normal(size=(3, 5)))
-        loss = lambda: sum_all(ad.mul(ad.matmul(a, b), w))
-        assert fd_check(loss, {"a": a, "b": b}, h=1e-5, floor=1.0) < 1e-6
+        a = ref.param(rng.normal(size=(3, 4)))
+        b = ref.param(rng.normal(size=(4, 5)))
+        w = ref.Tensor(rng.normal(size=(3, 5)))
+        leaves = {"a": a, "b": b}
+        run = taped(lambda: ref.sum_all(ref.mul(ref.matmul(a, b), w)), leaves)
+        assert finite_diff_check(run, {"a": a.data, "b": b.data}, h=1e-5, floor=1.0) < 1e-6
 
     def test_matmul_shape_contract(self):
         with pytest.raises(ValueError):
-            ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 5))))
+            ref.matmul(ref.Tensor(np.ones((2, 3))), ref.Tensor(np.ones((4, 5))))
 
     def test_all_ops_pass_randomized_gradcheck(self):
         rng = np.random.default_rng(1)
-        x = ad.param(rng.normal(size=(2, 5)))
-        y = ad.param(rng.normal(size=(2, 5)))
-        row = ad.param(rng.normal(size=(1, 5)))
-        table = ad.param(rng.normal(size=(7, 3)))
+        x = ref.param(rng.normal(size=(2, 5)))
+        y = ref.param(rng.normal(size=(2, 5)))
+        row = ref.param(rng.normal(size=(1, 5)))
+        table = ref.param(rng.normal(size=(7, 3)))
         idx = rng.integers(0, 7, size=4)
-        lstm = lstm_direction(5, 3, rng)
+        lstm = {k: ref.param(v) for k, v in lstm_direction(5, 3, rng).items()}
         cases = {
-            "add": lambda: weighted_sum(ad.add(x, y), np.random.default_rng(2)),
-            "add_broadcast": lambda: weighted_sum(ad.add(x, row), np.random.default_rng(3)),
-            "mul": lambda: weighted_sum(ad.mul(x, y), np.random.default_rng(4)),
-            "concat": lambda: weighted_sum(ad.concat([x, y], axis=1), np.random.default_rng(5)),
-            "slice": lambda: weighted_sum(ad.slice_axis(x, 1, 1, 4), np.random.default_rng(6)),
-            "lstm_seq": lambda: weighted_sum(
-                ad.lstm_seq(ad.matmul(x, lstm["wx"]), [2], lstm["wh"], lstm["b"], 2),
+            "add": lambda: weighted_sum(ref.add(x, y), np.random.default_rng(2)),
+            "add_broadcast": lambda: weighted_sum(ref.add(x, row), np.random.default_rng(3)),
+            "mul": lambda: weighted_sum(ref.mul(x, y), np.random.default_rng(4)),
+            "concat": lambda: weighted_sum(ref.concat([x, y], axis=1), np.random.default_rng(5)),
+            "slice": lambda: weighted_sum(ref.slice_axis(x, 1, 1, 4), np.random.default_rng(6)),
+            "lstm_reference": lambda: weighted_sum(
+                lstm_reference.lstm_seq(x, [2, 0], lstm["wx"], lstm["wh"], lstm["b"]),
                 np.random.default_rng(7),
             ),
-            "tanh": lambda: weighted_sum(tanh(x), np.random.default_rng(8)),
-            "embedding": lambda: weighted_sum(ad.embedding(table, idx), np.random.default_rng(9)),
+            "tanh": lambda: weighted_sum(ref.tanh(x), np.random.default_rng(8)),
+            "embedding": lambda: weighted_sum(ref.embedding(table, idx), np.random.default_rng(9)),
+            "cross_entropy": lambda: ref.cross_entropy(ref.concat([x, y], axis=1),
+                                                       np.array([3, 7]), np.array([1.0, 1.0])),
         }
-        params = {"x": x, "y": y, "row": row, "table": table, **lstm}
+        leaves = {"x": x, "y": y, "row": row, "table": table, **lstm}
+        arrays = {k: t.data for k, t in leaves.items()}
         for name, loss in cases.items():
-            err = fd_check(loss, params)
+            err = finite_diff_check(taped(loss, leaves), arrays)
             assert err < 1e-4, f"{name}: {err}"
 
     def test_embedding_backward_sums_as_add_at_does(self):
@@ -117,37 +141,37 @@ class TestPrimitives:
         # once each, and 0, 1 and 4 never.  The segment sum adds in another
         # order than np.add.at, so float32 sums agree to rounding only
         rng = np.random.default_rng(12)
-        idx = rng.permutation(np.repeat([5, 3, 2, 6], [40, 3, 1, 1])).reshape(5, 9)
-        g = rng.normal(size=(5, 9, 4)).astype(np.float32)
-        table = ad.param(np.zeros((7, 4), dtype=np.float32))
-        ad.embedding(table, idx)._backward(g)
+        idx = rng.permutation(np.repeat([5, 3, 2, 6], [40, 3, 1, 1]))
+        g = rng.normal(size=(45, 4)).astype(np.float32)
+        got = ad.segment_sum(g, idx, 7)
         want = np.zeros((7, 4), dtype=np.float32)
-        np.add.at(want, idx.reshape(-1), g.reshape(-1, 4))
-        assert table.grad.dtype == np.float32
-        np.testing.assert_allclose(table.grad, want, rtol=1e-5, atol=1e-5)
-        assert not table.grad[[0, 1, 4]].any()
+        np.add.at(want, idx, g)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        assert not got[[0, 1, 4]].any()
         single = [2, 6]
-        assert table.grad[single].tobytes() == want[single].tobytes()
+        assert got[single].tobytes() == want[single].tobytes()
+        assert not ad.segment_sum(g[:0], idx[:0], 3).any()
 
     def test_shared_subexpression_accumulates(self):
-        x = ad.param(np.array([2.0]))
-        out = ad.add(ad.mul(x, x), x)  # d/dx = 2x + 1 = 5
-        ad.backward(out)
+        x = ref.param(np.array([2.0]))
+        out = ref.add(ref.mul(x, x), x)  # d/dx = 2x + 1 = 5
+        ref.backward(out)
         assert np.allclose(x.grad, [5.0])
 
 
 class TestLstm:
     def zero_params(self, n_hidden=2):
-        return {"wh": ad.param(np.zeros((n_hidden, 4 * n_hidden))),
-                "b": ad.param(np.zeros(4 * n_hidden))}
+        return {"wh": np.zeros((n_hidden, 4 * n_hidden)), "b": np.zeros(4 * n_hidden)}
 
     def padded_case(self, seed, lengths=(4, 2, 1), n_steps=None):
-        """Random (T*B, 3) input with junk in the padding; T is the longest
-        length unless ``n_steps`` is given."""
+        """Random (T*B, 3) input with junk in the padding, and weights for
+        its (T*B, 4) states; T is the longest length unless ``n_steps`` is
+        given."""
         rng = np.random.default_rng(seed)
         rows = (n_steps or max(lengths)) * len(lengths)
-        x = ad.param(rng.normal(size=(rows, 3)))
-        w = ad.Tensor(rng.normal(size=(rows, 4)))
+        x = rng.normal(size=(rows, 3))
+        w = rng.normal(size=(rows, 4))
         return lstm_direction(3, 4, rng), x, list(lengths), w
 
     # read in reverse, rows join at steps 5, 3 (two at once), 1 and 0;
@@ -159,9 +183,8 @@ class TestLstm:
     def test_zero_fixed_point(self):
         p = self.zero_params()
         for reverse in (False, True):
-            out = ad.lstm_seq(ad.Tensor(np.zeros((6, 8))), [3, 3], **p, n_steps=3,
-                              reverse=reverse)
-            assert np.array_equal(out.data, np.zeros((6, 2)))
+            out, _ = ad.lstm_seq(np.zeros((6, 8)), [3, 3], **p, n_steps=3, reverse=reverse)
+            assert np.array_equal(out, np.zeros((6, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
         # step 0 writes c = (0.3, -0.7) with o = 1; afterwards f = sigmoid(40),
@@ -175,30 +198,22 @@ class TestLstm:
     def test_gradients_match_finite_differences(self):
         for reverse in (False, True):
             p, x, lengths, w = self.padded_case(2)
-
-            def loss():
-                return sum_all(ad.mul(run_lstm(x, lengths, p, reverse), w))
-
-            params = {"x": x, **p}
-            assert fd_check(loss, params) < 1e-4
+            run = lambda: lstm_loss(x, lengths, p, w, reverse)  # noqa: E731
+            assert finite_diff_check(run, {"x": x, **p}) < 1e-4
             padded = np.arange(4)[:, None] >= np.array(lengths)
-            assert np.all(x.grad[padded.reshape(-1)] == 0.0)
+            assert np.all(run()[1]["x"][padded.reshape(-1)] == 0.0)
 
     def test_matches_per_step_reference(self):
         for (lengths, n_steps), reverse in itertools.product(self.REFERENCE_CASES, (False, True)):
             p, x, lengths, w = self.padded_case(3, lengths, n_steps)
-            params = {"x": x, **p}
-            fused_loss = sum_all(ad.mul(run_lstm(x, lengths, p, reverse, n_steps), w))
-            ref_loss = sum_all(ad.mul(lstm_reference.lstm_seq(x, lengths, **p, reverse=reverse), w))
-            results = []
-            for loss in (fused_loss, ref_loss):
-                ad.zero_grads(params)
-                ad.backward(loss)
-                results.append((float(loss.data), {k: t.grad.copy() for k, t in params.items()}))
-            (fused_loss, fused), (ref_loss, ref) = results
+            fused_loss, fused = lstm_loss(x, lengths, p, w, reverse, n_steps)
+            leaves = {"x": ref.param(x.copy()), **{k: ref.param(v.copy()) for k, v in p.items()}}
+            out = lstm_reference.lstm_seq(leaves["x"], lengths, leaves["wx"], leaves["wh"],
+                                          leaves["b"], reverse=reverse)
+            ref_loss, ref_grads = taped(lambda: ref.sum_all(ref.mul(out, ref.Tensor(w))), leaves)()
             assert abs(fused_loss - ref_loss) < 1e-10
-            for name in params:
-                assert np.max(np.abs(fused[name] - ref[name])) < 1e-10, name
+            for name in fused:
+                assert np.max(np.abs(fused[name] - ref_grads[name])) < 1e-10, name
 
     def test_projected_input_matches_reference_on_unprojected_input(self):
         # float64: lstm_seq on the live rows projected by one numpy GEMM
@@ -206,77 +221,83 @@ class TestLstm:
         for (lengths, n_steps), reverse in itertools.product(self.REFERENCE_CASES, (False, True)):
             p, x, lengths, _ = self.padded_case(7, lengths, n_steps)
             t = n_steps or max(lengths)
-            xw = x.data[live_rows(t, lengths)] @ p["wx"].data
-            views = {k: ad.Tensor(v.data) for k, v in p.items()}
-            got = ad.lstm_seq(ad.Tensor(xw), lengths, views["wh"], views["b"], t,
-                              reverse=reverse).data
-            want = lstm_reference.lstm_seq(ad.Tensor(x.data), lengths, **views,
+            got, _ = ad.lstm_seq(x[live_rows(t, lengths)] @ p["wx"], lengths, p["wh"], p["b"], t,
+                                 reverse=reverse)
+            want = lstm_reference.lstm_seq(ref.Tensor(x), lengths,
+                                           *(ref.Tensor(p[k]) for k in ("wx", "wh", "b")),
                                            reverse=reverse).data
             assert got.dtype == want.dtype == np.float64
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_taped_and_untaped_forward_identical(self):
+        # one forward path: running the pullback, which reads each step's
+        # previous h from the output, leaves the output as a dropped
+        # pullback does
         for reverse in (False, True):
-            p, x, lengths, _ = self.padded_case(4)
-            taped = run_lstm(x, lengths, p, reverse)
-            views = {name: ad.Tensor(t.data) for name, t in p.items()}
-            untaped = run_lstm(ad.Tensor(x.data), lengths, views, reverse)
-            assert taped.requires_grad and not untaped.requires_grad
-            assert np.array_equal(taped.data, untaped.data)
+            p, x, lengths, w = self.padded_case(4)
+            xw = x[live_rows(4, lengths)] @ p["wx"]
+            taped, pullback = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], 4, reverse=reverse)
+            pullback(w)
+            untaped, _ = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], 4, reverse=reverse)
+            assert taped.tobytes() == untaped.tobytes()
 
     def test_taped_history_holds_live_rows_only(self):
-        # one 64-step sequence beside 63 one-step ones: 127 of 4,096 rows live
+        # one 64-step sequence beside 63 one-step ones: 127 of 4,096 rows
+        # live.  Forward keeps the gate history in the consumed input, and
+        # the pullback recomputes the cell states of the live rows only
         lengths = [64] + [1] * 63
         rng = np.random.default_rng(6)
         n = 32
         p = lstm_direction(8, n, rng)
         xw = rng.normal(size=(127, 4 * n))
+        g_out = rng.normal(size=(64 * len(lengths), n))
         padded_history = 64 * len(lengths) * 5 * n * 8  # float64 gates and cells of every row
         for reverse in (False, True):
             tracemalloc.start()
             try:
-                out = ad.lstm_seq(ad.param(xw.copy()), lengths, p["wh"], p["b"], 64,
-                                  reverse=reverse)
-                peak = tracemalloc.get_traced_memory()[1]
+                out, pullback = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], 64,
+                                            reverse=reverse)
+                forward_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                pullback(g_out)
+                backward_peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert out.requires_grad
-            assert peak - out.data.nbytes - xw.nbytes < padded_history / 10
+            assert forward_peak - out.nbytes - xw.nbytes < padded_history / 10
+            assert backward_peak < padded_history / 10
 
     def test_consumes_xw(self):
-        # the projections become the gate history in place, and backward
-        # hands the gate gradients back in that same buffer: the taped op
-        # allocates its output and the cell history, and no gate buffer
+        # the projections become the gate history in place, and the
+        # pullback hands the gate gradients back in that same buffer: the
+        # forward allocates its output and no gate buffer
         rng = np.random.default_rng(8)
         n, lengths = 32, [64, 64, 63, 60]
         p = lstm_direction(8, n, rng)
         projections = rng.normal(size=(sum(lengths), 4 * n))
-        xw = ad.param(projections.copy())
-        buffer = xw.data
+        xw = projections.copy()
         tracemalloc.start()
         try:
-            out = ad.lstm_seq(xw, lengths, p["wh"], p["b"], 64)
+            out, pullback = ad.lstm_seq(xw, lengths, p["wh"], p["b"], 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cells = sum(lengths) * n * 8
-        assert peak - out.data.nbytes - cells < buffer.nbytes / 4
-        assert xw.data is buffer and not np.array_equal(buffer, projections)
-        ad.backward(sum_all(out))
-        assert xw.grad is buffer
+        assert peak - out.nbytes < xw.nbytes / 4
+        assert not np.array_equal(xw, projections)
+        assert pullback(np.ones_like(out))[0] is xw
 
     def test_backward_runs_once_per_forward(self):
-        p, x, lengths, _ = self.padded_case(5)
-        out = run_lstm(x, lengths, p)
-        out._backward(np.ones_like(out.data))
+        p, x, lengths, w = self.padded_case(5)
+        out, pullback = ad.lstm_seq(x[live_rows(4, lengths)] @ p["wx"], lengths, p["wh"], p["b"], 4)
+        pullback(w)
         with pytest.raises(RuntimeError):
-            out._backward(np.ones_like(out.data))
+            pullback(w)
 
     def test_increasing_lengths_rejected(self):
         p = self.zero_params()
         # at step 1, row 1 would be live while row 0 is not
         with pytest.raises(ValueError, match=r"T >= lengths\[0\] >= lengths\[1\]"):
-            ad.lstm_seq(ad.Tensor(np.zeros((3, 8))), [1, 2], **p, n_steps=2)
+            ad.lstm_seq(np.zeros((3, 8)), [1, 2], **p, n_steps=2)
 
     def test_length_above_steps_rejected(self):
         p = self.zero_params()
@@ -285,21 +306,21 @@ class TestLstm:
         for lengths in ([3, 1], [3, 3]):
             rows = len(live_rows(2, lengths))
             with pytest.raises(ValueError, match=r"T >= lengths\[0\]"):
-                ad.lstm_seq(ad.Tensor(np.zeros((rows, 8))), lengths, **p, n_steps=2)
+                ad.lstm_seq(np.zeros((rows, 8)), lengths, **p, n_steps=2)
 
     def test_input_width_contract(self):
         p = self.zero_params()
         # 4*hidden = 8 columns, and one row per live step of a sequence
         with pytest.raises(ValueError, match=r"expected \(sum\(lengths\), 8\)"):
-            ad.lstm_seq(ad.Tensor(np.zeros((1, 5))), [1], **p, n_steps=1)
+            ad.lstm_seq(np.zeros((1, 5)), [1], **p, n_steps=1)
         for rows in (3, 5):
             with pytest.raises(ValueError, match=r"expected \(sum\(lengths\), 8\)"):
-                ad.lstm_seq(ad.Tensor(np.zeros((rows, 8))), [2, 2], **p, n_steps=2)
+                ad.lstm_seq(np.zeros((rows, 8)), [2, 2], **p, n_steps=2)
 
     def test_forget_bias_initialized_to_one(self):
         cfg = TrainingConfig(char_dim=3, char_hidden=4, word_dim=2, hidden=5)
         params = new_model(cfg, random_table([], 2), CharVocabulary(""), np.random.default_rng(0)).params
-        biases = {name: t.data for name, t in params.items() if name.endswith(".b")}
+        biases = {name: b for name, b in params.items() if name.endswith(".b")}
         assert len(biases) == 4
         for name, b in biases.items():
             n = len(b) // 4
@@ -307,35 +328,11 @@ class TestLstm:
             assert np.all(np.abs(np.delete(b, np.s_[n : 2 * n])) <= 0.1), name
 
 
-class TestDropout:
-    def test_rate_zero_identity(self):
-        x = ad.Tensor(np.ones((3, 3)))
-        assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
-
-    def test_inference_identity(self):
-        x = ad.Tensor(np.ones((3, 3)))
-        assert ad.dropout(x, 0.9) is x
-
-    def test_rate_contract(self):
-        x = ad.Tensor(np.ones(2))
-        with pytest.raises(ValueError):
-            ad.dropout(x, 1.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            ad.dropout(x, -0.1, np.random.default_rng(0))
-
-    def test_expectation_preserved(self):
-        rng = np.random.default_rng(11)
-        x = ad.Tensor(np.full(100_000, 2.5))
-        out = ad.dropout(x, 0.4, rng)
-        assert abs(out.data.mean() - 2.5) / 2.5 < 0.01
-
-
 def cross_entropy(z, targets, mask):
     """The fused loss's value and its gradient times the unmasked count."""
-    logits = ad.param(np.asarray(z, dtype=np.float64))
-    loss = ad.masked_cross_entropy_logits(logits, np.asarray(targets), mask)
-    ad.backward(loss)
-    return float(loss.data), logits.grad * np.sum(mask)
+    loss, pullback = ad.masked_cross_entropy_logits(np.asarray(z, dtype=np.float64),
+                                                    np.asarray(targets), mask)
+    return float(loss), pullback(np.ones_like(loss)) * np.sum(mask)
 
 
 class TestSoftmax:
@@ -373,118 +370,107 @@ class TestSoftmax:
 class TestMaskedCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
         targets = np.array([0, 1, 2])
-        logits = ad.Tensor(1e3 * np.eye(4)[targets])
-        loss = ad.masked_cross_entropy_logits(logits, targets, np.ones(3))
-        assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
+        value, _ = cross_entropy(1e3 * np.eye(4)[targets], targets, np.ones(3))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_loss_is_log19(self):
-        logits = ad.Tensor(np.zeros((5, 19)))
-        loss = ad.masked_cross_entropy_logits(logits, np.zeros(5, dtype=int), np.ones(5))
-        assert float(loss.data) == pytest.approx(math.log(19.0), abs=1e-12)
+        value, _ = cross_entropy(np.zeros((5, 19)), np.zeros(5, dtype=int), np.ones(5))
+        assert value == pytest.approx(math.log(19.0), abs=1e-12)
 
     def test_padded_gradient_exactly_zero(self):
         rng = np.random.default_rng(5)
-        logits = ad.param(rng.normal(size=(4, 7)))
         mask = np.array([1.0, 1.0, 0.0, 0.0])
-        loss = ad.masked_cross_entropy_logits(logits, np.array([1, 2, 3, 4]), mask)
-        ad.backward(loss)
-        assert np.all(logits.grad[2:] == 0.0)
+        _, grad = cross_entropy(rng.normal(size=(4, 7)), [1, 2, 3, 4], mask)
+        assert np.all(grad[2:] == 0.0)
 
     def test_masked_positions_do_not_affect_value(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(4, 7))
         targets = np.array([1, 2, 3, 4])
         mask = np.array([1.0, 1.0, 0.0, 1.0])
-        a = ad.masked_cross_entropy_logits(ad.Tensor(z), targets, mask)
+        a, _ = cross_entropy(z, targets, mask)
         z2 = z.copy()
         z2[2] = 1e6  # arbitrary junk at the padded step
-        b = ad.masked_cross_entropy_logits(ad.Tensor(z2), targets, mask)
-        assert abs(float(a.data) - float(b.data)) < 1e-12
+        b, _ = cross_entropy(z2, targets, mask)
+        assert abs(a - b) < 1e-12
 
     def test_two_loss_routes_agree(self):
         rng = np.random.default_rng(7)
         z = rng.normal(size=(6, 5))
         targets = rng.integers(0, 5, size=6)
         mask = np.array([1.0, 1, 0, 1, 1, 0])
-        fused = ad.masked_cross_entropy_logits(ad.Tensor(z), targets, mask)
+        fused, _ = cross_entropy(z, targets, mask)
         probs = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)  # reference softmax
         reference = -(np.log(probs[np.arange(6), targets]) * mask).sum() / mask.sum()
-        assert float(fused.data) == pytest.approx(reference, abs=1e-12)
+        assert fused == pytest.approx(reference, abs=1e-12)
 
     def test_loss_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
-        z = ad.param(rng.normal(size=(5, 6)))
+        z = rng.normal(size=(5, 6))
         targets = rng.integers(0, 6, size=5)
         mask = np.array([1.0, 1, 1, 0, 1])
-        loss = lambda: ad.masked_cross_entropy_logits(z, targets, mask)
-        assert fd_check(loss, {"z": z}) < 1e-4
+
+        def run():
+            loss, pullback = ad.masked_cross_entropy_logits(z, targets, mask)
+            return float(loss), {"z": pullback(np.ones_like(loss))}
+
+        assert finite_diff_check(run, {"z": z}) < 1e-4
 
     def test_empty_mask_contract(self):
         with pytest.raises(ValueError):
-            ad.masked_cross_entropy_logits(
-                ad.Tensor(np.zeros((2, 3))), np.zeros(2, dtype=int), np.zeros(2)
-            )
+            ad.masked_cross_entropy_logits(np.zeros((2, 3)), np.zeros(2, dtype=int), np.zeros(2))
 
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        p = ad.param(np.array([1.0, 2.0]))
-        p.grad = np.zeros(2)
+        p = np.array([1.0, 2.0])
         state = ad.AdamState()
-        ad.adam_step({"p": p}, state, lr=0.1)
-        assert np.array_equal(p.data, [1.0, 2.0])
+        ad.adam_step({"p": p}, {"p": np.zeros(2)}, state, lr=0.1)
+        assert np.array_equal(p, [1.0, 2.0])
         assert state.step == 1
 
     def test_first_step_approximates_signed_lr(self):
-        p = ad.param(np.array([0.0, 0.0]))
-        p.grad = np.array([0.5, -0.03])
-        ad.adam_step({"p": p}, ad.AdamState(), lr=0.01)
-        assert np.allclose(p.data, [-0.01, 0.01], atol=1e-8)
+        p = np.array([0.0, 0.0])
+        ad.adam_step({"p": p}, {"p": np.array([0.5, -0.03])}, ad.AdamState(), lr=0.01)
+        assert np.allclose(p, [-0.01, 0.01], atol=1e-8)
 
     def test_two_steps_match_hand_recurrence(self):
-        p = ad.param(np.array([0.7]))
+        p = np.array([0.7])
         state = ad.AdamState()
         theta, m, v = 0.7, 0.0, 0.0
         for t, g in enumerate([0.3, -0.8], start=1):
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             theta -= 0.01 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
-            p.grad = np.array([g])
-            ad.adam_step({"p": p}, state, lr=0.01)
-        assert abs(p.data[0] - theta) < 1e-12
+            ad.adam_step({"p": p}, {"p": np.array([g])}, state, lr=0.01)
+        assert abs(p[0] - theta) < 1e-12
 
     def test_non_finite_gradient_raises(self):
-        p = ad.param(np.array([1.0]))
-        p.grad = np.array([np.nan])
-        with pytest.raises(ad.NonFiniteGradient):
-            ad.adam_step({"p": p}, ad.AdamState(), lr=0.1)
+        # the second parameter's gradient is bad: nothing moves, not even
+        # the first, and the step count stays
+        params = {"p": np.array([1.0]), "q": np.array([2.0])}
+        state = ad.AdamState()
+        with pytest.raises(ad.NonFiniteGradient, match="q"):
+            ad.adam_step(params, {"p": np.array([0.5]), "q": np.array([np.nan])}, state, lr=0.1)
+        assert params["p"][0] == 1.0 and params["q"][0] == 2.0
+        assert state.step == 0 and not state.m
 
 
 class TestFiniteDiff:
     def test_linear_loss_near_machine_epsilon(self):
-        x = ad.param(np.array([1.0, -2.0, 3.0]))
-        w = ad.Tensor(np.array([2.0, 0.5, -1.0]))
-        loss = lambda: sum_all(ad.mul(x, w))
-        assert fd_check(loss, {"x": x}, floor=1.0) < 1e-10
+        x = np.array([1.0, -2.0, 3.0])
+        w = np.array([2.0, 0.5, -1.0])
+        assert finite_diff_check(lambda: (float(x @ w), {"x": w}), {"x": x}, floor=1.0) < 1e-10
 
     def test_zero_step_contract(self):
-        x = ad.param(np.array([1.0]))
+        x = np.array([1.0])
         with pytest.raises(ValueError):
-            finite_diff_check(lambda: sum_all(x), {"x": x}, h=0.0)
-
-
-def test_op_whose_parents_are_all_untaped_records_nothing():
-    x = ad.param(np.ones(3))
-    view = ad.Tensor(x.data)
-    out = ad.mul(view, view)
-    assert not out.requires_grad
-    assert out._parents == () and out._backward is None
-    assert ad.mul(x, view).requires_grad
+            finite_diff_check(lambda: (float(x.sum()), {"x": np.ones(1)}), {"x": x}, h=0.0)
 
 
 def test_every_public_engine_name_is_used_in_src():
-    """The engine, the model and the trainer keep only what the package
-    uses: each public function and class of ``csner.autodiff``,
+    """The gradient code, the model and the trainer keep only what the
+    package uses: each public function and class of ``csner.autodiff``,
     ``csner.model`` and ``csner.trainer`` is referenced somewhere in
     ``src/csner`` outside its own definition."""
     src = pathlib.Path(ad.__file__).parent

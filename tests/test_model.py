@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from csner.corpus_io import TAG_INDEX, TAGS, Dataset, TaggedSentence
 from csner.embeddings import CharVocabulary, EmbeddingTable, Vocabulary
 from csner.model import (
     Tables,
+    _dropout,
     _encode_chars,
     batch_logits,
     batch_loss,
@@ -22,8 +24,8 @@ from csner.model import (
 )
 from csner.trainer import TrainingConfig, new_model
 
-import lstm_reference
-from conftest import SMALL_CFG, corpus_from, random_table, small_model
+import reference_ops as ref
+from conftest import SMALL_CFG, corpus_from, loss_and_grads, random_table, small_model
 
 
 @pytest.fixture()
@@ -38,19 +40,18 @@ def tiny_tables():
 
 def char_vectors(words, tables, params):
     """The char encoding of each word, through the batch's spelling columns."""
-    arrays = build_arrays([words], tables, params["proj_w"].data.dtype)
-    views = {name: ad.Tensor(p.data) for name, p in params.items()}
-    spellings = _encode_chars(views, arrays.char_idx, arrays.char_lengths).data
+    arrays = build_arrays([words], tables, params["proj_w"].dtype)
+    spellings, _ = _encode_chars(params, arrays.char_idx, arrays.char_lengths)
     return spellings[arrays.spelling_idx]
 
 
 def encode(tokens, tables, params, **kwargs):
-    arrays = build_arrays([tokens], tables, params["proj_w"].data.dtype)
-    return encode_batch(arrays, tables, params, **kwargs)
+    arrays = build_arrays([tokens], tables, params["proj_w"].dtype)
+    return encode_batch(arrays, tables, params, **kwargs)[0]
 
 
 def predict(tokens, tables, params, surfaces=None):
-    arrays = build_arrays([tokens], tables, params["proj_w"].data.dtype, None if surfaces is None else [surfaces])
+    arrays = build_arrays([tokens], tables, params["proj_w"].dtype, None if surfaces is None else [surfaces])
     return predict_batch(arrays, tables, params)[0]
 
 
@@ -59,23 +60,23 @@ class TestParamShapes:
         shapes = param_shapes(SMALL_CFG, len(tiny_tables.chars))
         tensors = small_model(tiny_tables)
         assert list(shapes) == list(tensors)
-        assert {name: t.data.shape for name, t in tensors.items()} == shapes
+        assert {name: t.shape for name, t in tensors.items()} == shapes
 
 
 class TestCharEncode:
     def test_single_char_word_shape(self, tiny_tables):
         params = small_model(tiny_tables)
         out = char_vectors(["a"], tiny_tables, params)
-        assert out.shape == (1, 2 * params["char_fwd.wh"].data.shape[0])
+        assert out.shape == (1, 2 * params["char_fwd.wh"].shape[0])
 
     def test_default_dimensions(self, tiny_tables):
         params = new_model(TrainingConfig(), random_table(["ab"], 300), tiny_tables.chars,
                            np.random.default_rng(0)).params
         assert char_vectors(["ab"], tiny_tables, params).shape == (1, 300)
-        assert params["char_embed"].data.shape[1] == 150
-        assert params["word_fwd.wx"].data.shape == (600, 800)
-        assert params["word_fwd.wh"].data.shape == (200, 800)
-        assert params["proj_w"].data.shape == (400, 19)
+        assert params["char_embed"].shape[1] == 150
+        assert params["word_fwd.wx"].shape == (600, 800)
+        assert params["word_fwd.wh"].shape == (200, 800)
+        assert params["proj_w"].shape == (400, 19)
 
     def test_distinct_words_distinct_vectors(self, tiny_tables):
         params = small_model(tiny_tables)
@@ -85,7 +86,7 @@ class TestCharEncode:
     def test_zero_params_give_zero_vector(self, tiny_tables):
         params = small_model(tiny_tables)
         for t in params.values():
-            t.data[...] = 0.0
+            t[...] = 0.0
         out = char_vectors(["pan"], tiny_tables, params)
         assert np.array_equal(out, np.zeros_like(out))
 
@@ -94,13 +95,13 @@ class TestEncodeSentence:
     def test_single_token_shape(self, tiny_tables):
         params = small_model(tiny_tables)
         enc = encode(["pan"], tiny_tables, params)
-        assert enc.data.shape == (1, 2 * params["word_fwd.wh"].data.shape[0])
+        assert enc.shape == (1, 2 * params["word_fwd.wh"].shape[0])
 
     def test_inference_deterministic(self, tiny_tables):
         params = small_model(tiny_tables)
         tokens = ["el", "rio", "azul"]
-        a = encode(tokens, tiny_tables, params).data
-        b = encode(tokens, tiny_tables, params).data
+        a = encode(tokens, tiny_tables, params)
+        b = encode(tokens, tiny_tables, params)
         assert np.array_equal(a, b)
 
     def test_reversal_swaps_directions(self, tiny_tables):
@@ -109,9 +110,9 @@ class TestEncodeSentence:
                                for a, b in (("fwd", "bwd"), ("bwd", "fwd"))
                                for k in ("wx", "wh", "b")}}
         tokens = ["el", "rio", "azul", "pan"]
-        h = params["word_fwd.wh"].data.shape[0]
-        forward = encode(tokens, tiny_tables, params).data
-        swapped = encode(tokens[::-1], tiny_tables, mirror).data
+        h = params["word_fwd.wh"].shape[0]
+        forward = encode(tokens, tiny_tables, params)
+        swapped = encode(tokens[::-1], tiny_tables, mirror)
         n = len(tokens)
         for t in range(n):
             assert np.allclose(forward[t, :h], swapped[n - 1 - t, h:], atol=1e-12)
@@ -120,30 +121,31 @@ class TestEncodeSentence:
     def test_rng_turns_dropout_on(self, tiny_tables):
         params = small_model(tiny_tables)
         tokens = ["el", "rio", "azul"]
-        inference = encode(tokens, tiny_tables, params).data
-        dropped = encode(tokens, tiny_tables, params, rng=np.random.default_rng(0)).data
+        inference = encode(tokens, tiny_tables, params)
+        dropped = encode(tokens, tiny_tables, params, rng=np.random.default_rng(0))
         assert not np.array_equal(dropped, inference)
+        # with an rng the pullbacks are kept; the forward is the same
         kept = encode(tokens, tiny_tables, params, rng=np.random.default_rng(0), dropout_rate=0.0)
-        assert np.array_equal(kept.data, inference)
+        assert kept.tobytes() == inference.tobytes()
 
 
 class TestTagLogits:
     def test_zero_projection_uniform_softmax(self, tiny_tables):
         params = small_model(tiny_tables)
-        params["proj_w"].data[...] = 0.0
-        params["proj_b"].data[...] = 0.0
-        logits = batch_logits(encode(["el", "pan"], tiny_tables, params), params)
+        params["proj_w"][...] = 0.0
+        params["proj_b"][...] = 0.0
+        logits, _ = batch_logits(encode(["el", "pan"], tiny_tables, params), params)
         # every tag scores the same, so the softmax is uniform
-        assert np.array_equal(logits.data, np.zeros((2, 19)))
+        assert np.array_equal(logits, np.zeros((2, 19)))
 
     def test_shape(self, tiny_tables):
         params = small_model(tiny_tables)
         enc = encode(["el", "rio", "azul"], tiny_tables, params)
-        assert batch_logits(enc, params).data.shape == (3, 19)
+        assert batch_logits(enc, params)[0].shape == (3, 19)
 
     def test_argmax_shift_invariant(self, tiny_tables):
         params = small_model(tiny_tables)
-        logits = batch_logits(encode(["el", "rio"], tiny_tables, params), params).data
+        logits, _ = batch_logits(encode(["el", "rio"], tiny_tables, params), params)
         assert np.array_equal(
             logits.argmax(axis=-1), (logits + 7.5).argmax(axis=-1)
         )
@@ -161,8 +163,8 @@ class TestPredict:
 
     def test_tie_break_lowest_index(self, tiny_tables):
         params = small_model(tiny_tables)
-        params["proj_w"].data[...] = 0.0
-        params["proj_b"].data[...] = 0.0
+        params["proj_w"][...] = 0.0
+        params["proj_b"][...] = 0.0
         # all-equal logits resolve to the lowest index, which is O
         assert predict(["pan", "el"], tiny_tables, params) == [0, 0]
 
@@ -187,7 +189,7 @@ class TestBatchSemantics:
             out = {}
             for batch in make_batches(ds, len(sents), tiny_tables, np.float64):
                 a = batch.arrays
-                logits = batch_logits(encode_batch(a, tiny_tables, params), params).data
+                logits, _ = batch_logits(encode_batch(a, tiny_tables, params)[0], params)
                 logits = logits.reshape(a.max_len, a.batch_size, -1)
                 for j, pos in enumerate(batch.order):
                     out[order[pos]] = logits[: a.lengths[j], j]
@@ -211,9 +213,9 @@ class TestBatchSemantics:
         before = tiny_tables.words.vectors.tobytes()
         arrays = build_arrays([["el", "pan"]], tiny_tables, np.float64)
         gold = np.array([TAG_INDEX[TAGS[0]], TAG_INDEX[TAGS[1]]])
-        loss = batch_loss(arrays, gold, tiny_tables, params)
-        ad.backward(loss)
+        _, grads = loss_and_grads(arrays, gold, tiny_tables, params)
         assert tiny_tables.words.vectors.tobytes() == before
+        assert set(grads) == set(params)
 
     def test_surface_alignment_contract(self, tiny_tables):
         with pytest.raises(ValueError):
@@ -262,9 +264,9 @@ class TestSpellingColumns:
         columns = []
         encode_chars = model._encode_chars
 
-        def counting(params, char_idx, char_lengths):
+        def counting(params, char_idx, char_lengths, *args):
             columns.append(char_idx.shape[1])
-            return encode_chars(params, char_idx, char_lengths)
+            return encode_chars(params, char_idx, char_lengths, *args)
 
         monkeypatch.setattr(model, "_encode_chars", counting)
         ds = Dataset([TaggedSentence(s) for s in self.SENTS])
@@ -274,9 +276,8 @@ class TestSpellingColumns:
 
 
 class TestEndToEndGradient:
-    def test_full_model_matches_per_step_reference(self, micro_setup, monkeypatch):
+    def test_full_model_matches_per_step_reference(self, micro_setup):
         _, tables, params = micro_setup
-        from csner import model
         from csner.trainer import make_batches
 
         # unequal lengths and repeated spellings, so that both the packed
@@ -295,30 +296,82 @@ class TestEndToEndGradient:
         )
         assert a.char_idx.shape[1] == 6 and per_slot.char_idx.shape[1] == 16
 
-        def run(arrays):
-            ad.zero_grads(params)
-            loss = batch_loss(arrays, batch.gold_flat, tables, params,
+        # dropout on, its masks drawn alike from the same seed
+        fused_loss, fused = loss_and_grads(a, batch.gold_flat, tables, params,
+                                           dropout_rate=0.4)
+        leaves = {name: ref.param(p.copy()) for name, p in params.items()}
+        loss = ref.batch_loss(per_slot, batch.gold_flat, tables, leaves,
                               rng=np.random.default_rng(0))
-            ad.backward(loss)
-            return float(loss.data), {k: t.grad.copy() for k, t in params.items()}
-
-        fused_loss, fused = run(a)
-        monkeypatch.setattr(model, "_run_bilstm", lstm_reference.run_bilstm)
-        ref_loss, ref = run(per_slot)
-        assert abs(fused_loss - ref_loss) < 1e-10
+        ref.backward(loss)
+        assert abs(fused_loss - float(loss.data)) < 1e-10
+        assert list(fused) and set(fused) == set(params)
         for name in params:
-            assert np.max(np.abs(fused[name] - ref[name])) < 1e-10, name
-
-    def test_tape_size_independent_of_length(self, tiny_tables):
-        params = small_model(tiny_tables)
-        sizes = []
-        for sent in (["el", "rio"], ["Ana", "come", "pan", "el", "rio", "azul", "azul"]):
-            arrays = build_arrays([sent, sent[:1]], tiny_tables, np.float64)
-            gold = np.zeros(arrays.mask.size, dtype=np.int64)
-            loss = batch_loss(arrays, gold, tiny_tables, params, rng=np.random.default_rng(0))
-            sizes.append(lstm_reference.tape_size(loss))
-        assert sizes[0] == sizes[1]
+            assert np.max(np.abs(fused[name] - leaves[name].grad)) < 1e-10, name
 
     def test_unk_fallback_path(self, tiny_tables):
         params = small_model(tiny_tables)
         assert len(predict(["nunca_visto"], tiny_tables, params)) == 1
+
+
+class TestBackwardState:
+    @pytest.fixture()
+    def pullbacks(self, monkeypatch):
+        """A weak reference to the pullback of every ``lstm_seq`` call, and
+        for each call how many earlier pullbacks were alive when it began."""
+        refs, alive = [], []
+        lstm_seq = ad.lstm_seq
+
+        def watched(*args, **kwargs):
+            alive.append(sum(r() is not None for r in refs))
+            out, pullback = lstm_seq(*args, **kwargs)
+            refs.append(weakref.ref(pullback))
+            return out, pullback
+
+        monkeypatch.setattr(ad, "lstm_seq", watched)
+        return refs, alive
+
+    SENTS = [["Ana", "come", "pan"], ["el", "rio"]]
+
+    def test_predict_batch_keeps_no_backward_state(self, tiny_tables, pullbacks):
+        refs, alive = pullbacks
+        arrays = build_arrays(self.SENTS, tiny_tables, np.float64)
+        predict_batch(arrays, tiny_tables, small_model(tiny_tables))
+        # two layers, two directions: each pullback is gone before the next
+        # direction runs, by reference counting alone
+        assert alive == [0, 0, 0, 0]
+        assert [r() for r in refs] == [None] * 4
+
+    def test_training_frees_backward_state_with_its_pullback(self, tiny_tables, pullbacks):
+        refs, alive = pullbacks
+        arrays = build_arrays(self.SENTS, tiny_tables, np.float64)
+        loss, pullback = batch_loss(arrays, np.zeros(6, dtype=np.int64), tiny_tables,
+                                    small_model(tiny_tables), rng=np.random.default_rng(0))
+        assert alive == [0, 1, 2, 3]
+        ad.backward(loss, pullback)
+        del pullback
+        assert [r() for r in refs] == [None] * 4
+
+
+class TestDropout:
+    def test_rate_zero_identity(self):
+        x = np.ones((3, 3))
+        out, mask = _dropout(x, 0.0, np.random.default_rng(0))
+        assert out is x and mask is None
+
+    def test_inference_identity(self):
+        x = np.ones((3, 3))
+        out, mask = _dropout(x, 0.9, None)
+        assert out is x and mask is None
+
+    def test_rate_contract(self):
+        x = np.ones(2)
+        with pytest.raises(ValueError):
+            _dropout(x, 1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            _dropout(x, -0.1, np.random.default_rng(0))
+
+    def test_expectation_preserved(self):
+        rng = np.random.default_rng(11)
+        out, mask = _dropout(np.full(100_000, 2.5), 0.4, rng)
+        assert abs(out.mean() - 2.5) / 2.5 < 0.01
+        assert np.array_equal(out, 2.5 * mask)
