@@ -21,8 +21,8 @@ from .corpus_io import (
     TaggedSentence,
     dataset_stats,
     format_stats,
-    non_utf8_line,
     read_conll,
+    read_text,
     write_conll,
     write_conll_file,
 )
@@ -30,7 +30,6 @@ from .embeddings import (
     VectorLoadError,
     build_char_vocab,
     corpus_candidate_forms,
-    empty_table,
     load_vec,
     merge_tables,
 )
@@ -76,22 +75,21 @@ _KEY_TYPES = {f.name: f.type for f in fields(TrainingConfig) + fields(RunConfig)
 
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines; '#' starts a comment."""
+    text, bad = read_text(path)
     values = {}
-    try:
-        with open(path, encoding="utf-8") as fp:
-            for line_no, line in enumerate(fp, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in _KEY_TYPES:
-                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-                values[key] = _convert(key, value, f"{path}:{line_no}")
-    except UnicodeDecodeError:  # text decodes in chunks: find the line
-        raise ConfigError(f"{path}:{non_utf8_line(path)}: not valid UTF-8") from None
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _KEY_TYPES:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        values[key] = _convert(key, value, f"{path}:{line_no}")
+    if bad:  # after the lines before it: an earlier error wins
+        raise ConfigError(f"{path}:{bad}: not valid UTF-8")
     return values
 
 
@@ -165,10 +163,9 @@ def _require_writable(cfg: RunConfig, inputs: dict, **outputs) -> None:
 
 
 def _load_tables(cfg: RunConfig, keep: set[str]):
-    """The English table and the merged bilingual one."""
-    eng = load_vec(cfg.vec_eng, keep=keep)
-    spa = load_vec(cfg.vec_spa, keep=keep) if cfg.vec_spa else empty_table(eng.dim)
-    return eng, merge_tables(eng, spa)
+    """The English table, and the merge of it with the Spanish one if given."""
+    tables = [load_vec(path, keep=keep) for path in (cfg.vec_eng, cfg.vec_spa) if path]
+    return tables[0], merge_tables(*tables)
 
 
 def _prune_set(cfg: RunConfig, *datasets):

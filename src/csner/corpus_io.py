@@ -9,7 +9,6 @@ is UTF-8 and nothing is case-folded.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -153,21 +152,30 @@ def parse_conll(text: str, split: str = "") -> Dataset:
     return Dataset(sentences, split)
 
 
-def non_utf8_line(path) -> int:
-    """The 1-based number of the first line of ``path`` that is not UTF-8,
-    lines split as text mode splits them."""
-    # each undecodable byte becomes a lone surrogate in U+DC80..U+DCFF
-    with open(path, encoding="utf-8", errors="surrogateescape") as fp:
-        return next(n for n, line in enumerate(fp, 1) if re.search("[\udc80-\udcff]", line))
+def read_text(path) -> tuple[str, int | None]:
+    """The UTF-8 text of the file at ``path`` and None, every line ended by
+    LF as text mode ends it (CRLF and a lone CR end a line too); or, when a
+    line is not UTF-8, the whole lines before it and its 1-based number."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        text, whole = data.decode(), True
+    except UnicodeDecodeError as exc:
+        text, whole = data[: exc.start].decode(), False
+    if "\r" in text:  # a quick test: replace scans even when it finds nothing
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if whole:
+        return text, None
+    text = text[: text.rfind("\n") + 1]  # the lines before the bad one
+    return text, text.count("\n") + 1
 
 
 def read_conll(path, split: str = "") -> Dataset:
-    try:
-        with open(path, encoding="utf-8") as fp:
-            text = fp.read()
-    except UnicodeDecodeError:  # text decodes in chunks: find the line
-        raise ParseError(non_utf8_line(path), "not valid UTF-8") from None
-    return parse_conll(text, split or str(path))
+    text, bad = read_text(path)
+    dataset = parse_conll(text, split or str(path))  # an earlier error wins
+    if bad:
+        raise ParseError(bad, "not valid UTF-8")
+    return dataset
 
 
 def write_conll(dataset: Dataset) -> str:

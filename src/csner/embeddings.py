@@ -55,13 +55,9 @@ class Vocabulary:
     SPECIALS = SPECIAL_TOKENS  # reserved in front; the second is UNK
 
     def __init__(self, tokens, specials: bool = True):
-        self.tokens: list[str] = list(self.SPECIALS) if specials else []
         self.specials = specials
-        seen = set(self.tokens)
-        for tok in tokens:
-            if tok not in seen:
-                seen.add(tok)
-                self.tokens.append(tok)
+        reserved = self.SPECIALS if specials else ()
+        self.tokens: list[str] = list(dict.fromkeys([*reserved, *tokens]))  # first occurrences
         self._index = {tok: i for i, tok in enumerate(self.tokens)}
 
     def __len__(self) -> int:
@@ -132,19 +128,18 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
         stat_count = 0
         non_finite = None  # the line at which the sum stopped being finite
         while raw := fp.readlines(_BLOCK_BYTES):
-            lines, words, tails = [], [], []
+            words, tails = [], []
             for data in raw:  # up to the first line that is not UTF-8
-                try:
-                    line = data.decode()
+                try:  # a row ends at its LF, then one CR, then one trailing space
+                    line = data.decode().rstrip("\n").removesuffix("\r").removesuffix(" ")
                 except UnicodeDecodeError:
                     break
-                word, _, tail = line.rstrip("\n").removesuffix("\r").partition(" ")
-                lines.append(line)
+                word, space, tail = line.partition(" ")
                 words.append(word)
-                tails.append(tail[:-1] if tail.endswith(" ") else tail)
+                tails.append(tail if space else None)  # None: the word alone
             rows = _parse_block(tails, dim) if all(tails) else None
             if rows is None:
-                rows = _parse_rows(lines, 2 + stat_count, dim)
+                rows = _parse_rows(tails, 2 + stat_count, dim)
             before = stat_sum.copy()
             for word, row in zip(words, rows):
                 stat_sum += row  # row by row, in file order
@@ -160,8 +155,8 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
                     if not np.isfinite(before).all():
                         non_finite = 2 + stat_count + i
                         break
-            stat_count += len(lines)
-            if len(lines) < len(raw):
+            stat_count += len(tails)
+            if len(tails) < len(raw):
                 raise VectorLoadError(f"line {2 + stat_count}: not valid UTF-8")
     if non_finite is not None:
         raise VectorLoadError(f"line {non_finite}: non-finite vector component")
@@ -191,22 +186,20 @@ def _parse_block(tails: list[str], dim: int) -> np.ndarray | None:
     return rows if rows.shape == (len(tails), dim) else None
 
 
-def _parse_rows(lines: list[str], first_line_no: int, dim: int) -> np.ndarray:
-    """The components of ``lines``, one row at a time, or the
+def _parse_rows(tails: list[str | None], first_line_no: int, dim: int) -> np.ndarray:
+    """The components of ``tails``, one row at a time, or the
     ``VectorLoadError`` of the first bad row.  Accepts every number
     Python's ``float`` does (``1_0``, full-width digits), unlike numpy's
     reader."""
-    rows = np.empty((len(lines), dim), dtype=np.float64)
-    for i, line in enumerate(lines):
-        parts = line.rstrip("\n").removesuffix("\r").split(" ")
-        if len(parts) > 1 and parts[-1] == "":  # tolerate trailing space
-            parts.pop()
-        if len(parts) - 1 != dim:
+    rows = np.empty((len(tails), dim), dtype=np.float64)
+    for i, tail in enumerate(tails):
+        parts = [] if tail is None else tail.split(" ")
+        if len(parts) != dim:
             raise VectorLoadError(
-                f"line {first_line_no + i}: expected {dim} components, got {len(parts) - 1}"
+                f"line {first_line_no + i}: expected {dim} components, got {len(parts)}"
             )
         try:
-            rows[i] = np.array(parts[1:], dtype=np.float64)
+            rows[i] = np.array(parts, dtype=np.float64)
         except ValueError:
             raise VectorLoadError(
                 f"line {first_line_no + i}: non-numeric vector component"
@@ -214,36 +207,29 @@ def _parse_rows(lines: list[str], first_line_no: int, dim: int) -> np.ndarray:
     return rows
 
 
-def empty_table(dim: int) -> EmbeddingTable:
-    return EmbeddingTable(
-        Vocabulary([], specials=False),
-        np.zeros((0, dim), dtype=np.float64),
-        stat_sum=np.zeros(dim, dtype=np.float64),
-        stat_count=0,
-    )
+def merge_tables(*tables: EmbeddingTable) -> EmbeddingTable:
+    """Concatenate one or more loaded tables, the earliest first, into the
+    shared bilingual vocabulary (English, then Spanish).
 
-
-def merge_tables(eng: EmbeddingTable, spa: EmbeddingTable) -> EmbeddingTable:
-    """Concatenate two loaded tables into the shared bilingual vocabulary.
-
-    English entries come first and win on collision; PAD/UNK/USR/URL rows
-    are prepended and replace any row of that name in either table.  PAD
-    starts at zero, the other three at the mean of all loaded vectors (a
+    An earlier table's entry wins on collision; PAD/UNK/USR/URL rows are
+    prepended and replace any row of that name in any table.  PAD starts
+    at zero, the other three at the mean of all loaded vectors (a
     documented choice, as ordinary words' rows would not fit those roles).
     """
-    if eng.dim != spa.dim:
-        raise ValueError(f"dimension mismatch: {eng.dim} vs {spa.dim}")
-    picks = []  # (table, the rows it keeps), English first
+    dims = [table.dim for table in tables]
+    if len(set(dims)) > 1:
+        raise ValueError("dimension mismatch: " + " vs ".join(map(str, dims)))
+    picks = []  # (table, the rows it keeps), earliest first
     taken = set(SPECIAL_TOKENS)
-    for table in (eng, spa):
+    for table in tables:
         picks.append((table, [i for i, w in enumerate(table.vocabulary.tokens) if w not in taken]))
         taken.update(table.vocabulary.tokens)
     words = [table.vocabulary.tokens[i] for table, rows in picks for i in rows]
-    stat_sum = eng.stat_sum + spa.stat_sum
-    stat_count = eng.stat_count + spa.stat_count
+    stat_sum = sum(table.stat_sum for table in tables)  # left to right
+    stat_count = sum(table.stat_count for table in tables)
 
     start = len(SPECIAL_TOKENS)
-    vectors = np.zeros((start + len(words), eng.dim), dtype=np.float64)
+    vectors = np.zeros((start + len(words), dims[0]), dtype=np.float64)
     if stat_count:
         vectors[1:start] = stat_sum / stat_count
     for table, rows in picks:

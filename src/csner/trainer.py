@@ -197,6 +197,7 @@ def train_epoch(
             ad.adam_step(model.params, grads, adam, lr)
         except ad.NonFiniteGradient as exc:
             raise TrainingError(str(exc)) from exc
+        del pullback, grads  # the next batch's forward must not hold this one's state
         total_loss += value * batch.n_tokens
         total_tokens += batch.n_tokens
     return total_loss / total_tokens

@@ -206,29 +206,29 @@ def batch_loss(arrays, gold_flat, tables, params, rng=None, dropout_rate=0.4) ->
     return cross_entropy(logits, gold_flat, arrays.mask.reshape(-1))
 
 
-def finite_diff_check(loss_and_grads, params: dict, h: float = 1e-4,
+def finite_diff_check(loss, grads: dict, params: dict, h: float = 1e-4,
                       floor: float = 1e-3) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between the analytic gradients ``grads`` and the
+    central differences of ``loss``.
 
-    ``loss_and_grads()`` must be deterministic and return the loss and a
-    name -> gradient dict for the arrays of ``params``, which this
-    perturbs in place one entry at a time.  The relative error
-    denominator is floored at ``floor`` so near-zero gradients are
-    compared absolutely.  Run in float64.
+    ``loss()`` must be deterministic and return the loss of the arrays of
+    ``params``, which this perturbs in place one entry at a time; it need
+    not run backward, as ``grads`` (name -> gradient) was taken once
+    before.  The relative error denominator is floored at ``floor`` so
+    near-zero gradients are compared absolutely.  Run in float64.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    analytic = {name: g.copy() for name, g in loss_and_grads()[1].items()}
     worst = 0.0
     for name, p in params.items():
         flat = p.reshape(-1)
-        ana = analytic[name].reshape(-1)
+        ana = grads[name].reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + h
-            up = float(loss_and_grads()[0])
+            up = float(loss())
             flat[i] = saved - h
-            down = float(loss_and_grads()[0])
+            down = float(loss())
             flat[i] = saved
             numeric = (up - down) / (2.0 * h)
             err = abs(ana[i] - numeric) / max(abs(ana[i]), abs(numeric), floor)

@@ -230,6 +230,22 @@ class TestErrors:
         assert main(["stats", str(corpus)]) == 1
         assert capsys.readouterr().err == "error: line 41: not valid UTF-8\n"
 
+    def test_corpus_error_before_a_later_non_utf8_line(self, tmp_path, capsys):
+        corpus = tmp_path / "c.conll"
+        corpus.write_bytes(b"Ana\tB-PER\n\tO\nva\tO\nJos\xe9\tB-PER\n\n")
+        assert main(["stats", str(corpus)]) == 1
+        assert capsys.readouterr().err == "error: line 2: empty token\n"
+
+    def test_config_error_before_a_later_non_utf8_line(self, tmp_path, capsys, monkeypatch):
+        reads = record_reads(monkeypatch)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"bogus = 1\nout = caf\xe9.conll\n")
+        corpus = tmp_path / "in.conll"
+        corpus.write_text("mira\n\n")
+        assert main(["predict", str(corpus), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'bogus'\n"
+        assert reads == []
+
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         reads = record_reads(monkeypatch)
         cfg = tmp_path / "bad.cfg"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csner.cli import ConfigError, parse_config_file
 from csner.corpus_io import (
     TAG_INDEX,
     TAGS,
@@ -12,7 +13,6 @@ from csner.corpus_io import (
     Tag,
     TaggedSentence,
     dataset_stats,
-    non_utf8_line,
     parse_conll,
     read_conll,
     tag_from_string,
@@ -110,10 +110,21 @@ class TestParse:
         with pytest.raises(ParseError, match="^line 41: not valid UTF-8$"):
             read_conll(path)
 
-    def test_non_utf8_line_counts_lines_as_text_mode_does(self, tmp_path):
+    @pytest.mark.parametrize("read", [read_conll, parse_config_file])
+    def test_non_utf8_line_counts_lines_as_text_mode_does(self, tmp_path, read):
+        # a lone CR and a CRLF each end a line; '#' starts a token in a
+        # corpus and a comment in a config, so both readers take lines 1-3
         path = tmp_path / "f"
-        path.write_bytes(b"a\rb\r\nc\n\xe9\n")
-        assert non_utf8_line(path) == 4
+        path.write_bytes(b"#a\r#b\r\n#c\n\xe9\n")
+        with pytest.raises((ParseError, ConfigError)) as err:
+            read(path)
+        assert str(err.value) in ("line 4: not valid UTF-8", f"{path}:4: not valid UTF-8")
+
+    def test_parse_error_before_a_later_non_utf8_line(self, tmp_path):
+        path = tmp_path / "bad.conll"
+        path.write_bytes(b"a\tO\n\tO\nb\tO\ncaf\xe9\tO\n")
+        with pytest.raises(ParseError, match="^line 2: empty token$"):
+            read_conll(path)
 
 
 class TestWrite:

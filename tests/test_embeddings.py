@@ -17,7 +17,6 @@ from csner.embeddings import (
     build_char_vocab,
     candidate_forms,
     corpus_candidate_forms,
-    empty_table,
     load_vec,
     merge_tables,
 )
@@ -223,6 +222,7 @@ class TestBlocks:
         ("bad x" + " 0" * 7, "non-numeric vector component"),
         ("bad 1 0", "expected 8 components, got 2"),
         ("", "expected 8 components, got 0"),
+        ("bad  ", "expected 8 components, got 1"),  # one trailing space ends a row, not two
         ("bad inf" + " 0" * 7, "non-finite vector component"),
     ])
     def test_bad_row_in_third_block_reports_its_line(self, vec_file, rows, bad, message):
@@ -290,13 +290,30 @@ class TestMerge:
         b_row = merged.vectors[merged.vocabulary.index("b")]
         assert np.array_equal(b_row, [2, 2])  # the English vector, bit for bit
 
-    def test_merge_with_empty(self, eng):
-        merged = merge_tables(eng, empty_table(2))
+    def test_merge_with_empty(self, eng, vec_file):
+        merged = merge_tables(eng, load_vec(vec_file("0 2\n")))
         assert merged.vocabulary.tokens == list(SPECIAL_TOKENS) + ["a", "b"]
 
-    def test_dimension_mismatch(self, eng):
-        with pytest.raises(ValueError):
-            merge_tables(eng, empty_table(5))
+    def test_one_table_merges_alone(self, eng, vec_file):
+        merged = merge_tables(eng)
+        assert_same_table(merged, merge_tables(eng, load_vec(vec_file("0 2\n"))))
+        assert merged.stat_sum.tobytes() == eng.stat_sum.tobytes()
+        assert merged.stat_sum is not eng.stat_sum
+
+    def test_earlier_tables_win(self, eng, spa, vec_file):
+        third = load_vec(vec_file("2 2\nd 4 4\na 8 8\n"))
+        merged = merge_tables(eng, spa, third)
+        assert merged.vocabulary.tokens == list(SPECIAL_TOKENS) + ["a", "b", "c", "d"]
+        assert np.array_equal(merged.vectors[4:], [[1, 1], [2, 2], [3, 3], [4, 4]])
+        assert merged.stat_sum.tobytes() == (eng.stat_sum + spa.stat_sum + third.stat_sum).tobytes()
+        assert merged.stat_count == 6
+
+    def test_dimension_mismatch(self, eng, spa, vec_file):
+        wide = load_vec(vec_file("1 5\nz 1 2 3 4 5\n"))
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 5$"):
+            merge_tables(eng, wide)
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 2 vs 5$"):
+            merge_tables(eng, spa, wide)
 
     def test_special_rows(self, eng, spa):
         merged = merge_tables(eng, spa)
@@ -368,11 +385,8 @@ class TestPruning:
         corpus = parse_conll("HOLAAA\tO\n@ana\tO\nBarcelona\tO\nzzz\tO\n\n")
         words = ["hola", "Barcelona", "adios", "otro", "mas"]
         text = f"{len(words)} 2\n" + "".join(f"{w} 1 2\n" for w in words)
-        full = merge_tables(load_vec(vec_file(text)), empty_table(2))
-        pruned = merge_tables(
-            load_vec(vec_file(text), keep=corpus_candidate_forms(corpus)),
-            empty_table(2),
-        )
+        full = merge_tables(load_vec(vec_file(text)))
+        pruned = merge_tables(load_vec(vec_file(text), keep=corpus_candidate_forms(corpus)))
         out_full = preprocess_dataset(corpus, full.vocabulary)
         out_pruned = preprocess_dataset(corpus, pruned.vocabulary)
         assert [s.tokens for s in out_full] == [s.tokens for s in out_pruned]

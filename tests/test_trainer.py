@@ -9,7 +9,7 @@ import pytest
 import csner.trainer as trainer_mod
 from csner import autodiff as ad
 from csner.corpus_io import O, Dataset, TaggedSentence
-from csner.embeddings import build_char_vocab, empty_table, merge_tables
+from csner.embeddings import build_char_vocab, load_vec, merge_tables
 from csner.model import BatchArrays, batch_loss, param_shapes
 from csner.trainer import (
     Checkpoint,
@@ -281,15 +281,22 @@ class TestNewModel:
         assert model.tables.words.vectors.dtype == np.float32
         assert np.array_equal(model.tables.words.vectors, vectors.astype(np.float32))
 
-    def test_table_without_reserved_rows_rejected(self, overfit_corpus):
+    @staticmethod
+    def wordless_table(cfg, tmp_path):
+        """A loaded ``.vec`` table with no rows, as a header-only file gives."""
+        path = tmp_path / "empty.vec"
+        path.write_text(f"0 {cfg.word_dim}\n")
+        return load_vec(path)
+
+    def test_table_without_reserved_rows_rejected(self, overfit_corpus, tmp_path):
         cfg = quick_cfg()
         with pytest.raises(ValueError, match="does not start with PAD/UNK/USR/URL"):
-            new_model(cfg, empty_table(cfg.word_dim), build_char_vocab(overfit_corpus),
+            new_model(cfg, self.wordless_table(cfg, tmp_path), build_char_vocab(overfit_corpus),
                       np.random.default_rng(0))
 
     def test_merged_table_builds_and_round_trips(self, overfit_corpus, tmp_path):
         cfg = quick_cfg()
-        table = merge_tables(empty_table(cfg.word_dim), empty_table(cfg.word_dim))
+        table = merge_tables(self.wordless_table(cfg, tmp_path))
         model = new_model(cfg, table, build_char_vocab(overfit_corpus),
                           np.random.default_rng(0))
         assert model.params["word_specials"].shape == (4, cfg.word_dim)
@@ -618,3 +625,19 @@ class TestModelMemory:
 
         step()
         assert traced_peak(step) < 2.6 * history
+
+    def test_training_epoch_holds_one_batch_at_a_time(self, paper_batch):
+        # releasing each batch's pullback and gradients after its Adam
+        # step, two batches peaked at 1.00 times one; with both still bound
+        # through the next batch's forward, at 1.17.  A first step makes
+        # Adam's moments, so both sides hold them; lr 0 leaves the shared
+        # model's values as they are
+        model, _, batch, _, _ = paper_batch
+        adam = ad.AdamState()
+        ad.adam_step(model.params, {k: np.zeros_like(v) for k, v in model.params.items()}, adam, 0.0)
+
+        def epoch(batches):
+            return lambda: train_epoch(model, batches, 0.0, np.random.default_rng(0), adam)
+
+        one = traced_peak(epoch([batch]))
+        assert traced_peak(epoch([batch, batch])) < 1.03 * one
