@@ -7,10 +7,18 @@ array dict; ``backward`` seeds the loss's pullback with 1 and returns
 that dict, and ``adam_step`` applies it.  Values are numpy arrays of
 whatever float dtype the caller builds them with (float64 in tests,
 float32 in production training).
+
+Training runs independent halves of its work, such as the two
+directions of a BiLSTM, at once through ``both``: the second half on
+one worker thread while the first runs on the caller's.  numpy releases
+the GIL inside GEMMs and large ufuncs, so the halves overlap on a second
+CPU.  Every array op keeps its shape and operands, so the bits are those
+of running the halves one after the other.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +28,45 @@ class NonFiniteGradient(FloatingPointError):
     """A NaN or infinity reached the optimizer."""
 
 
+_pool = None  # (pid, that process's one-worker ThreadPoolExecutor)
+
+
+def _executor():
+    """This process's one-worker pool, made on first use; a forked child
+    makes its own, as it has no copy of its parent's thread.  The import
+    is here so that a process that only tags never loads it."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="csner"))
+    return _pool[1]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def both(first, second):
+    """``(first(), second())``.  Where this process may use two CPUs or
+    more, ``second`` runs on the worker thread while ``first`` runs on
+    this one, so neither may write what the other reads.  An exception
+    in either propagates once both have stopped, ``first``'s if both
+    raise.  On one usable CPU the two run here, one after the other,
+    which is faster there."""
+    if _usable_cpus() < 2:
+        return first(), second()
+    future = _executor().submit(second)
+    try:
+        result = first()
+    except BaseException:
+        future.exception()  # waits for second to stop; first's exception wins
+        raise
+    return result, future.result()
+
+
 def backward(loss: np.ndarray, pullback) -> dict[str, np.ndarray]:
     """The gradient of ``loss`` for every parameter its pullback reaches."""
     grads: dict[str, np.ndarray] = {}
@@ -27,17 +74,28 @@ def backward(loss: np.ndarray, pullback) -> dict[str, np.ndarray]:
     return grads
 
 
-def segment_sum(g: np.ndarray, indices: np.ndarray, n_rows: int) -> np.ndarray:
+def gather_pullback(indices: np.ndarray, n_rows: int):
     """The backward of the row gather ``table[indices]`` from a table of
-    ``n_rows`` rows: each row's gradients summed as one segment of the
-    stably sorted ``indices`` (1-D, non-negative)."""
-    out = np.zeros((n_rows, g.shape[1]), dtype=g.dtype)
-    if indices.size:
-        order = np.argsort(indices, kind="stable")
-        ids = indices[order]
-        starts = np.flatnonzero(np.diff(ids, prepend=-1))
-        out[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
-    return out
+    ``n_rows`` rows, as a function of the gathered rows' gradient: each
+    table row's gradients summed as one segment of the stably sorted
+    ``indices`` (1-D, non-negative).  The sort is done once, here, for
+    every gradient the function is given."""
+    order = np.argsort(indices, kind="stable")
+    ids = indices[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+
+    def pullback(g: np.ndarray) -> np.ndarray:
+        out = np.zeros((n_rows, g.shape[1]), dtype=g.dtype)
+        if indices.size:
+            # four blocks of columns, so that the sorted copy is a quarter
+            # of g; a column's sums do not depend on its neighbours
+            width = -(-g.shape[1] // 4)
+            for cols in range(0, g.shape[1], width):
+                block = slice(cols, cols + width)
+                out[ids[starts], block] = np.add.reduceat(g[order, block], starts, axis=0)
+        return out
+
+    return pullback
 
 
 def masked_cross_entropy_logits(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
@@ -86,8 +144,68 @@ def _activate_gates(z, n: int) -> None:
         block *= 0.5
 
 
+def _backprop_steps(dz_all, g_out, wh, live, offsets, order, batch: int, final: bool) -> None:
+    """The step loop of ``lstm_seq``'s pullback, in place: the gate history
+    ``dz_all`` becomes the gradients of the gates' pre-activations.  A
+    function of its own, so that its buffers, every live row's cell state
+    among them, are freed before the pullback gathers the previous h."""
+    n = wh.shape[0]
+    # each step's incoming cell state, by forward's own in-place ops
+    cells = np.empty((len(dz_all), n), dtype=dz_all.dtype)
+    c = np.zeros((batch, n), dtype=dz_all.dtype)
+    for t in order:
+        k = live[t]
+        z = dz_all[offsets[t] : offsets[t] + k]
+        cells[offsets[t] : offsets[t] + k] = c[:k]
+        c[:k] *= z[:, n : 2 * n]
+        c[:k] += z[:, :n] * z[:, 2 * n : 3 * n]
+    dh, dc = np.zeros((2, batch, n), dtype=dz_all.dtype)
+    if final:  # the last step runs first here
+        dh += g_out
+    # every step's temporaries, one row per sequence, made once
+    scratch = np.empty((4, batch, n), dtype=dz_all.dtype)
+    for t in reversed(order):
+        k = live[t]
+        # the step's activated gates, replaced below by the gradients
+        # of their pre-activations
+        dz = dz_all[offsets[t] : offsets[t] + k]
+        i, f, g, o = (dz[:, j * n : (j + 1) * n] for j in range(4))
+        c_prev = cells[offsets[t] : offsets[t] + k]
+        tc, tmp, dc_new, i_dc = scratch[:, :k]
+        np.multiply(c_prev, f, out=tc)  # the step's new cell, as forward computed it
+        np.multiply(i, g, out=tmp)
+        tc += tmp
+        np.tanh(tc, out=tc)
+        if not final:
+            dh += g_out[t * batch : (t + 1) * batch]
+        dh_live, dc_live = dh[:k], dc[:k]
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= o
+        tmp *= dh_live
+        np.add(dc_live, tmp, out=dc_new)
+        np.multiply(dc_new, f, out=dc_live)
+        np.multiply(i, dc_new, out=i_dc)
+        np.subtract(1.0, i, out=tmp)  # i: i(1-i) * g * dc'
+        tmp *= g
+        tmp *= dc_new
+        i *= tmp
+        np.subtract(1.0, f, out=tmp)  # f: f(1-f) * c * dc'
+        tmp *= c_prev
+        tmp *= dc_new
+        f *= tmp
+        g *= g  # g: (1-g^2) * i * dc'
+        np.subtract(1.0, g, out=g)
+        g *= i_dc
+        np.subtract(1.0, o, out=tmp)  # o: o(1-o) * tanh(c') * dh'
+        tmp *= tc
+        tmp *= dh_live
+        o *= tmp
+        np.matmul(dz, wh.T, out=dh_live)
+
+
 def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, n_steps: int,
-             reverse: bool = False):
+             reverse: bool = False, final: bool = False):
     """One LSTM direction over B sequences in ``n_steps`` (T) steps.
 
     ``lengths`` holds the sequences' lengths, longest first and at most T,
@@ -99,7 +217,10 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, n_steps: in
     (last to first when ``reverse``) through the gated update
     c' = f*c + i*g, h' = o*tanh(c') for the live rows only; the others
     carry h and c through.  Returns the carried h of every step, flat
-    time-major (T*B, hidden), and its pullback.
+    time-major (T*B, hidden), and its pullback.  With ``final`` it returns
+    only each sequence's h after the direction's last step, (B, hidden),
+    and the pullback takes the gradient of that alone; forward then keeps
+    just the live rows' states, packed like ``xw``, for the pullback.
 
     The op consumes ``xw``, a buffer nothing else may read afterwards:
     it adds h @ wh and b into it, so it becomes the gate history.  The
@@ -119,7 +240,13 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, n_steps: in
                          f"expected (sum(lengths), {4 * n}), T >= lengths[0] >= lengths[1] >= ...")
     live = counts.tolist()
     offsets = (np.cumsum(counts) - counts).tolist()
-    out = np.empty((n_steps * batch, n), dtype=xw.dtype)
+    if final:
+        # the live rows' states, and last a zero row: the h = 0 that a
+        # row reads before its first step
+        states = np.empty((len(xw) + 1, n), dtype=xw.dtype)
+        states[-1] = 0.0
+    else:
+        states = np.empty((n_steps * batch, n), dtype=xw.dtype)
     h, c = np.zeros((2, batch, n), dtype=xw.dtype)
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     for t in order:
@@ -133,7 +260,10 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, n_steps: in
         c_live += z[:, :n] * z[:, 2 * n : 3 * n]
         np.tanh(c_live, out=h[:k])
         h[:k] *= z[:, 3 * n :]
-        out[t * batch : (t + 1) * batch] = h
+        if final:
+            states[offsets[t] : offsets[t] + k] = h[:k]
+        else:
+            states[t * batch : (t + 1) * batch] = h
     history = xw
 
     def pullback(g_out):
@@ -141,61 +271,21 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, n_steps: in
         if history is None:
             raise RuntimeError("lstm_seq backward already ran for this forward")
         dz_all, history = history, None
-        # each step's incoming cell state, by forward's own in-place ops
-        cells = np.empty((len(dz_all), n), dtype=dz_all.dtype)
-        c = np.zeros((batch, n), dtype=dz_all.dtype)
-        for t in order:
-            k = live[t]
-            z = dz_all[offsets[t] : offsets[t] + k]
-            cells[offsets[t] : offsets[t] + k] = c[:k]
-            c[:k] *= z[:, n : 2 * n]
-            c[:k] += z[:, :n] * z[:, 2 * n : 3 * n]
-        dh, dc = np.zeros((2, batch, n), dtype=dz_all.dtype)
-        for t in reversed(order):
-            k = live[t]
-            start = t * batch
-            # the step's activated gates, replaced below by the gradients
-            # of their pre-activations
-            dz = dz_all[offsets[t] : offsets[t] + k]
-            i, f, g, o = (dz[:, j * n : (j + 1) * n] for j in range(4))
-            c_prev = cells[offsets[t] : offsets[t] + k]
-            tc = c_prev * f  # the step's new cell, as forward computed it
-            tc += i * g
-            np.tanh(tc, out=tc)
-            dh += g_out[start : start + batch]
-            dh_live, dc_live = dh[:k], dc[:k]
-            tmp = tc * tc
-            np.subtract(1.0, tmp, out=tmp)
-            tmp *= o
-            tmp *= dh_live
-            dc_new = dc_live + tmp
-            np.multiply(dc_new, f, out=dc_live)
-            i_dc = i * dc_new
-            tmp = 1.0 - i  # i: i(1-i) * g * dc'
-            tmp *= g
-            tmp *= dc_new
-            i *= tmp
-            tmp = 1.0 - f  # f: f(1-f) * c * dc'
-            tmp *= c_prev
-            tmp *= dc_new
-            f *= tmp
-            g *= g  # g: (1-g^2) * i * dc'
-            np.subtract(1.0, g, out=g)
-            g *= i_dc
-            tmp = 1.0 - o  # o: o(1-o) * tanh(c') * dh'
-            tmp *= tc
-            tmp *= dh_live
-            o *= tmp
-            np.matmul(dz, wh.T, out=dh_live)
-        # a step's previous h is the neighbouring step's block of ``out``;
-        # the direction's first step starts from h = 0 and is left out
-        rows = np.flatnonzero(alive)  # each history row's row of ``out``
+        _backprop_steps(dz_all, g_out, wh, live, offsets, order, batch, final)
+        # a step's previous h is the neighbouring step's block of the
+        # padded states; the direction's first step starts from h = 0 and
+        # is left out
+        rows = np.flatnonzero(alive)  # each history row's padded row
         first = live[order[0]] if live else 0
         later = slice(0, len(rows) - first) if reverse else slice(first, len(rows))
         prev_rows = rows[later] + (batch if reverse else -batch)
-        return dz_all, out[prev_rows].T @ dz_all[later], dz_all.sum(axis=0)
+        if final:  # each padded row's packed row, the zero row if not live
+            packed = np.full(n_steps * batch, len(rows))
+            packed[rows] = np.arange(len(rows))
+            prev_rows = packed[prev_rows]
+        return dz_all, states[prev_rows].T @ dz_all[later], dz_all.sum(axis=0)
 
-    return out, pullback
+    return (h if final else states), pullback
 
 
 # ---------------------------------------------------------------------------
@@ -214,29 +304,50 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
+def _halves(params: dict[str, np.ndarray]) -> tuple[list[str], list[str]]:
+    """The names of ``params`` in two lists of about equal total size:
+    each tensor, largest first, joins the smaller list."""
+    halves: tuple[list[str], list[str]] = ([], [])
+    sizes = [0, 0]
+    for name in sorted(params, key=lambda name: -params[name].size):
+        half = int(sizes[1] < sizes[0])
+        halves[half].append(name)
+        sizes[half] += params[name].size
+    return halves
+
+
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One Adam update of every parameter by its gradient in ``grads``,
     with bias correction, in place.  Raises NonFiniteGradient before
-    touching anything if any gradient is NaN or infinite."""
-    for name in params:
-        if not np.isfinite(grads[name]).all():
-            raise NonFiniteGradient(f"non-finite gradient in {name}")
+    touching anything if any gradient is NaN or infinite.  The two
+    ``_halves`` of the tensors run through ``both``."""
+    halves = _halves(params)
+
+    def check(names):
+        for name in names:
+            if not np.isfinite(grads[name]).all():
+                raise NonFiniteGradient(f"non-finite gradient in {name}")
+
+    both(lambda: check(halves[0]), lambda: check(halves[1]))
     state.step += 1
     t = state.step
     correction1 = 1.0 - ADAM_BETA1**t
     correction2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+    def update(names):
+        for name in names:
+            p, g, m, v = params[name], grads[name], state.m[name], state.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / correction1
+            v_hat = v / correction2
+            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+    both(lambda: update(halves[0]), lambda: update(halves[1]))

@@ -144,50 +144,49 @@ def _run_bilstm(x, rows, lengths, n_steps: int, params: dict[str, np.ndarray], l
     over B sequences of the given ``lengths``, longest first, in ``n_steps``
     steps.  A direction's packed live-row projections (``autodiff.lstm_seq``)
     are the ``rows`` of x @ wx, all of them when ``rows`` is None, made just
-    before it runs so that one is alive at a time.
+    before it runs.
 
     Returns the directions' states side by side: (T*B, 2*hidden), or with
     ``final`` only each direction's last step, (B, 2*hidden).  When
-    ``keep``, also their pullback, which returns x's gradient; otherwise
-    None, and nothing of the backward stays alive."""
+    ``keep`` (training), the directions run at once (``autodiff.both``)
+    and so do their backward passes, and the pullback that returns x's
+    gradient comes too; otherwise they run one after the other, so that
+    one projection is alive at a time, with None for the pullback and
+    nothing of the backward kept."""
     n = params[f"{layer}_fwd.wh"].shape[0]
-    batch = len(lengths)
+    # both directions gather the same rows: their backward's order, once
+    gather_back = ad.gather_pullback(rows, len(x)) if keep and rows is not None else None
 
     def direction(d):
         name, reverse = f"{layer}_{d}", d == "bwd"
         wx = params[f"{name}.wx"]
-        out, lstm_back = ad.lstm_seq(x @ wx if rows is None else (x @ wx)[rows], lengths,
-                                     params[f"{name}.wh"], params[f"{name}.b"], n_steps, reverse)
-        # forward's last step is step T-1, backward's is step 0
-        last = slice(0, batch) if reverse else slice((n_steps - 1) * batch, n_steps * batch)
-        h = out[last].copy() if final else out
+        h, lstm_back = ad.lstm_seq(x @ wx if rows is None else (x @ wx)[rows], lengths,
+                                   params[f"{name}.wh"], params[f"{name}.b"], n_steps, reverse,
+                                   final)
         if not keep:
             return h, None
 
         def pullback(g, grads):
-            if final:
-                g_out = np.zeros_like(out)
-                g_out[last] = g
-                g = g_out
             d_xw, grads[f"{name}.wh"], grads[f"{name}.b"] = lstm_back(g)
-            if rows is not None:
-                d_xw = ad.segment_sum(d_xw, rows, len(x))
+            if gather_back is not None:
+                d_xw = gather_back(d_xw)
             grads[f"{name}.wx"] = x.T @ d_xw
             return d_xw @ wx.T
 
         return h, pullback
 
-    (h_fwd, fwd_back), (h_bwd, bwd_back) = direction("fwd"), direction("bwd")
-    h = np.concatenate([h_fwd, h_bwd], axis=1)
     if not keep:
-        return h, None
+        return np.concatenate([direction("fwd")[0], direction("bwd")[0]], axis=1), None
+    (h_fwd, fwd_back), (h_bwd, bwd_back) = ad.both(lambda: direction("fwd"),
+                                                   lambda: direction("bwd"))
 
     def pullback(g, grads):
-        dx = fwd_back(g[:, :n], grads)
-        dx += bwd_back(g[:, n:], grads)
+        dx, dx_bwd = ad.both(lambda: fwd_back(g[:, :n], grads),
+                             lambda: bwd_back(g[:, n:], grads))
+        dx += dx_bwd
         return dx
 
-    return h, pullback
+    return np.concatenate([h_fwd, h_bwd], axis=1), pullback
 
 
 def _encode_chars(params: dict[str, np.ndarray], char_idx, char_lengths, keep: bool = False):
@@ -242,14 +241,15 @@ def encode_batch(
     def pullback(g, grads):
         if c_mask is not None:
             g = g * c_mask
-        du = ad.segment_sum(word_back(g, grads), live, arrays.spelling_idx.size)
+        d_live = word_back(g, grads)
+        du = np.zeros((arrays.spelling_idx.size, d_live.shape[1]), dtype=d_live.dtype)
+        du[live] = d_live  # each slot is live at most once: a scatter, not a sum
         if u_mask is not None:
             du *= u_mask
         word_dim = params["word_specials"].shape[1]
         grads["word_specials"] = onehot.T @ du[:, :word_dim]
-        d_spellings = ad.segment_sum(du[:, word_dim:], arrays.spelling_idx,
-                                     len(arrays.char_lengths))
-        grads["char_embed"] = char_back(d_spellings, grads)
+        spellings_back = ad.gather_pullback(arrays.spelling_idx, len(arrays.char_lengths))
+        grads["char_embed"] = char_back(spellings_back(du[:, word_dim:]), grads)
 
     return c, pullback
 
@@ -285,8 +285,16 @@ def batch_loss(
 
 
 def predict_batch(arrays: BatchArrays, tables: Tables,
-                  params: dict[str, np.ndarray]) -> list[list[int]]:
-    """Per-sentence argmax tag ids; ties resolve to the lowest tag index."""
-    logits, _ = batch_logits(encode_batch(arrays, tables, params)[0], params)
-    ids = logits.argmax(axis=-1).reshape(arrays.max_len, arrays.batch_size)
-    return [list(ids[: n, j]) for j, n in enumerate(arrays.lengths)]
+                  params: dict[str, np.ndarray]) -> list[list[int] | None]:
+    """Per-sentence argmax tag ids; ties resolve to the lowest tag index.
+    A sentence whose tag scores are not all finite, because weights that
+    are finite but huge overflow the forward pass, gets None instead:
+    numpy's overflow warnings are off for the pass, and this check
+    replaces them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = batch_logits(encode_batch(arrays, tables, params)[0], params)
+    shape = (arrays.max_len, arrays.batch_size)
+    ids = logits.argmax(axis=-1).reshape(shape)
+    finite = np.isfinite(logits).all(axis=-1).reshape(shape)
+    return [list(ids[:n, j]) if finite[:n, j].all() else None
+            for j, n in enumerate(arrays.lengths)]

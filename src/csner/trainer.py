@@ -210,14 +210,19 @@ def predict_dataset(
     surfaces: Dataset | None = None,
     post: bool = True,
 ) -> list[list]:
-    """Predicted tag sequences in corpus order."""
+    """Predicted tag sequences in corpus order.  Raises ValueError naming
+    the first sentence whose tag scores are not finite."""
     dtype = model.params["proj_w"].dtype
     batches = make_batches(dataset, batch_size, model.tables, dtype, surfaces)
     results: list[list | None] = [None] * len(dataset)
     for batch in batches:
         for position, ids in zip(batch.order, predict_batch(batch.arrays, model.tables, model.params)):
-            tags = [TAGS[i] for i in ids]
-            results[position] = postprocess_sentence(tags) if post else tags
+            if ids is not None:
+                tags = [TAGS[i] for i in ids]
+                results[position] = postprocess_sentence(tags) if post else tags
+    if None in results:
+        raise ValueError(f"sentence {results.index(None) + 1}: the model's tag scores are not "
+                         "finite (its weights overflow)")
     return results
 
 

@@ -2,6 +2,8 @@ import ast
 import itertools
 import math
 import pathlib
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -139,7 +141,7 @@ class TestPrimitives:
         rng = np.random.default_rng(12)
         idx = rng.permutation(np.repeat([5, 3, 2, 6], [40, 3, 1, 1]))
         g = rng.normal(size=(45, 4)).astype(np.float32)
-        got = ad.segment_sum(g, idx, 7)
+        got = ad.gather_pullback(idx, 7)(g)
         want = np.zeros((7, 4), dtype=np.float32)
         np.add.at(want, idx, g)
         assert got.dtype == np.float32
@@ -147,7 +149,7 @@ class TestPrimitives:
         assert not got[[0, 1, 4]].any()
         single = [2, 6]
         assert got[single].tobytes() == want[single].tobytes()
-        assert not ad.segment_sum(g[:0], idx[:0], 3).any()
+        assert not ad.gather_pullback(idx[:0], 3)(g[:0]).any()
 
     def test_shared_subexpression_accumulates(self):
         x = ref.param(np.array([2.0]))
@@ -237,6 +239,52 @@ class TestLstm:
             pullback(w)
             untaped, _ = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], 4, reverse=reverse)
             assert taped.tobytes() == untaped.tobytes()
+
+    # rows 3 and 2 die after step 0 and row 1 after step 2, and step 5
+    # has no live row: read in reverse, rows join at steps 4, 2 and 0
+    FINAL_LENGTHS, FINAL_STEPS = [5, 3, 3, 1], 6
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_final_form_matches_padded_form(self, reverse, dtype):
+        # ``final`` keeps the live rows' states packed and takes the last
+        # step's gradient alone: the same bits as the padded output's last
+        # step and a zero-padded gradient of every step
+        p, x, lengths, _ = self.padded_case(9, self.FINAL_LENGTHS, self.FINAL_STEPS)
+        p = {k: v.astype(dtype) for k, v in p.items()}
+        t, batch = self.FINAL_STEPS, len(lengths)
+        xw = x[live_rows(t, lengths)].astype(dtype) @ p["wx"]
+        out, padded_back = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], t, reverse)
+        h, final_back = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], t, reverse, final=True)
+        last = slice(0, batch) if reverse else slice((t - 1) * batch, t * batch)
+        assert h.dtype == dtype and h.tobytes() == out[last].tobytes()
+        g = np.random.default_rng(10).normal(size=h.shape).astype(dtype)
+        g_out = np.zeros_like(out)
+        g_out[last] = g
+        for want, got in zip(padded_back(g_out), final_back(g)):
+            assert want.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_final_form_matches_per_step_reference(self, reverse):
+        p, x, lengths, _ = self.padded_case(11, self.FINAL_LENGTHS, self.FINAL_STEPS)
+        t, batch = self.FINAL_STEPS, len(lengths)
+        w = np.random.default_rng(12).normal(size=(batch, 4))
+        live = live_rows(t, lengths)
+        h, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], t, reverse,
+                                  final=True)
+        d_xw, d_wh, d_b = pullback(w)
+        d_x = np.zeros_like(x)
+        d_x[live] = d_xw @ p["wx"].T
+        fused = {"x": d_x, "wx": x[live].T @ d_xw, "wh": d_wh, "b": d_b}
+        leaves = {"x": ref.param(x.copy()), **{k: ref.param(v.copy()) for k, v in p.items()}}
+        out = lstm_reference.lstm_seq(leaves["x"], lengths, leaves["wx"], leaves["wh"],
+                                      leaves["b"], reverse=reverse)
+        start = 0 if reverse else (t - 1) * batch
+        final = ref.slice_axis(out, 0, start, start + batch)
+        assert np.max(np.abs(h - final.data)) < 1e-12
+        _, ref_grads = taped(lambda: ref.sum_all(ref.mul(final, ref.Tensor(w))), leaves)
+        for name in fused:
+            assert np.max(np.abs(fused[name] - ref_grads[name])) < 1e-10, name
 
     def test_taped_history_holds_live_rows_only(self):
         # one 64-step sequence beside 63 one-step ones: 127 of 4,096 rows
@@ -450,6 +498,51 @@ class TestAdam:
             ad.adam_step(params, {"p": np.array([0.5]), "q": np.array([np.nan])}, state, lr=0.1)
         assert params["p"][0] == 1.0 and params["q"][0] == 2.0
         assert state.step == 0 and not state.m
+
+
+    def test_gradient_order_does_not_matter(self):
+        # training's threads fill the gradient dict in either order
+        rng = np.random.default_rng(13)
+        params = {name: rng.normal(size=size) for name, size in (("a", 5), ("b", 9), ("c", 2))}
+        grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        results = []
+        for order in (list(grads), list(reversed(grads))):
+            copies = {name: p.copy() for name, p in params.items()}
+            state = ad.AdamState()
+            for _ in range(2):
+                ad.adam_step(copies, {name: grads[name] for name in order}, state, lr=0.01)
+            results.append({name: p.tobytes() for name, p in copies.items()})
+        assert results[0] == results[1]
+
+
+class TestBoth:
+    def test_runs_second_on_the_worker(self, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        threads = ad.both(threading.get_ident, threading.get_ident)
+        assert threads[0] == threading.get_ident() != threads[1]
+
+    def test_one_usable_cpu_runs_both_here(self, monkeypatch):
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
+        assert ad.both(threading.get_ident, threading.get_ident) == (threading.get_ident(),) * 2
+
+    def test_first_exception_wins_once_both_stopped(self, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        done = []
+
+        def first():
+            raise KeyError("first")
+
+        def second():
+            time.sleep(0.05)
+            done.append(True)
+            raise ValueError("second")
+
+        with pytest.raises(KeyError, match="first"):
+            ad.both(first, second)
+        assert done == [True]
+        with pytest.raises(ValueError, match="second"):
+            ad.both(lambda: None, second)
+        assert ad.both(lambda: 1, lambda: 2) == (1, 2)
 
 
 class TestFiniteDiff:

@@ -199,6 +199,17 @@ class TestErrors:
         code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
         assert (code, capsys.readouterr().err) == (1, "error: vocab word entry 7: not valid UTF-8\n")
 
+    def test_overflowing_checkpoint_fails_cleanly(self, tmp_path, capsys):
+        # finite weights whose tag scores overflow: one error line and exit
+        # 1, not a numpy warning and tags read from infinities
+        corpus = tmp_path / "input.conll"
+        corpus.write_text("hola\nmundo\n@user\n\n", encoding="utf-8")
+        checkpoint = pathlib.Path(__file__).parent / "data" / "checkpoint_overflow.ck"
+        code = main(["predict", str(corpus), "--checkpoint", str(checkpoint)])
+        assert (code, capsys.readouterr()) == (1, (
+            "", "error: sentence 1: the model's tag scores are not finite (its weights overflow)\n"
+        ))
+
     def test_checkpoint_non_finite_tensor_fails_cleanly(self, workdir, capsys):
         tmp_path, config = workdir
         assert main(["train", "--config", str(config)]) == 0

@@ -346,7 +346,9 @@ class TestBackwardState:
         arrays = build_arrays(self.SENTS, tiny_tables, np.float64)
         loss, pullback = batch_loss(arrays, np.zeros(6, dtype=np.int64), tiny_tables,
                                     small_model(tiny_tables), rng=np.random.default_rng(0))
-        assert alive == [0, 1, 2, 3]
+        # the char directions run at once, and may each start before the
+        # other's pullback exists; the word directions start after both
+        assert max(alive[:2]) <= 1 and min(alive[2:]) >= 2
         ad.backward(loss, pullback)
         del pullback
         assert [r() for r in refs] == [None] * 4

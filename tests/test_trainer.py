@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import sys
+import threading
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +156,139 @@ class TestTrainEpoch:
         batches = make_batches(ds, 1, model.tables, cfg.dtype)
         with pytest.raises(TrainingError):
             train_epoch(model, batches, 0.01, np.random.default_rng(0), ad.AdamState())
+
+
+class InlineExecutor:
+    """An executor that runs each call as it is submitted, on the caller's
+    thread: ``autodiff.both`` then runs its second call before its first."""
+
+    def submit(self, fn):
+        future = Future()
+        try:
+            future.set_result(fn())
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestThreadedStep:
+    """Training runs the two directions of each BiLSTM, forward and
+    backward, and the two halves of Adam through ``autodiff.both``: the
+    second on the worker thread.  None of it may change a bit."""
+
+    def two_steps(self, overfit_corpus, float64):
+        """Each gradient and the parameters after two Adam steps, as bytes."""
+        cfg = quick_cfg(hidden=16, char_hidden=12, char_dim=8, batch_size=16, float64=float64)
+        words = {t for s in overfit_corpus for t in s.tokens}
+        model = new_model(cfg, random_table(words, cfg.word_dim), build_char_vocab(overfit_corpus),
+                          np.random.default_rng(cfg.seed))
+        rng, adam, seen = np.random.default_rng(1), ad.AdamState(), []
+        for batch in make_batches(overfit_corpus, cfg.batch_size, model.tables, cfg.dtype):
+            loss, pullback = batch_loss(batch.arrays, batch.gold_flat, model.tables, model.params,
+                                        rng=rng)
+            grads = ad.backward(loss, pullback)
+            assert set(grads) == set(model.params)
+            seen.append((loss.tobytes(), {name: g.tobytes() for name, g in grads.items()}))
+            ad.adam_step(model.params, grads, adam, 0.01)
+        return seen, {name: p.tobytes() for name, p in model.params.items()}
+
+    @pytest.mark.parametrize("float64", [False, True])
+    def test_threads_change_no_bit(self, overfit_corpus, monkeypatch, float64):
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_usable_cpus", lambda: 2)  # the worker, even on one CPU
+            threaded = self.two_steps(overfit_corpus, float64)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_usable_cpus", lambda: 2)
+            m.setattr(ad, "_executor", InlineExecutor)
+            assert self.two_steps(overfit_corpus, float64) == threaded
+        with monkeypatch.context() as m:
+            m.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
+            assert self.two_steps(overfit_corpus, float64) == threaded
+
+    def test_more_training_threads_than_cores(self, overfit_corpus, monkeypatch):
+        # four callers share the one worker, and switch threads often: each
+        # still gets every gradient, and the bits of a run on its own
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        want = self.two_steps(overfit_corpus, False)
+        results = [None] * 4
+
+        def run(i):
+            results[i] = self.two_steps(overfit_corpus, False)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * 4
+
+    def test_worker_exceptions_reach_train_epoch(self, small_setup, monkeypatch):
+        cfg, model, corpus = small_setup
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype)[:2]
+        backward, lstm_seq = ad.backward, ad.lstm_seq
+        worker_half = ad._halves(model.params)[1]
+
+        def poisoned(loss, pullback):
+            grads = backward(loss, pullback)
+            grads[worker_half[0]][...] = np.nan  # checked on the worker only
+            return grads
+
+        def failing(*args, **kwargs):
+            if args[5]:  # the backward direction, on the worker
+                raise FloatingPointError("in the worker")
+            return lstm_seq(*args, **kwargs)
+
+        def epoch():
+            return train_epoch(model, batches, 0.01, np.random.default_rng(0), ad.AdamState())
+
+        before = {k: t.copy() for k, t in model.params.items()}
+        with monkeypatch.context() as m:
+            m.setattr(ad, "backward", poisoned)
+            with pytest.raises(TrainingError, match=f"non-finite gradient in {worker_half[0]}$"):
+                epoch()
+        with monkeypatch.context() as m:
+            m.setattr(ad, "lstm_seq", failing)
+            with pytest.raises(FloatingPointError, match="in the worker"):
+                epoch()
+        for k, t in model.params.items():
+            assert np.array_equal(t, before[k]), k
+        # the pool goes on working
+        assert math.isfinite(epoch())
+        assert any(not np.array_equal(t, before[k]) for k, t in model.params.items())
+
+    def test_worker_calls_no_traced_function(self, small_setup, monkeypatch):
+        # the benchmark's tracer keeps one span stack, so only the calling
+        # thread may enter the functions it wraps
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import tracing
+
+        cfg, model, corpus = small_setup
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype)[:2]
+        span_threads, lstm_threads = set(), set()
+        tracer = tracing.Tracer()
+        span = tracer.span
+        tracer.span = lambda name: (span_threads.add(threading.get_ident()), span(name))[1]
+        lstm_seq = ad.lstm_seq
+
+        def watched(*args, **kwargs):
+            lstm_threads.add(threading.get_ident())
+            return lstm_seq(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "lstm_seq", watched)
+        with tracer.installed():
+            trainer_mod.train_epoch(model, batches, 0.01, np.random.default_rng(0), ad.AdamState())
+        assert span_threads == {threading.get_ident()}
+        assert len(lstm_threads) == 2
+        assert {"autodiff.backward", "autodiff.adam", "model.word_bilstm"} <= {
+            name for name, *_ in tracer.spans}
 
 
 class TestFitStopping:
@@ -468,6 +604,22 @@ class TestCheckpointIO:
         assert [[str(t) for t in sent] for sent in tags] == want
         save_checkpoint(ckpt, tmp_path / "again.ck")
         assert (tmp_path / "again.ck").read_bytes() == path.read_bytes()
+
+    def test_overflowing_scores_located(self, overfit_corpus):
+        """``checkpoint_overflow.ck`` is ``checkpoint_f32.ck`` with every
+        ``proj_w`` value set to 3e38: finite, so it loads, but every tag
+        score overflows.  Prediction names the first sentence whose scores
+        are not finite, in corpus order, instead of warning and tagging
+        from infinities."""
+        model = restore_model(load_checkpoint(DATA / "checkpoint_overflow.ck"))
+        with pytest.raises(ValueError, match=r"^sentence 1: the model's tag scores are not finite"):
+            predict_dataset(model, overfit_corpus, 8)
+        # one word's vector reaches only the sentences that hold it: "Jose"
+        # is in sentences 3 and 23, and 23, longer, sorts into an earlier batch
+        model = restore_model(load_checkpoint(DATA / "checkpoint_f32.ck"))
+        model.tables.words.vectors[model.tables.words.vocabulary.index("Jose")] = np.nan
+        with pytest.raises(ValueError, match=r"^sentence 3: "):
+            predict_dataset(model, overfit_corpus, 8)
 
     @pytest.mark.parametrize("kind, entry", [("word", 5), ("char", 3)])
     def test_non_utf8_vocab_entry_located(self, small_setup, tmp_path, kind, entry):
