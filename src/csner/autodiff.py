@@ -176,9 +176,9 @@ def _backprop_steps(dz_all, g_out, wh, live, offsets, order, batch: int, final: 
         np.multiply(i, g, out=tmp)
         tc += tmp
         np.tanh(tc, out=tc)
-        if not final:
-            dh += g_out[t * batch : (t + 1) * batch]
         dh_live, dc_live = dh[:k], dc[:k]
+        if not final:
+            dh_live += g_out[offsets[t] : offsets[t] + k]
         np.multiply(tc, tc, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         tmp *= o
@@ -204,23 +204,22 @@ def _backprop_steps(dz_all, g_out, wh, live, offsets, order, batch: int, final: 
         np.matmul(dz, wh.T, out=dh_live)
 
 
-def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, n_steps: int,
-             reverse: bool = False, final: bool = False):
-    """One LSTM direction over B sequences in ``n_steps`` (T) steps.
+def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, reverse: bool = False,
+             final: bool = False):
+    """One LSTM direction over B sequences in T = ``lengths[0]`` steps.
 
-    ``lengths`` holds the sequences' lengths, longest first and at most T,
-    so at every step the live rows come first.  ``xw`` holds the input
-    projections x @ wx of the live rows only, packed in step order: step
-    0's live rows, then step 1's, and so on.  ``wh`` (hidden, 4*hidden)
-    and ``b`` (4*hidden,) have their gate columns blocked [input | forget
-    | candidate | output].  From a zero state the steps run in order
-    (last to first when ``reverse``) through the gated update
-    c' = f*c + i*g, h' = o*tanh(c') for the live rows only; the others
-    carry h and c through.  Returns the carried h of every step, flat
-    time-major (T*B, hidden), and its pullback.  With ``final`` it returns
+    ``lengths`` holds the sequences' lengths, longest first, so at every
+    step the live rows come first.  ``xw`` holds the input projections
+    x @ wx of the live rows only, packed in step order: step 0's live
+    rows, then step 1's, and so on.  ``wh`` (hidden, 4*hidden) and ``b``
+    (4*hidden,) have their gate columns blocked [input | forget |
+    candidate | output].  From a zero state the steps run in order (last
+    to first when ``reverse``) through the gated update c' = f*c + i*g,
+    h' = o*tanh(c') for the live rows only.  Returns the live rows' h,
+    packed like ``xw`` (sum(lengths), hidden), and its pullback, which
+    takes their gradient in the same layout.  With ``final`` it returns
     only each sequence's h after the direction's last step, (B, hidden),
-    and the pullback takes the gradient of that alone; forward then keeps
-    just the live rows' states, packed like ``xw``, for the pullback.
+    and the pullback takes the gradient of that alone.
 
     The op consumes ``xw``, a buffer nothing else may read afterwards:
     it adds h @ wh and b into it, so it becomes the gate history.  The
@@ -233,20 +232,18 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, n_steps: in
     lengths = np.asarray(lengths)
     batch = len(lengths)
     n = wh.shape[0]
+    n_steps = int(lengths.max(initial=0))  # lengths[0], once they are checked
     alive = np.arange(n_steps)[:, None] < lengths
     counts = alive.sum(axis=1)
-    if xw.shape != (counts.sum(), 4 * n) or lengths[0] > n_steps or (np.diff(lengths) > 0).any():
-        raise ValueError(f"projections {xw.shape}, lengths {lengths.tolist()}, T = {n_steps}: "
-                         f"expected (sum(lengths), {4 * n}), T >= lengths[0] >= lengths[1] >= ...")
+    if xw.shape != (counts.sum(), 4 * n) or (np.diff(lengths) > 0).any():
+        raise ValueError(f"projections {xw.shape}, lengths {lengths.tolist()}: "
+                         f"expected (sum(lengths), {4 * n}), lengths[0] >= lengths[1] >= ...")
     live = counts.tolist()
     offsets = (np.cumsum(counts) - counts).tolist()
-    if final:
-        # the live rows' states, and last a zero row: the h = 0 that a
-        # row reads before its first step
-        states = np.empty((len(xw) + 1, n), dtype=xw.dtype)
-        states[-1] = 0.0
-    else:
-        states = np.empty((n_steps * batch, n), dtype=xw.dtype)
+    # the live rows' states, and last a zero row: the h = 0 that a row
+    # reads before its first step
+    states = np.empty((len(xw) + 1, n), dtype=xw.dtype)
+    states[-1] = 0.0
     h, c = np.zeros((2, batch, n), dtype=xw.dtype)
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     for t in order:
@@ -260,10 +257,7 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, n_steps: in
         c_live += z[:, :n] * z[:, 2 * n : 3 * n]
         np.tanh(c_live, out=h[:k])
         h[:k] *= z[:, 3 * n :]
-        if final:
-            states[offsets[t] : offsets[t] + k] = h[:k]
-        else:
-            states[t * batch : (t + 1) * batch] = h
+        states[offsets[t] : offsets[t] + k] = h[:k]
     history = xw
 
     def pullback(g_out):
@@ -272,20 +266,18 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, n_steps: in
             raise RuntimeError("lstm_seq backward already ran for this forward")
         dz_all, history = history, None
         _backprop_steps(dz_all, g_out, wh, live, offsets, order, batch, final)
-        # a step's previous h is the neighbouring step's block of the
-        # padded states; the direction's first step starts from h = 0 and
-        # is left out
-        rows = np.flatnonzero(alive)  # each history row's padded row
+        # a step's previous h is the neighbouring step's state of the same
+        # sequence, the zero row where that sequence is not live; the
+        # direction's first step starts from h = 0 and is left out
+        rows = np.flatnonzero(alive)  # each state's padded (t*B + b) row
+        packed = np.full(n_steps * batch, len(rows))
+        packed[rows] = np.arange(len(rows))
         first = live[order[0]] if live else 0
         later = slice(0, len(rows) - first) if reverse else slice(first, len(rows))
-        prev_rows = rows[later] + (batch if reverse else -batch)
-        if final:  # each padded row's packed row, the zero row if not live
-            packed = np.full(n_steps * batch, len(rows))
-            packed[rows] = np.arange(len(rows))
-            prev_rows = packed[prev_rows]
+        prev_rows = packed[rows[later] + (batch if reverse else -batch)]
         return dz_all, states[prev_rows].T @ dz_all[later], dz_all.sum(axis=0)
 
-    return (h if final else states), pullback
+    return (h if final else states[:-1]), pullback
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def score(gold: Dataset, pred: Dataset) -> EvalReport:
         )
     tally = {cat: [0, 0, 0] for cat in EntityCategory}
     tokens = 0
-    for i, (g, p) in enumerate(zip(gold, pred)):
+    for i, (g, p) in enumerate(zip(gold, pred), start=1):
         if g.tags is None or p.tags is None:
             raise ValueError(f"sentence {i}: missing tags")
         if len(g) != len(p):

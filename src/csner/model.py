@@ -4,11 +4,12 @@ pre-trained word vector, and a word-level BiLSTM plus a linear layer
 produce per-token tag scores.
 
 All internal computation is time-major: word position (t, b) lives at
-flat row t*B + b, so every LSTM step is a contiguous row slice.  The
-arrays stay padded; each LSTM takes its sequences' lengths, steps only
-the live rows and carries the state through the rest, and the loss
-weighs padded words 0, so padded inputs stay out of the loss and the
-gradients exactly (not just approximately).
+flat row t*B + b.  Each LSTM takes its sequences' lengths and reads and
+writes the live rows alone, packed step by step, so every step is a
+contiguous row slice.  The word layer's states are put back in the
+padded (T*B) layout with 0 in every padded slot, and the loss weighs
+padded words 0, so padded inputs stay out of the loss and the gradients
+exactly (not just approximately).
 
 The graph is fixed, so it is differentiated by hand: each stage returns
 its value and, in training (when an rng is given), a pullback that maps
@@ -138,21 +139,22 @@ def _dropout(x: np.ndarray, rate: float, rng):
     return x * mask, mask
 
 
-def _run_bilstm(x, rows, lengths, n_steps: int, params: dict[str, np.ndarray], layer: str,
-                keep: bool, final: bool = False):
+def _run_bilstm(x, rows, lengths, params: dict[str, np.ndarray], layer: str, keep: bool,
+                final: bool = False):
     """Both directions of ``layer`` (its ``<layer>_fwd``/``_bwd`` tensors)
-    over B sequences of the given ``lengths``, longest first, in ``n_steps``
-    steps.  A direction's packed live-row projections (``autodiff.lstm_seq``)
-    are the ``rows`` of x @ wx, all of them when ``rows`` is None, made just
+    over B sequences of the given ``lengths``, longest first.  A
+    direction's packed live-row projections (``autodiff.lstm_seq``) are
+    the ``rows`` of x @ wx, all of them when ``rows`` is None, made just
     before it runs.
 
-    Returns the directions' states side by side: (T*B, 2*hidden), or with
-    ``final`` only each direction's last step, (B, 2*hidden).  When
-    ``keep`` (training), the directions run at once (``autodiff.both``)
-    and so do their backward passes, and the pullback that returns x's
-    gradient comes too; otherwise they run one after the other, so that
-    one projection is alive at a time, with None for the pullback and
-    nothing of the backward kept."""
+    Returns the directions' states side by side, packed like the
+    projections: (sum(lengths), 2*hidden), or with ``final`` only each
+    direction's last step, (B, 2*hidden).  When ``keep`` (training), the
+    directions run at once (``autodiff.both``) and so do their backward
+    passes, and the pullback that returns x's gradient comes too;
+    otherwise they run one after the other, so that one projection is
+    alive at a time, with None for the pullback and nothing of the
+    backward kept."""
     n = params[f"{layer}_fwd.wh"].shape[0]
     # both directions gather the same rows: their backward's order, once
     gather_back = ad.gather_pullback(rows, len(x)) if keep and rows is not None else None
@@ -161,8 +163,7 @@ def _run_bilstm(x, rows, lengths, n_steps: int, params: dict[str, np.ndarray], l
         name, reverse = f"{layer}_{d}", d == "bwd"
         wx = params[f"{name}.wx"]
         h, lstm_back = ad.lstm_seq(x @ wx if rows is None else (x @ wx)[rows], lengths,
-                                   params[f"{name}.wh"], params[f"{name}.b"], n_steps, reverse,
-                                   final)
+                                   params[f"{name}.wh"], params[f"{name}.b"], reverse, final)
         if not keep:
             return h, None
 
@@ -195,10 +196,8 @@ def _encode_chars(params: dict[str, np.ndarray], char_idx, char_lengths, keep: b
     The projection gathers the live characters' rows of char_embed @ wx.
     Forward freezes at each word's last character; backward ends after
     consuming the first."""
-    v_max = char_idx.shape[0]
-    live = char_idx[np.arange(v_max)[:, None] < char_lengths]  # step by step
-    return _run_bilstm(params["char_embed"], live, char_lengths, v_max, params, "char", keep,
-                       final=True)
+    live = char_idx[np.arange(len(char_idx))[:, None] < char_lengths]  # step by step
+    return _run_bilstm(params["char_embed"], live, char_lengths, params, "char", keep, final=True)
 
 
 def _word_vectors(params: dict[str, np.ndarray], table: EmbeddingTable, word_flat):
@@ -206,7 +205,7 @@ def _word_vectors(params: dict[str, np.ndarray], table: EmbeddingTable, word_fla
     Returns the vectors and the (T*B, 4) one-hot that picks the special
     rows: their gradient is onehot.T @ (the vectors' gradient)."""
     dtype = params["proj_w"].dtype
-    vectors = table.vectors[word_flat].astype(dtype)
+    vectors = table.vectors[word_flat].astype(dtype, copy=False)
     special = word_flat < 4
     vectors[special] = 0.0
     onehot = np.zeros((word_flat.size, 4), dtype=dtype)
@@ -232,8 +231,9 @@ def encode_batch(
     u, u_mask = _dropout(np.concatenate([x, spellings[arrays.spelling_idx]], axis=1),
                          dropout_rate, rng)
     live = np.flatnonzero(arrays.mask)  # the live word slots, step by step
-    c, word_back = _run_bilstm(u[live], None, arrays.lengths, arrays.max_len, params, "word",
-                               keep)
+    c_live, word_back = _run_bilstm(u[live], None, arrays.lengths, params, "word", keep)
+    c = np.zeros((len(u), c_live.shape[1]), dtype=c_live.dtype)
+    c[live] = c_live
     c, c_mask = _dropout(c, dropout_rate, rng)
     if not keep:
         return c, None
@@ -241,7 +241,7 @@ def encode_batch(
     def pullback(g, grads):
         if c_mask is not None:
             g = g * c_mask
-        d_live = word_back(g, grads)
+        d_live = word_back(g[live], grads)
         du = np.zeros((arrays.spelling_idx.size, d_live.shape[1]), dtype=d_live.dtype)
         du[live] = d_live  # each slot is live at most once: a scatter, not a sum
         if u_mask is not None:

@@ -470,10 +470,12 @@ def load_checkpoint(path) -> Checkpoint:
         cfg = TrainingConfig(**meta["config"])
         cfg.validate()
         dev_score = float(meta["dev_score"])
-        epoch = int(meta["epoch"])
+        epoch = meta["epoch"]
+        if type(epoch) is not int:  # 1e309 or 1.5 is no epoch number
+            raise ValueError(f"epoch {epoch!r} is not an integer")
     except KeyError as exc:
         raise CheckpointError(f"header line {meta_line}: meta has no {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"header line {meta_line}: bad meta block: {exc}") from None
     return Checkpoint(
         tensors=tensors,

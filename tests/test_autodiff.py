@@ -32,7 +32,7 @@ def gate_probe(preactivations, hidden=1):
     ``preactivations`` (T, 4*hidden), blocked [i | f | g | o]."""
     z = np.array(preactivations, dtype=np.float64)  # a fresh buffer: lstm_seq consumes it
     wh, b = np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden)
-    return ad.lstm_seq(z, [len(z)], wh, b, len(z))[0]
+    return ad.lstm_seq(z, [len(z)], wh, b)[0]
 
 
 def live_rows(n_steps, lengths):
@@ -40,13 +40,14 @@ def live_rows(n_steps, lengths):
     return np.flatnonzero(np.arange(n_steps)[:, None] < np.asarray(lengths))
 
 
-def lstm_loss(x, lengths, p, w, reverse=False, n_steps=None):
-    """sum(w * h) over the states h of ``lstm_seq`` fed as the model feeds
-    it (the live rows of the padded time-major ``x`` projected by
-    ``p["wx"]``), and the gradients of ``x`` and of ``p``'s arrays."""
-    n_steps = n_steps or len(x) // len(lengths)
-    live = live_rows(n_steps, lengths)
-    out, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], n_steps, reverse)
+def lstm_loss(x, lengths, p, w, reverse=False):
+    """sum(w * h) over the live rows' states h of ``lstm_seq`` fed as the
+    model feeds it (the live rows of the padded time-major ``x`` projected
+    by ``p["wx"]``), with ``w`` padded like ``x``, and the gradients of
+    ``x`` and of ``p``'s arrays."""
+    live = live_rows(max(lengths), lengths)
+    out, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], reverse)
+    w = w[live]
     d_xw, d_wh, d_b = pullback(w)
     d_x = np.zeros_like(x)
     d_x[live] = d_xw @ p["wx"].T
@@ -162,26 +163,24 @@ class TestLstm:
     def zero_params(self, n_hidden=2):
         return {"wh": np.zeros((n_hidden, 4 * n_hidden)), "b": np.zeros(4 * n_hidden)}
 
-    def padded_case(self, seed, lengths=(4, 2, 1), n_steps=None):
+    def padded_case(self, seed, lengths=(4, 2, 1)):
         """Random (T*B, 3) input with junk in the padding, and weights for
-        its (T*B, 4) states; T is the longest length unless ``n_steps`` is
-        given."""
+        its (T*B, 4) states, 0 in the padding; T is the longest length."""
         rng = np.random.default_rng(seed)
-        rows = (n_steps or max(lengths)) * len(lengths)
+        rows = max(lengths) * len(lengths)
         x = rng.normal(size=(rows, 3))
         w = rng.normal(size=(rows, 4))
+        w[np.setdiff1d(np.arange(rows), live_rows(max(lengths), lengths))] = 0.0
         return lstm_direction(3, 4, rng), x, list(lengths), w
 
     # read in reverse, rows join at steps 5, 3 (two at once), 1 and 0;
-    # (3, 2, 2) in 5 steps has two trailing steps where every row carries
-    # its state through, and read in reverse the first steps run with no
-    # row live
-    REFERENCE_CASES = [((4, 2, 1), None), ((6, 4, 4, 2, 1), None), ((3, 2, 2), 5)]
+    # in (3, 3, 0) one row is never live, so its state stays 0
+    REFERENCE_CASES = [(4, 2, 1), (6, 4, 4, 2, 1), (3, 3, 0)]
 
     def test_zero_fixed_point(self):
         p = self.zero_params()
         for reverse in (False, True):
-            out, _ = ad.lstm_seq(np.zeros((6, 8)), [3, 3], **p, n_steps=3, reverse=reverse)
+            out, _ = ad.lstm_seq(np.zeros((6, 8)), [3, 3], **p, reverse=reverse)
             assert np.array_equal(out, np.zeros((6, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
@@ -203,9 +202,9 @@ class TestLstm:
             assert np.all(grads["x"][padded.reshape(-1)] == 0.0)
 
     def test_matches_per_step_reference(self):
-        for (lengths, n_steps), reverse in itertools.product(self.REFERENCE_CASES, (False, True)):
-            p, x, lengths, w = self.padded_case(3, lengths, n_steps)
-            fused_loss, fused = lstm_loss(x, lengths, p, w, reverse, n_steps)
+        for lengths, reverse in itertools.product(self.REFERENCE_CASES, (False, True)):
+            p, x, lengths, w = self.padded_case(3, lengths)
+            fused_loss, fused = lstm_loss(x, lengths, p, w, reverse)
             leaves = {"x": ref.param(x.copy()), **{k: ref.param(v.copy()) for k, v in p.items()}}
             out = lstm_reference.lstm_seq(leaves["x"], lengths, leaves["wx"], leaves["wh"],
                                           leaves["b"], reverse=reverse)
@@ -217,14 +216,13 @@ class TestLstm:
     def test_projected_input_matches_reference_on_unprojected_input(self):
         # float64: lstm_seq on the live rows projected by one numpy GEMM
         # against the per-step reference, which projects each step itself
-        for (lengths, n_steps), reverse in itertools.product(self.REFERENCE_CASES, (False, True)):
-            p, x, lengths, _ = self.padded_case(7, lengths, n_steps)
-            t = n_steps or max(lengths)
-            got, _ = ad.lstm_seq(x[live_rows(t, lengths)] @ p["wx"], lengths, p["wh"], p["b"], t,
-                                 reverse=reverse)
+        for lengths, reverse in itertools.product(self.REFERENCE_CASES, (False, True)):
+            p, x, lengths, _ = self.padded_case(7, lengths)
+            live = live_rows(max(lengths), lengths)
+            got, _ = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], reverse=reverse)
             want = lstm_reference.lstm_seq(ref.Tensor(x), lengths,
                                            *(ref.Tensor(p[k]) for k in ("wx", "wh", "b")),
-                                           reverse=reverse).data
+                                           reverse=reverse).data[live]
             assert got.dtype == want.dtype == np.float64
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -234,44 +232,47 @@ class TestLstm:
         # pullback does
         for reverse in (False, True):
             p, x, lengths, w = self.padded_case(4)
-            xw = x[live_rows(4, lengths)] @ p["wx"]
-            taped, pullback = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], 4, reverse=reverse)
-            pullback(w)
-            untaped, _ = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], 4, reverse=reverse)
+            live = live_rows(4, lengths)
+            xw = x[live] @ p["wx"]
+            taped, pullback = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse=reverse)
+            pullback(w[live])
+            untaped, _ = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse=reverse)
             assert taped.tobytes() == untaped.tobytes()
 
-    # rows 3 and 2 die after step 0 and row 1 after step 2, and step 5
-    # has no live row: read in reverse, rows join at steps 4, 2 and 0
-    FINAL_LENGTHS, FINAL_STEPS = [5, 3, 3, 1], 6
+    # row 3 dies after step 0 and rows 1 and 2 after step 2: read in
+    # reverse, rows join at steps 4, 2 and 0
+    FINAL_LENGTHS = [5, 3, 3, 1]
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_final_form_matches_padded_form(self, reverse, dtype):
-        # ``final`` keeps the live rows' states packed and takes the last
-        # step's gradient alone: the same bits as the padded output's last
-        # step and a zero-padded gradient of every step
-        p, x, lengths, _ = self.padded_case(9, self.FINAL_LENGTHS, self.FINAL_STEPS)
+        # ``final`` takes each sequence's state after the direction's last
+        # step and that state's gradient alone: the same bits as those
+        # rows of the packed states, and a gradient that is 0 elsewhere
+        p, x, lengths, _ = self.padded_case(9, self.FINAL_LENGTHS)
         p = {k: v.astype(dtype) for k, v in p.items()}
-        t, batch = self.FINAL_STEPS, len(lengths)
-        xw = x[live_rows(t, lengths)].astype(dtype) @ p["wx"]
-        out, padded_back = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], t, reverse)
-        h, final_back = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], t, reverse, final=True)
-        last = slice(0, batch) if reverse else slice((t - 1) * batch, t * batch)
+        t, batch = max(lengths), len(lengths)
+        live = live_rows(t, lengths)
+        xw = x[live].astype(dtype) @ p["wx"]
+        out, packed_back = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse)
+        h, final_back = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse, final=True)
+        # each sequence's padded row at its last step, then its packed row
+        ends = np.arange(batch) if reverse else (np.array(lengths) - 1) * batch + np.arange(batch)
+        last = np.searchsorted(live, ends)
         assert h.dtype == dtype and h.tobytes() == out[last].tobytes()
         g = np.random.default_rng(10).normal(size=h.shape).astype(dtype)
         g_out = np.zeros_like(out)
         g_out[last] = g
-        for want, got in zip(padded_back(g_out), final_back(g)):
+        for want, got in zip(packed_back(g_out), final_back(g)):
             assert want.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_final_form_matches_per_step_reference(self, reverse):
-        p, x, lengths, _ = self.padded_case(11, self.FINAL_LENGTHS, self.FINAL_STEPS)
-        t, batch = self.FINAL_STEPS, len(lengths)
+        p, x, lengths, _ = self.padded_case(11, self.FINAL_LENGTHS)
+        t, batch = max(lengths), len(lengths)
         w = np.random.default_rng(12).normal(size=(batch, 4))
         live = live_rows(t, lengths)
-        h, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], t, reverse,
-                                  final=True)
+        h, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], reverse, final=True)
         d_xw, d_wh, d_b = pullback(w)
         d_x = np.zeros_like(x)
         d_x[live] = d_xw @ p["wx"].T
@@ -295,13 +296,12 @@ class TestLstm:
         n = 32
         p = lstm_direction(8, n, rng)
         xw = rng.normal(size=(127, 4 * n))
-        g_out = rng.normal(size=(64 * len(lengths), n))
+        g_out = rng.normal(size=(127, n))
         padded_history = 64 * len(lengths) * 5 * n * 8  # float64 gates and cells of every row
         for reverse in (False, True):
             tracemalloc.start()
             try:
-                out, pullback = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], 64,
-                                            reverse=reverse)
+                out, pullback = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse)
                 forward_peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
@@ -323,7 +323,7 @@ class TestLstm:
         xw = projections.copy()
         tracemalloc.start()
         try:
-            out, pullback = ad.lstm_seq(xw, lengths, p["wh"], p["b"], 64)
+            out, pullback = ad.lstm_seq(xw, lengths, p["wh"], p["b"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,34 +333,26 @@ class TestLstm:
 
     def test_backward_runs_once_per_forward(self):
         p, x, lengths, w = self.padded_case(5)
-        out, pullback = ad.lstm_seq(x[live_rows(4, lengths)] @ p["wx"], lengths, p["wh"], p["b"], 4)
-        pullback(w)
+        live = live_rows(4, lengths)
+        out, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"])
+        pullback(w[live])
         with pytest.raises(RuntimeError):
-            pullback(w)
+            pullback(w[live])
 
     def test_increasing_lengths_rejected(self):
         p = self.zero_params()
         # at step 1, row 1 would be live while row 0 is not
-        with pytest.raises(ValueError, match=r"T >= lengths\[0\] >= lengths\[1\]"):
-            ad.lstm_seq(np.zeros((3, 8)), [1, 2], **p, n_steps=2)
-
-    def test_length_above_steps_rejected(self):
-        p = self.zero_params()
-        # each input holds exactly the live rows within T (3 and 4), so
-        # only the length check can reject it
-        for lengths in ([3, 1], [3, 3]):
-            rows = len(live_rows(2, lengths))
-            with pytest.raises(ValueError, match=r"T >= lengths\[0\]"):
-                ad.lstm_seq(np.zeros((rows, 8)), lengths, **p, n_steps=2)
+        with pytest.raises(ValueError, match=r"lengths\[0\] >= lengths\[1\]"):
+            ad.lstm_seq(np.zeros((3, 8)), [1, 2], **p)
 
     def test_input_width_contract(self):
         p = self.zero_params()
         # 4*hidden = 8 columns, and one row per live step of a sequence
         with pytest.raises(ValueError, match=r"expected \(sum\(lengths\), 8\)"):
-            ad.lstm_seq(np.zeros((1, 5)), [1], **p, n_steps=1)
+            ad.lstm_seq(np.zeros((1, 5)), [1], **p)
         for rows in (3, 5):
             with pytest.raises(ValueError, match=r"expected \(sum\(lengths\), 8\)"):
-                ad.lstm_seq(np.zeros((rows, 8)), [2, 2], **p, n_steps=2)
+                ad.lstm_seq(np.zeros((rows, 8)), [2, 2], **p)
 
     def test_forget_bias_initialized_to_one(self):
         cfg = TrainingConfig(char_dim=3, char_hidden=4, word_dim=2, hidden=5)

@@ -164,6 +164,14 @@ class TestErrors:
             1, "error: header line 2: bad meta block: char_hidden must be int, not '2'\n"
         )
 
+    @pytest.mark.parametrize("epoch, shown", [("1e309", "inf"), ("1.5", "1.5")])
+    def test_checkpoint_with_non_integer_epoch_fails_cleanly(self, workdir, capsys, epoch, shown):
+        # JSON reads 1e309 as infinity, which int() cannot take
+        meta = f'{{"config": {{}}, "dev_score": 0.0, "epoch": {epoch}}}'
+        assert self.predict_with_meta(workdir, capsys, meta) == (
+            1, f"error: header line 2: bad meta block: epoch {shown} is not an integer\n"
+        )
+
     def test_checkpoint_shape_mismatch_fails_cleanly(self, workdir, capsys):
         tmp_path, config = workdir
         assert main(["train", "--config", str(config)]) == 0

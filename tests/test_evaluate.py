@@ -133,9 +133,17 @@ class TestScore:
             score(ds("O"), ds("O", "O"))
 
     def test_length_mismatch_names_sentence(self):
+        # sentences are numbered from 1, as predict_dataset numbers them
         with pytest.raises(ValueError) as err:
             score(ds("O", "O O"), ds("O", "O"))
-        assert "sentence 1" in str(err.value)
+        assert str(err.value) == "sentence 2: gold length 2 != prediction length 1"
+
+    def test_missing_tags_names_sentence(self):
+        unlabeled = Dataset([TaggedSentence(["w"]), TaggedSentence(["w"])])
+        for gold, pred in ((ds("O", "O"), unlabeled), (unlabeled, ds("O", "O"))):
+            with pytest.raises(ValueError) as err:
+                score(gold, pred)
+            assert str(err.value) == "sentence 1: missing tags"
 
     def test_symmetric_counts(self):
         rng = np.random.default_rng(9)

@@ -1,23 +1,29 @@
-"""Byte-mutation fuzzing of the three text readers: ``.vec`` files,
-corpora and config files.
+"""Byte-mutation fuzzing of the three text readers (``.vec`` files,
+corpora and config files) and of checkpoints.
 
 A small valid file takes one to three edits (insert, delete or replace
 one byte), each with a piece that breaks rows, lines or the encoding.
 Only the reader's own error may escape, and it must name the first bad
 line in file order: an undecodable line is reported only when no line
-before it has an error of its own.
+before it has an error of its own.  A checkpoint's edits also replace
+header numbers and payload words; it must fail with its own error or a
+located one, or tag cleanly.
 """
 
 import contextlib
 import io
+import pathlib
+import re
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from csner import embeddings
 from csner.cli import ConfigError, main, parse_config_file
-from csner.corpus_io import ParseError, parse_conll, read_conll
+from csner.corpus_io import TAGS, ParseError, parse_conll, read_conll
 from csner.embeddings import VectorLoadError, load_vec
+from csner.trainer import CheckpointError, load_checkpoint, predict_dataset, restore_model
 
 from vec_reference import load_vec_per_row
 
@@ -182,3 +188,72 @@ def test_predict_exits_cleanly_on_a_mutated_config(tmp_path, data):
     corpus.write_text("mira\n\n")
     assert_clean_exit(*run_cli(["predict", str(corpus), "--config", str(path)]))
 
+
+CHECKPOINT = (pathlib.Path(__file__).parent / "data" / "checkpoint_f32.ck").read_bytes()
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e-?\d+)?")
+# what a header number may become: out of int and float range, fractional,
+# negative, zero, NaN
+VALUES = (b"1e309", b"1.5", b"-1", b"0", b"99999999999999999999", b"NaN")
+# little-endian float32 words: NaN, infinity, finite but overflowing, a
+# denormal; and bytes that break a vocabulary entry's length or UTF-8
+WORDS = (b"\x00\x00\xc0\x7f", b"\x00\x00\x80\xff", b"\xff\xff\x7f\x7f", b"\x01\x00\x00\x00",
+         b"\xff\xff\xff\xff", b"\xe9")
+SENTENCE = parse_conll("Jose\nva\na\n@user\nMadrid!\n\n")
+
+
+def apply_edits(edits) -> bytes:
+    """``checkpoint_f32.ck`` with each (start, end, piece) edit applied in
+    turn: bytes [start, end) become piece."""
+    data = bytearray(CHECKPOINT)
+    for start, end, piece in edits:
+        data[start:end] = piece
+    return bytes(data)
+
+
+@st.composite
+def checkpoint_edits(draw) -> list:
+    """One to three edits of ``checkpoint_f32.ck``: a byte edit of the
+    header, a header number or one of the meta block's numbers replaced,
+    or a word of the payload overwritten in place."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        data = apply_edits(edits)
+        header_end = data.find(b"\nend\n")
+        if header_end < 0:
+            header_end = len(data)
+        meta = data.find(b"\nmeta ")
+        kind = draw(st.sampled_from(("bytes", "number", "meta", "payload")))
+        if kind == "bytes":
+            at = draw(st.integers(0, header_end))
+            edit = draw(st.sampled_from(("insert", "delete", "replace")))
+            piece = b"" if edit == "delete" else draw(st.sampled_from(PIECES))
+            edits.append((at, at + (edit != "insert"), piece))
+        elif kind == "payload":
+            at = draw(st.integers(header_end, len(data)))
+            edits.append((at, at + 4, draw(st.sampled_from(WORDS))))
+        else:  # a meta line an earlier edit broke leaves the whole header
+            lo, hi = ((meta, data.find(b"\n", meta + 1)) if kind == "meta" and meta >= 0
+                      else (0, header_end))
+            spans = [m.span() for m in NUMBER.finditer(data, lo, hi)]
+            if spans:
+                edits.append((*draw(st.sampled_from(spans)), draw(st.sampled_from(VALUES))))
+    return edits
+
+
+@settings(FUZZ, max_examples=250)
+@given(edits=checkpoint_edits())
+def test_mutated_checkpoint_loads_tags_or_fails_located(tmp_path, edits):
+    # a checkpoint error, a located tagging error, or tags: never another
+    # exception or a numpy warning
+    path = tmp_path / "m.ck"
+    path.write_bytes(apply_edits(edits))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            tags = predict_dataset(restore_model(load_checkpoint(path)), SENTENCE)
+        except CheckpointError:
+            return
+        except ValueError as exc:
+            assert re.match(r"sentence 1: the model's tag scores are not finite", str(exc))
+            return
+    assert len(tags) == 1 and len(tags[0]) == 5 and set(tags[0]) <= set(TAGS)
