@@ -312,16 +312,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One Adam update of every parameter by its gradient in ``grads``,
     with bias correction, in place.  Raises NonFiniteGradient before
-    touching anything if any gradient is NaN or infinite.  The two
-    ``_halves`` of the tensors run through ``both``."""
-    halves = _halves(params)
-
-    def check(names):
-        for name in names:
-            if not np.isfinite(grads[name]).all():
-                raise NonFiniteGradient(f"non-finite gradient in {name}")
-
-    both(lambda: check(halves[0]), lambda: check(halves[1]))
+    touching anything if any gradient is NaN or infinite.  The update of
+    the two ``_halves`` of the tensors runs through ``both``."""
+    for name in params:
+        if not np.isfinite(grads[name]).all():
+            raise NonFiniteGradient(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
     correction1 = 1.0 - ADAM_BETA1**t
@@ -342,4 +337,5 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             v_hat = v / correction2
             p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
+    halves = _halves(params)
     both(lambda: update(halves[0]), lambda: update(halves[1]))

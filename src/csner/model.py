@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .corpus_io import TAGS
+from .corpus_io import TAG_INDEX, TAGS, TaggedSentence
 from .embeddings import CharVocabulary, EmbeddingTable
 
 N_TAGS = len(TAGS)
@@ -64,9 +64,11 @@ def param_shapes(cfg, n_chars: int) -> dict[str, tuple[int, ...]]:
 class BatchArrays:
     """Index matrices for one padded group of sentences (time-major).
 
-    The character arrays hold one column per distinct spelling in the
-    batch, longest first; ``spelling_idx`` gives each word slot its
-    column, and padded slots, which the mask hides, column 0.
+    Words are looked up by their normalized tokens, and the character
+    arrays spell their raw spellings: one column per distinct spelling in
+    the batch, longest first.  ``spelling_idx`` gives each word slot its
+    column, and padded slots, which the mask hides, column 0.  ``gold``
+    holds the batch's tag ids when every sentence is tagged.
     """
 
     word_idx: np.ndarray  # (T, B) int
@@ -75,6 +77,7 @@ class BatchArrays:
     spelling_idx: np.ndarray  # (T*B,) int, a column of char_idx
     mask: np.ndarray  # (T, B), the loss's weight; 1 iff t < lengths[b]
     lengths: list[int]
+    gold: np.ndarray | None  # (T*B,) int tag ids, 0 in padded slots; None if untagged
 
     @property
     def max_len(self) -> int:
@@ -86,23 +89,22 @@ class BatchArrays:
 
 
 def build_arrays(
-    token_seqs: list[list[str]],
+    sentences: list[TaggedSentence],
     tables: Tables,
-    dtype=np.float32,
-    surface_seqs: list[list[str]] | None = None,
+    dtype,
+    surface_seqs: list[list[str]],
 ) -> BatchArrays:
     """Index and pad a group of sentences, given longest first.
 
-    Word indices come from ``token_seqs`` (normalized forms); characters
-    come from ``surface_seqs`` when given (the raw pre-replacement
-    spellings) so the char encoder sees original orthography.  The
-    spellings are sorted longest first here; the sentences must already
-    be, as ``autodiff.lstm_seq`` checks.
+    Word indices come from the sentences' tokens (normalized forms), and
+    characters from ``surface_seqs``, each sentence's raw pre-replacement
+    spellings, so that the char encoder sees the original orthography.
+    The gold tag ids come from the sentences' tags, when all have them.
+    The spellings are sorted longest first here; the sentences must
+    already be, as ``autodiff.lstm_seq`` checks.
     """
-    lengths = [len(s) for s in token_seqs]
-    if surface_seqs is None:
-        surface_seqs = token_seqs
-    elif [len(s) for s in surface_seqs] != lengths:
+    lengths = [len(s) for s in sentences]
+    if [len(s) for s in surface_seqs] != lengths:
         raise ValueError("surface sentences are not aligned with the tokens")
     b, t_max = len(lengths), max(lengths)
     # first occurrence, then a stable sort longest first: the same order
@@ -115,15 +117,19 @@ def build_arrays(
     word_idx = np.zeros((t_max, b), dtype=np.int64)
     mask = np.zeros((t_max, b), dtype=dtype)
     spelling_idx = np.zeros(t_max * b, dtype=np.int64)
-    for j, (tokens, surfaces) in enumerate(zip(token_seqs, surface_seqs)):
-        for t, (token, surface) in enumerate(zip(tokens, surfaces)):
+    tagged = all(s.tags is not None for s in sentences)
+    gold = np.zeros(t_max * b, dtype=np.int64) if tagged else None
+    for j, (sent, surfaces) in enumerate(zip(sentences, surface_seqs)):
+        for t, (token, surface) in enumerate(zip(sent.tokens, surfaces)):
             word_idx[t, j] = tables.words.vocabulary.index(token)
             spelling_idx[t * b + j] = column[surface]
-        mask[: len(tokens), j] = 1.0
+        mask[: len(sent), j] = 1.0
+        if tagged:
+            gold[j : len(sent) * b : b] = [TAG_INDEX[tag] for tag in sent.tags]
     char_idx = np.zeros((char_lengths[0], len(spellings)), dtype=np.int64)
     for u, spelling in enumerate(spellings):
         char_idx[: len(spelling), u] = tables.chars.indices(spelling)
-    return BatchArrays(word_idx, char_idx, char_lengths, spelling_idx, mask, lengths)
+    return BatchArrays(word_idx, char_idx, char_lengths, spelling_idx, mask, lengths, gold)
 
 
 def _dropout(x: np.ndarray, rate: float, rng):
@@ -268,17 +274,17 @@ def batch_logits(encoded: np.ndarray, params: dict[str, np.ndarray]):
 
 def batch_loss(
     arrays: BatchArrays,
-    gold_flat: np.ndarray,
     tables: Tables,
     params: dict[str, np.ndarray],
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.4,
 ):
-    """The mean loss over the live word slots, and when ``rng`` is given
-    (training, with dropout) its pullback for ``autodiff.backward``."""
+    """The mean loss over the live word slots against ``arrays.gold``, and
+    when ``rng`` is given (training, with dropout) its pullback for
+    ``autodiff.backward``."""
     encoded, encode_back = encode_batch(arrays, tables, params, rng, dropout_rate)
     logits, logits_back = batch_logits(encoded, params)
-    loss, loss_back = ad.masked_cross_entropy_logits(logits, gold_flat, arrays.mask.reshape(-1))
+    loss, loss_back = ad.masked_cross_entropy_logits(logits, arrays.gold, arrays.mask.reshape(-1))
     if encode_back is None:
         return loss, None
     return loss, lambda g, grads: encode_back(logits_back(loss_back(g), grads), grads)

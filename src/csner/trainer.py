@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from .corpus_io import TAG_INDEX, TAGS, Dataset, TaggedSentence
+from .corpus_io import TAGS, Dataset, TaggedSentence
 from .embeddings import (
     SPECIAL_TOKENS,
     CharVocabulary,
@@ -120,7 +120,6 @@ def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
 class Batch:
     arrays: BatchArrays
     order: list[int]  # original corpus position of each sentence
-    gold_flat: np.ndarray | None = None
 
     @property
     def n_tokens(self) -> int:
@@ -131,36 +130,27 @@ def make_batches(
     dataset: Dataset,
     batch_size: int,
     tables: Tables,
-    dtype=np.float32,
-    surfaces: Dataset | None = None,
+    dtype,
+    surfaces: Dataset,
 ) -> list[Batch]:
-    """Sort by length descending (stable), chunk, index and pad.
-
-    ``surfaces`` supplies the raw spellings for the character encoder
-    when ``dataset`` holds normalized tokens.
+    """Sort by length descending (stable) and chunk; ``build_arrays``
+    indexes and pads each chunk.  ``dataset`` holds the normalized tokens,
+    with their gold tags when the corpus is tagged, and ``surfaces`` the
+    raw spellings that the char encoder reads, sentence for sentence.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if len(dataset) == 0:
         raise ValueError("cannot batch an empty dataset")
-    if surfaces is not None and len(surfaces) != len(dataset):
+    if len(surfaces) != len(dataset):
         raise ValueError("surface dataset is not aligned with the input")
     order = sorted(range(len(dataset)), key=lambda i: -len(dataset.sentences[i]))
     batches = []
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]
-        sents = [dataset.sentences[i] for i in chunk]
-        surface_seqs = (
-            [surfaces.sentences[i].tokens for i in chunk] if surfaces is not None else None
-        )
-        arrays = build_arrays([s.tokens for s in sents], tables, dtype, surface_seqs)
-        gold_flat = None
-        if all(s.tags is not None for s in sents):
-            gold = np.zeros((arrays.max_len, len(sents)), dtype=np.int64)
-            for j, sent in enumerate(sents):
-                gold[: len(sent), j] = [TAG_INDEX[t] for t in sent.tags]
-            gold_flat = gold.reshape(-1)
-        batches.append(Batch(arrays, chunk, gold_flat))
+        arrays = build_arrays([dataset.sentences[i] for i in chunk], tables, dtype,
+                              [surfaces.sentences[i].tokens for i in chunk])
+        batches.append(Batch(arrays, chunk))
     return batches
 
 
@@ -183,12 +173,10 @@ def train_epoch(
     total_loss = 0.0
     total_tokens = 0
     for batch in batches:
-        if batch.gold_flat is None:
+        if batch.arrays.gold is None:
             raise TrainingError("cannot train on unlabeled sentences")
-        loss, pullback = batch_loss(
-            batch.arrays, batch.gold_flat, model.tables, model.params,
-            rng=rng, dropout_rate=dropout_rate,
-        )
+        loss, pullback = batch_loss(batch.arrays, model.tables, model.params,
+                                    rng=rng, dropout_rate=dropout_rate)
         value = float(loss)
         if not math.isfinite(value):
             raise TrainingError(f"non-finite loss {value} (lr {lr})")
@@ -206,8 +194,8 @@ def train_epoch(
 def predict_dataset(
     model: TaggerModel,
     dataset: Dataset,
-    batch_size: int = 64,
-    surfaces: Dataset | None = None,
+    batch_size: int,
+    surfaces: Dataset,
     post: bool = True,
 ) -> list[list]:
     """Predicted tag sequences in corpus order.  Raises ValueError naming
@@ -226,8 +214,7 @@ def predict_dataset(
     return results
 
 
-def dev_f1(model: TaggerModel, dev: Dataset, batch_size: int,
-           surfaces: Dataset | None = None) -> float:
+def dev_f1(model: TaggerModel, dev: Dataset, batch_size: int, surfaces: Dataset) -> float:
     predicted = predict_dataset(model, dev, batch_size, surfaces)
     pred_ds = Dataset(
         [TaggedSentence(s.tokens, tags) for s, tags in zip(dev, predicted)], "pred"
@@ -289,12 +276,13 @@ def fit(
     train: Dataset,
     dev: Dataset,
     cfg: TrainingConfig,
-    train_surfaces: Dataset | None = None,
-    dev_surfaces: Dataset | None = None,
+    train_surfaces: Dataset,
+    dev_surfaces: Dataset,
     rng: np.random.Generator | None = None,
     log_fn=None,
 ) -> Checkpoint:
-    """Train with per-epoch dev selection and early stopping.
+    """Train with per-epoch dev selection and early stopping.  The
+    ``*_surfaces`` datasets hold the raw spellings of ``train`` and ``dev``.
 
     The dev metric is the harmonic-mean F1 of post-processed predictions,
     matching the tuned pipeline.  Returns the best checkpoint seen.
@@ -469,8 +457,10 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         cfg = TrainingConfig(**meta["config"])
         cfg.validate()
-        dev_score = float(meta["dev_score"])
-        epoch = meta["epoch"]
+        dev_score, epoch = meta["dev_score"], meta["epoch"]
+        # a string, a bool, NaN or an infinity is no score
+        if type(dev_score) not in (int, float) or not math.isfinite(dev_score):
+            raise ValueError(f"dev_score {dev_score!r} is not a finite number")
         if type(epoch) is not int:  # 1e309 or 1.5 is no epoch number
             raise ValueError(f"epoch {epoch!r} is not an integer")
     except KeyError as exc:
@@ -482,6 +472,6 @@ def load_checkpoint(path) -> Checkpoint:
         word_tokens=read_tokens("word"),
         char_list=read_tokens("char"),
         config=cfg,
-        dev_score=dev_score,
+        dev_score=float(dev_score),
         epoch=epoch,
     )

@@ -169,11 +169,11 @@ def small_model(tables: Tables, seed=3) -> dict:
     return new_model(SMALL_CFG, tables.words, tables.chars, np.random.default_rng(seed)).params
 
 
-def loss_and_grads(arrays, gold_flat, tables, params, rng=None, dropout_rate=0.0):
+def loss_and_grads(arrays, tables, params, rng=None, dropout_rate=0.0):
     """``model.batch_loss`` and its gradients by name.  An rng is always
     passed, which keeps the pullback; dropout draws from it only at a
     rate above 0, so by default the loss is deterministic."""
-    loss, pullback = batch_loss(arrays, gold_flat, tables, params,
+    loss, pullback = batch_loss(arrays, tables, params,
                                 rng=np.random.default_rng(0) if rng is None else rng,
                                 dropout_rate=dropout_rate)
     return float(loss), ad.backward(loss, pullback)

@@ -176,7 +176,7 @@ def dropout(t: Tensor, rate: float, rng) -> Tensor:
     return mul(t, Tensor(keep / np.asarray(1.0 - rate, dtype=t.data.dtype)))
 
 
-def batch_loss(arrays, gold_flat, tables, params, rng=None, dropout_rate=0.4) -> Tensor:
+def batch_loss(arrays, tables, params, rng=None, dropout_rate=0.4) -> Tensor:
     """``model.batch_loss`` on the tape, the LSTMs stepped one taped step at
     a time (``lstm_reference``) over the padded inputs: the value, for
     ``backward`` to differentiate.  ``params`` maps each name to a Tensor.
@@ -203,7 +203,7 @@ def batch_loss(arrays, gold_flat, tables, params, rng=None, dropout_rate=0.4) ->
     u = dropout(concat([x, embedding(spellings, arrays.spelling_idx)], axis=1), dropout_rate, rng)
     c = dropout(concat(bilstm(u, arrays.lengths, "word"), axis=1), dropout_rate, rng)
     logits = add(matmul(c, params["proj_w"]), params["proj_b"])
-    return cross_entropy(logits, gold_flat, arrays.mask.reshape(-1))
+    return cross_entropy(logits, arrays.gold, arrays.mask.reshape(-1))
 
 
 def finite_diff_check(loss, grads: dict, params: dict, h: float = 1e-4,

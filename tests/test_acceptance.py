@@ -46,7 +46,7 @@ from conftest import OVERFIT_SENTENCES, loss_and_grads, tagged_text, write_vec_f
 from reference_ops import finite_diff_check
 
 
-def unrepaired_f1(model, dev, batch_size, surfaces=None) -> float:
+def unrepaired_f1(model, dev, batch_size, surfaces) -> float:
     """``dev_f1`` without the post-processing repairs."""
     predicted = predict_dataset(model, dev, batch_size, surfaces, post=False)
     pred = Dataset([TaggedSentence(s.tokens, tags) for s, tags in zip(dev, predicted)])
@@ -68,11 +68,11 @@ def test_criterion_1_gradient_correctness(micro_setup):
     with criterion(1, "full-model finite-difference gradients < 1e-4"):
         corpus, tables, params = micro_setup
         start = time.monotonic()
-        batch = make_batches(corpus, 4, tables, np.float64)[0]
-        grads = loss_and_grads(batch.arrays, batch.gold_flat, tables, params)[1]
+        batch = make_batches(corpus, 4, tables, np.float64, corpus)[0]
+        grads = loss_and_grads(batch.arrays, tables, params)[1]
 
         def loss():  # forward only: without an rng, as at dropout 0
-            return batch_loss(batch.arrays, batch.gold_flat, tables, params)[0]
+            return batch_loss(batch.arrays, tables, params)[0]
 
         err = finite_diff_check(loss, grads, params, h=1e-4)
         elapsed = time.monotonic() - start
@@ -90,14 +90,15 @@ def test_criterion_2_overfit_capability(overfit_corpus, overfit_tables):
                           np.random.default_rng(cfg.seed))
         epochs = []
         best = fit(
-            model, overfit_corpus, overfit_corpus, cfg,
+            model, overfit_corpus, overfit_corpus, cfg, overfit_corpus, overfit_corpus,
             log_fn=lambda e, loss, lr, f1: epochs.append((e, f1)),
         )
         assert best.dev_score == 1.0
         assert best.epoch <= 300
 
         final = restore_model(best)
-        predicted = predict_dataset(final, overfit_corpus, cfg.batch_size, post=True)
+        predicted = predict_dataset(final, overfit_corpus, cfg.batch_size, overfit_corpus,
+                                    post=True)
         total = sum(len(s) for s in overfit_corpus)
         correct = sum(
             g == p
@@ -107,8 +108,8 @@ def test_criterion_2_overfit_capability(overfit_corpus, overfit_tables):
         assert correct == total, f"token accuracy {correct}/{total}"
 
         # the repair rules must not hurt the tuned score (Table 4 direction)
-        with_post = dev_f1(final, overfit_corpus, cfg.batch_size)
-        without = unrepaired_f1(final, overfit_corpus, cfg.batch_size)
+        with_post = dev_f1(final, overfit_corpus, cfg.batch_size, overfit_corpus)
+        without = unrepaired_f1(final, overfit_corpus, cfg.batch_size, overfit_corpus)
         assert with_post >= without
 
         elapsed = time.monotonic() - start
@@ -176,12 +177,12 @@ def test_criterion_6_masking_neutrality(overfit_corpus, overfit_tables):
         )
         model = new_model(cfg, overfit_tables.words, overfit_tables.chars,
                           np.random.default_rng(cfg.seed))
-        batch = make_batches(overfit_corpus, 16, model.tables, np.float64)[0]
+        batch = make_batches(overfit_corpus, 16, model.tables, np.float64, overfit_corpus)[0]
 
-        def run(arrays, gold):
-            return loss_and_grads(arrays, gold, model.tables, model.params)
+        def run(arrays):
+            return loss_and_grads(arrays, model.tables, model.params)
 
-        base_loss, base_grads = run(batch.arrays, batch.gold_flat)
+        base_loss, base_grads = run(batch.arrays)
 
         a = batch.arrays
         rng = np.random.default_rng(0)
@@ -196,10 +197,11 @@ def test_criterion_6_masking_neutrality(overfit_corpus, overfit_tables):
         char_idx = a.char_idx.copy()
         char_pad = np.arange(char_idx.shape[0])[:, None] >= a.char_lengths
         char_idx[char_pad] = rng.integers(2, 10, size=char_pad.sum())
-        gold = batch.gold_flat.copy()
+        gold = a.gold.copy()
         gold[pad.reshape(-1)] = rng.integers(0, 19, size=pad.sum())
-        perturbed = BatchArrays(word_idx, char_idx, a.char_lengths, spelling_idx, a.mask, a.lengths)
-        new_loss, new_grads = run(perturbed, gold)
+        perturbed = BatchArrays(word_idx, char_idx, a.char_lengths, spelling_idx, a.mask, a.lengths,
+                                gold)
+        new_loss, new_grads = run(perturbed)
 
         assert abs(base_loss - new_loss) < 1e-12
         worst = max(

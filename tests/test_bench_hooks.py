@@ -37,7 +37,7 @@ def test_every_layer_found_and_every_hook_runs(tmp_path, monkeypatch):
                                   np.random.default_rng(0))
         trainer.predict_dataset(model, norm, 8, surfaces=raw, post=True)
         first_training_span = len(tracer.spans)
-        batches = trainer.make_batches(norm, 8, model.tables, surfaces=raw)
+        batches = trainer.make_batches(norm, 8, model.tables, np.float32, surfaces=raw)
         trainer.train_epoch(model, batches[:1], 0.01, np.random.default_rng(0), ad.AdamState())
 
     assert tracer.missing_layers == set()

@@ -23,6 +23,9 @@ from conftest import (
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+# a meta block that loads: the default config
+GOOD_META = '{"config": {}, "dev_score": 0.0, "epoch": 1}'
 
 
 @pytest.fixture()
@@ -144,14 +147,20 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def predict_with_meta(self, workdir, capsys, meta):
-        """Exit code and stderr of ``predict`` on an empty checkpoint with ``meta``."""
+    def predict_with_checkpoint(self, workdir, capsys, lines, payload=b""):
+        """Exit code and stderr of ``predict`` on a checkpoint of the given
+        header ``lines`` (magic and terminator added) and ``payload``."""
         tmp_path, config = workdir
         bad = tmp_path / "bad.ck"
-        bad.write_text(f"CSNER1\nmeta {meta}\nvocab word 0 0\nvocab char 0 0\npayload 0\nend\n")
+        bad.write_bytes("\n".join(["CSNER1", *lines, "end\n"]).encode() + payload)
         code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config),
                      "--checkpoint", str(bad)])
         return code, capsys.readouterr().err
+
+    def predict_with_meta(self, workdir, capsys, meta):
+        """Exit code and stderr of ``predict`` on an empty checkpoint with ``meta``."""
+        return self.predict_with_checkpoint(
+            workdir, capsys, [f"meta {meta}", "vocab word 0 0", "vocab char 0 0", "payload 0"])
 
     def test_checkpoint_without_config_fails_cleanly(self, workdir, capsys):
         assert self.predict_with_meta(workdir, capsys, '{"dev_score": 0.0, "epoch": 1}') == (
@@ -164,13 +173,86 @@ class TestErrors:
             1, "error: header line 2: bad meta block: char_hidden must be int, not '2'\n"
         )
 
-    @pytest.mark.parametrize("epoch, shown", [("1e309", "inf"), ("1.5", "1.5")])
-    def test_checkpoint_with_non_integer_epoch_fails_cleanly(self, workdir, capsys, epoch, shown):
+    @pytest.mark.parametrize("key, value, shown", [
         # JSON reads 1e309 as infinity, which int() cannot take
-        meta = f'{{"config": {{}}, "dev_score": 0.0, "epoch": {epoch}}}'
+        pytest.param("epoch", "1e309", "epoch inf is not an integer", id="1e309-inf"),
+        pytest.param("epoch", "1.5", "epoch 1.5 is not an integer", id="1.5-1.5"),
+        # float() would take each of these as a score
+        pytest.param("dev_score", '"0.5"', "dev_score '0.5' is not a finite number",
+                     id="dev_score-string"),
+        pytest.param("dev_score", "true", "dev_score True is not a finite number",
+                     id="dev_score-true"),
+        pytest.param("dev_score", "NaN", "dev_score nan is not a finite number",
+                     id="dev_score-NaN"),
+        pytest.param("dev_score", "Infinity", "dev_score inf is not a finite number",
+                     id="dev_score-Infinity"),
+    ])
+    def test_checkpoint_with_non_integer_epoch_fails_cleanly(self, workdir, capsys, key, value,
+                                                             shown):
+        fields = {"config": "{}", "dev_score": "0.0", "epoch": "1", key: value}
+        meta = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
         assert self.predict_with_meta(workdir, capsys, meta) == (
-            1, f"error: header line 2: bad meta block: epoch {shown} is not an integer\n"
+            1, f"error: header line 2: bad meta block: {shown}\n"
         )
+
+    @pytest.mark.parametrize("lines, payload, message", [
+        pytest.param(["vocab word 1 0", "vocab char 0 2", "payload 2"], b"\x05\x00",
+                     "truncated vocabulary block", id="truncated_block"),
+        pytest.param(["vocab word 1 0", "vocab char 0 6", "payload 6"], b"\x05\x00\x00\x00ab",
+                     "truncated vocabulary entry", id="truncated_entry"),
+        pytest.param(["vocab word 0 0", "vocab char 0 3", "payload 3"], b"abc",
+                     "trailing bytes after vocabulary block", id="trailing_bytes"),
+        pytest.param(["vocab word -1 0", "vocab char 0 0", "payload 0"], b"",
+                     "header line 3: malformed vocab line 'vocab word -1 0'", id="negative_count"),
+        pytest.param(["tensor proj_b -19 0", "vocab word 0 0", "vocab char 0 0", "payload 0"], b"",
+                     "header line 3: malformed tensor line 'tensor proj_b -19 0'",
+                     id="negative_shape"),
+        pytest.param(["vocab word 0 0", "vocab char 0 0"], b"", "incomplete header",
+                     id="no_payload_line"),
+    ])
+    def test_malformed_checkpoint_layout_fails_cleanly(self, workdir, capsys, lines, payload,
+                                                       message):
+        got = self.predict_with_checkpoint(workdir, capsys, [f"meta {GOOD_META}", *lines], payload)
+        assert got == (1, f"error: {message}\n")
+
+    def test_checkpoint_without_reserved_words_fails_cleanly(self, workdir, capsys):
+        assert self.predict_with_meta(workdir, capsys, GOOD_META) == (
+            1, "error: vocabulary does not start with PAD/UNK/USR/URL\n"
+        )
+
+    def test_train_without_checkpoint_fails_cleanly(self, workdir, capsys):
+        tmp_path, config = workdir
+        lines = config.read_text(encoding="utf-8").splitlines(keepends=True)
+        config.write_text("".join(l for l in lines if not l.startswith("checkpoint")),
+                          encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: missing required path: checkpoint\n"
+
+    def test_train_on_untagged_corpus_fails_cleanly(self, workdir, capsys):
+        tmp_path, config = workdir
+        bare = tmp_path / "bare.conll"
+        bare.write_text("Maria\nva\n\n", encoding="utf-8")
+        assert main(["train", "--config", str(config), "--train", str(bare)]) == 1
+        assert capsys.readouterr().err == "error: train and dev corpora must carry gold tags\n"
+
+    def test_vector_dimension_mismatch_fails_cleanly(self, workdir, capsys):
+        tmp_path, config = workdir
+        for name in ("eng4.vec", "spa4.vec"):
+            write_vec_file(tmp_path / name, ["Maria", "va"], dim=4)
+        code = main(["train", "--config", str(config), "--vec-eng", str(tmp_path / "eng4.vec"),
+                     "--vec-spa", str(tmp_path / "spa4.vec")])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: vector file dimension 4 != configured word_dim 16\n"
+        )
+
+    def test_preprocess_empty_corpus_fails_cleanly(self, workdir, capsys):
+        tmp_path, config = workdir
+        empty = tmp_path / "empty.conll"
+        empty.write_text("")
+        out = tmp_path / "prep.conll"
+        code = main(["preprocess", str(empty), "--config", str(config), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, f"error: empty corpus: {empty}\n")
+        assert not out.exists()
 
     def test_checkpoint_shape_mismatch_fails_cleanly(self, workdir, capsys):
         tmp_path, config = workdir
@@ -576,6 +658,29 @@ class TestTrainPredict:
         assert [l.split("\t")[0] for l in pred_lines] == [
             l.split("\t")[0] for l in input_lines
         ]
+
+    def test_empty_input_tags_to_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "empty.conll"
+        empty.write_text("")
+        checkpoint = str(DATA / "checkpoint_f32.ck")
+        assert main(["predict", str(empty), "--checkpoint", checkpoint]) == 0
+        assert capsys.readouterr() == ("", "")
+        out = tmp_path / "pred.conll"
+        assert main(["predict", str(empty), "--checkpoint", checkpoint, "--out", str(out)]) == 0
+        assert out.read_text() == ""
+
+    def test_test_corpus_keeps_its_vector_rows(self, workdir, capsys):
+        # a word only the --test corpus holds keeps its vector row
+        tmp_path, config = workdir
+        extra = tmp_path / "extra.vec"
+        write_vec_file(extra, ["Zaragoza"], dim=16, seed=4)
+        test = tmp_path / "test.conll"
+        test.write_text("Zaragoza\n\n", encoding="utf-8")
+        for flags in ([], ["--test", str(test)]):
+            assert main(["train", "--config", str(config), "--vec-spa", str(extra),
+                         "--max-epochs", "1", *flags]) == 0
+            kept = "Zaragoza" in load_checkpoint(tmp_path / "model.ck").word_tokens
+            assert kept == bool(flags)
 
     def test_unlabeled_input_accepted(self, workdir, capsys):
         tmp_path, config = workdir

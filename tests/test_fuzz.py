@@ -250,7 +250,7 @@ def test_mutated_checkpoint_loads_tags_or_fails_located(tmp_path, edits):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            tags = predict_dataset(restore_model(load_checkpoint(path)), SENTENCE)
+            tags = predict_dataset(restore_model(load_checkpoint(path)), SENTENCE, 64, SENTENCE)
         except CheckpointError:
             return
         except ValueError as exc:

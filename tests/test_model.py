@@ -9,7 +9,7 @@ import pytest
 
 import csner
 from csner import autodiff as ad
-from csner.corpus_io import TAG_INDEX, TAGS, Dataset, TaggedSentence
+from csner.corpus_io import O, TAG_INDEX, TAGS, Dataset, TaggedSentence
 from csner.embeddings import CharVocabulary, EmbeddingTable, Vocabulary
 from csner.model import (
     Tables,
@@ -38,21 +38,25 @@ def tiny_tables():
     return Tables(EmbeddingTable(vocab, vectors), chars)
 
 
+def arrays_of(sents, tables, dtype=np.float64):
+    """An untagged batch of token lists, each token its own spelling."""
+    return build_arrays([TaggedSentence(s) for s in sents], tables, dtype, sents)
+
+
 def char_vectors(words, tables, params):
     """The char encoding of each word, through the batch's spelling columns."""
-    arrays = build_arrays([words], tables, params["proj_w"].dtype)
+    arrays = arrays_of([words], tables, params["proj_w"].dtype)
     spellings, _ = _encode_chars(params, arrays.char_idx, arrays.char_lengths)
     return spellings[arrays.spelling_idx]
 
 
 def encode(tokens, tables, params, **kwargs):
-    arrays = build_arrays([tokens], tables, params["proj_w"].dtype)
+    arrays = arrays_of([tokens], tables, params["proj_w"].dtype)
     return encode_batch(arrays, tables, params, **kwargs)[0]
 
 
-def predict(tokens, tables, params, surfaces=None):
-    arrays = build_arrays([tokens], tables, params["proj_w"].dtype, None if surfaces is None else [surfaces])
-    return predict_batch(arrays, tables, params)[0]
+def predict(tokens, tables, params):
+    return predict_batch(arrays_of([tokens], tables, params["proj_w"].dtype), tables, params)[0]
 
 
 class TestParamShapes:
@@ -169,9 +173,18 @@ class TestPredict:
         assert predict(["pan", "el"], tiny_tables, params) == [0, 0]
 
     def test_surfaces_drive_char_encoder(self, tiny_tables):
+        # the words are looked up by their tokens, and the char encoder
+        # spells the surfaces: other surfaces move only the char half
         params = small_model(tiny_tables)
-        plain = predict(["pan", "el"], tiny_tables, params)
-        assert predict(["pan", "el"], tiny_tables, params, surfaces=["pan", "el"]) == plain
+        sent = [TaggedSentence(["pan", "el"])]
+        arrays = build_arrays(sent, tiny_tables, np.float64, [["Ana", "rio"]])
+        spelled = ["".join(tiny_tables.chars.chars[i] for i in arrays.char_idx[:n, u])
+                   for u, n in enumerate(arrays.char_lengths)]
+        assert spelled == ["Ana", "rio"]
+        own = arrays_of([["pan", "el"]], tiny_tables)
+        assert np.array_equal(arrays.word_idx, own.word_idx)
+        assert not np.array_equal(encode_batch(arrays, tiny_tables, params)[0],
+                                  encode_batch(own, tiny_tables, params)[0])
 
 
 class TestBatchSemantics:
@@ -187,7 +200,7 @@ class TestBatchSemantics:
         def logits_by_sentence(order):
             ds = Dataset([TaggedSentence(sents[i]) for i in order])
             out = {}
-            for batch in make_batches(ds, len(sents), tiny_tables, np.float64):
+            for batch in make_batches(ds, len(sents), tiny_tables, np.float64, ds):
                 a = batch.arrays
                 logits, _ = batch_logits(encode_batch(a, tiny_tables, params)[0], params)
                 logits = logits.reshape(a.max_len, a.batch_size, -1)
@@ -204,29 +217,39 @@ class TestBatchSemantics:
 
     def test_unsorted_lengths_rejected(self, tiny_tables):
         params = small_model(tiny_tables)
-        arrays = build_arrays([["pan"], ["el", "rio"]], tiny_tables, np.float64)
+        arrays = arrays_of([["pan"], ["el", "rio"]], tiny_tables)
         with pytest.raises(ValueError, match=r"lengths \[1, 2\]"):
             predict_batch(arrays, tiny_tables, params)
 
     def test_fixed_vectors_never_accumulate_gradient(self, tiny_tables):
         params = small_model(tiny_tables)
         before = tiny_tables.words.vectors.tobytes()
-        arrays = build_arrays([["el", "pan"]], tiny_tables, np.float64)
-        gold = np.array([TAG_INDEX[TAGS[0]], TAG_INDEX[TAGS[1]]])
-        _, grads = loss_and_grads(arrays, gold, tiny_tables, params)
+        arrays = build_arrays([TaggedSentence(["el", "pan"], TAGS[:2])], tiny_tables, np.float64,
+                              [["el", "pan"]])
+        _, grads = loss_and_grads(arrays, tiny_tables, params)
         assert tiny_tables.words.vectors.tobytes() == before
         assert set(grads) == set(params)
 
     def test_surface_alignment_contract(self, tiny_tables):
         with pytest.raises(ValueError):
-            build_arrays([["a", "b"]], tiny_tables, np.float64, [["a"]])
+            build_arrays([TaggedSentence(["a", "b"])], tiny_tables, np.float64, [["a"]])
+
+    def test_gold_ids_time_major(self, tiny_tables):
+        sents = [TaggedSentence(["Ana", "come", "pan"], [TAGS[1], O, O]),
+                 TaggedSentence(["el", "rio"], [O, TAGS[3]])]
+        arrays = build_arrays(sents, tiny_tables, np.float64, [s.tokens for s in sents])
+        # slot (t, b) at t*B + b, and 0 (O) in the padded slot
+        assert arrays.gold.tolist() == [TAG_INDEX[TAGS[1]], 0, 0, TAG_INDEX[TAGS[3]], 0, 0]
+        untagged = [sents[0], TaggedSentence(["el", "rio"])]
+        assert build_arrays(untagged, tiny_tables, np.float64,
+                            [s.tokens for s in untagged]).gold is None
 
 
 class TestSpellingColumns:
     SENTS = [["Ana", "come", "pan", "pan"], ["el", "Ana", "azul"], ["rio", "el"]]
 
     def test_one_column_per_spelling_longest_first(self, tiny_tables):
-        a = build_arrays(self.SENTS, tiny_tables, np.float64)
+        a = arrays_of(self.SENTS, tiny_tables)
         columns = ["".join(tiny_tables.chars.chars[i] for i in a.char_idx[:n, u])
                    for u, n in enumerate(a.char_lengths)]
         # first occurrence, then a stable sort longest first
@@ -240,11 +263,13 @@ class TestSpellingColumns:
         script = (
             "import numpy as np\n"
             "from csner.embeddings import CharVocabulary, EmbeddingTable, Vocabulary\n"
+            "from csner.corpus_io import TaggedSentence\n"
             "from csner.model import Tables, build_arrays\n"
             "words = ['ab', 'ba', 'cd', 'dc', 'abc', 'cab', 'bca', 'a', 'd', 'ab']\n"
             "vocab = Vocabulary(['x'])\n"
             "table = EmbeddingTable(vocab, np.zeros((len(vocab), 2)))\n"
-            "a = build_arrays([words], Tables(table, CharVocabulary('abcd')))\n"
+            "a = build_arrays([TaggedSentence(words)], Tables(table, CharVocabulary('abcd')),\n"
+            "                 np.float64, [words])\n"
             "print(a.char_idx.T.tolist(), a.spelling_idx.tolist())\n"
         )
         src = os.path.dirname(os.path.dirname(csner.__file__))
@@ -270,7 +295,7 @@ class TestSpellingColumns:
 
         monkeypatch.setattr(model, "_encode_chars", counting)
         ds = Dataset([TaggedSentence(s) for s in self.SENTS])
-        batch = make_batches(ds, 8, tiny_tables, np.float64)[0]
+        batch = make_batches(ds, 8, tiny_tables, np.float64, ds)[0]
         predict_batch(batch.arrays, tiny_tables, params)
         assert columns == [len({w for s in self.SENTS for w in s})]
 
@@ -284,7 +309,7 @@ class TestEndToEndGradient:
         # steps and the one-column-per-spelling layout are exercised
         corpus = corpus_from("Ana/B-PER come/O pan/O pan/O\nel/O rio/B-LOC azul/O\n"
                              "Ana/B-PER come/O\nel/O")
-        batch = make_batches(corpus, 4, tables, np.float64)[0]
+        batch = make_batches(corpus, 4, tables, np.float64, corpus)[0]
         a = batch.arrays
         # the reference layout: one char column per word slot, in slot
         # order, with padded slots on all-padding columns of length 0
@@ -297,11 +322,9 @@ class TestEndToEndGradient:
         assert a.char_idx.shape[1] == 6 and per_slot.char_idx.shape[1] == 16
 
         # dropout on, its masks drawn alike from the same seed
-        fused_loss, fused = loss_and_grads(a, batch.gold_flat, tables, params,
-                                           dropout_rate=0.4)
+        fused_loss, fused = loss_and_grads(a, tables, params, dropout_rate=0.4)
         leaves = {name: ref.param(p.copy()) for name, p in params.items()}
-        loss = ref.batch_loss(per_slot, batch.gold_flat, tables, leaves,
-                              rng=np.random.default_rng(0))
+        loss = ref.batch_loss(per_slot, tables, leaves, rng=np.random.default_rng(0))
         ref.backward(loss)
         assert abs(fused_loss - float(loss.data)) < 1e-10
         assert list(fused) and set(fused) == set(params)
@@ -334,7 +357,7 @@ class TestBackwardState:
 
     def test_predict_batch_keeps_no_backward_state(self, tiny_tables, pullbacks):
         refs, alive = pullbacks
-        arrays = build_arrays(self.SENTS, tiny_tables, np.float64)
+        arrays = arrays_of(self.SENTS, tiny_tables)
         predict_batch(arrays, tiny_tables, small_model(tiny_tables))
         # two layers, two directions: each pullback is gone before the next
         # direction runs, by reference counting alone
@@ -343,9 +366,10 @@ class TestBackwardState:
 
     def test_training_frees_backward_state_with_its_pullback(self, tiny_tables, pullbacks):
         refs, alive = pullbacks
-        arrays = build_arrays(self.SENTS, tiny_tables, np.float64)
-        loss, pullback = batch_loss(arrays, np.zeros(6, dtype=np.int64), tiny_tables,
-                                    small_model(tiny_tables), rng=np.random.default_rng(0))
+        sents = [TaggedSentence(s, [O] * len(s)) for s in self.SENTS]
+        arrays = build_arrays(sents, tiny_tables, np.float64, self.SENTS)
+        loss, pullback = batch_loss(arrays, tiny_tables, small_model(tiny_tables),
+                                    rng=np.random.default_rng(0))
         # the char directions run at once, and may each start before the
         # other's pullback exists; the word directions start after both
         assert max(alive[:2]) <= 1 and min(alive[2:]) >= 2

@@ -80,38 +80,38 @@ class TestMakeBatches:
                 TaggedSentence(["c"] * 4),
             ]
         )
-        batches = make_batches(ds, 2, model.tables, np.float64)
+        batches = make_batches(ds, 2, model.tables, np.float64, ds)
         assert [b.arrays.lengths for b in batches] == [[5, 4], [3]]
         assert batches[0].order == [1, 2]
 
     def test_stable_on_ties(self, small_setup):
         _, model, _ = small_setup
         ds = Dataset([TaggedSentence([f"t{i}"]) for i in range(5)])
-        batches = make_batches(ds, 3, model.tables, np.float64)
+        batches = make_batches(ds, 3, model.tables, np.float64, ds)
         assert batches[0].order == [0, 1, 2]
         assert batches[1].order == [3, 4]
 
     def test_mask_counts_match_token_total(self, small_setup):
         cfg, model, corpus = small_setup
-        batches = make_batches(corpus, cfg.batch_size, model.tables, np.float64)
+        batches = make_batches(corpus, cfg.batch_size, model.tables, np.float64, corpus)
         total = sum(float(b.arrays.mask.sum()) for b in batches)
         assert total == sum(len(s) for s in corpus)
 
     def test_own_longest_padding(self, small_setup):
         _, model, corpus = small_setup
-        batches = make_batches(corpus, 7, model.tables, np.float64)
+        batches = make_batches(corpus, 7, model.tables, np.float64, corpus)
         for b in batches:
             assert b.arrays.max_len == max(b.arrays.lengths)
 
     def test_empty_dataset_rejected(self, small_setup):
         _, model, _ = small_setup
         with pytest.raises(ValueError):
-            make_batches(Dataset([]), 2, model.tables)
+            make_batches(Dataset([]), 2, model.tables, np.float64, Dataset([]))
 
     def test_bad_batch_size(self, small_setup):
         _, model, corpus = small_setup
         with pytest.raises(ValueError):
-            make_batches(corpus, 0, model.tables)
+            make_batches(corpus, 0, model.tables, np.float64, corpus)
 
 
 class TestLrSchedule:
@@ -132,7 +132,7 @@ class TestLrSchedule:
 class TestTrainEpoch:
     def test_zero_lr_keeps_parameters(self, small_setup):
         cfg, model, corpus = small_setup
-        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype)
+        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)
         before = {k: t.copy() for k, t in model.params.items()}
         loss = train_epoch(model, batches, 0.0, np.random.default_rng(0), ad.AdamState(), cfg.dropout)
         assert math.isfinite(loss) and loss > 0
@@ -141,7 +141,7 @@ class TestTrainEpoch:
 
     def test_loss_decreases_over_first_five_epochs(self, small_setup):
         cfg, model, corpus = small_setup
-        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype)
+        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)
         rng = np.random.default_rng(cfg.seed)
         adam = ad.AdamState()
         losses = [
@@ -153,7 +153,7 @@ class TestTrainEpoch:
     def test_unlabeled_batch_rejected(self, small_setup):
         cfg, model, _ = small_setup
         ds = Dataset([TaggedSentence(["hola"])])
-        batches = make_batches(ds, 1, model.tables, cfg.dtype)
+        batches = make_batches(ds, 1, model.tables, cfg.dtype, ds)
         with pytest.raises(TrainingError):
             train_epoch(model, batches, 0.01, np.random.default_rng(0), ad.AdamState())
 
@@ -183,9 +183,9 @@ class TestThreadedStep:
         model = new_model(cfg, random_table(words, cfg.word_dim), build_char_vocab(overfit_corpus),
                           np.random.default_rng(cfg.seed))
         rng, adam, seen = np.random.default_rng(1), ad.AdamState(), []
-        for batch in make_batches(overfit_corpus, cfg.batch_size, model.tables, cfg.dtype):
-            loss, pullback = batch_loss(batch.arrays, batch.gold_flat, model.tables, model.params,
-                                        rng=rng)
+        for batch in make_batches(overfit_corpus, cfg.batch_size, model.tables, cfg.dtype,
+                                  overfit_corpus):
+            loss, pullback = batch_loss(batch.arrays, model.tables, model.params, rng=rng)
             grads = ad.backward(loss, pullback)
             assert set(grads) == set(model.params)
             seen.append((loss.tobytes(), {name: g.tobytes() for name, g in grads.items()}))
@@ -231,13 +231,13 @@ class TestThreadedStep:
     def test_worker_exceptions_reach_train_epoch(self, small_setup, monkeypatch):
         cfg, model, corpus = small_setup
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype)[:2]
+        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)[:2]
         backward, lstm_seq = ad.backward, ad.lstm_seq
         worker_half = ad._halves(model.params)[1]
 
         def poisoned(loss, pullback):
             grads = backward(loss, pullback)
-            grads[worker_half[0]][...] = np.nan  # checked on the worker only
+            grads[worker_half[0]][...] = np.nan  # in the half the worker updates
             return grads
 
         def failing(*args, **kwargs):
@@ -271,7 +271,7 @@ class TestThreadedStep:
 
         cfg, model, corpus = small_setup
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype)[:2]
+        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)[:2]
         span_threads, lstm_threads = set(), set()
         tracer = tracing.Tracer()
         span = tracer.span
@@ -295,7 +295,7 @@ class TestFitStopping:
     def run_with_scores(self, monkeypatch, scores, patience=2, max_epochs=50):
         seen = []
 
-        def fake_dev_f1(model, dev, batch_size, surfaces=None):
+        def fake_dev_f1(model, dev, batch_size, surfaces):
             seen.append(len(seen) + 1)
             return scores[len(seen) - 1]
 
@@ -309,7 +309,7 @@ class TestFitStopping:
         words = {t for s in corpus for t in s.tokens}
         model = new_model(cfg, random_table(words, cfg.word_dim),
                           build_char_vocab(corpus), np.random.default_rng(0))
-        best = fit(model, corpus, corpus, cfg)
+        best = fit(model, corpus, corpus, cfg, corpus, corpus)
         return best, len(seen)
 
     def test_plateau_sequence_stops_after_epoch_four(self, monkeypatch):
@@ -338,7 +338,7 @@ class TestFitStopping:
                                    *corpus.sentences[2:]])
         for dev in (unlabeled, second_untagged):
             with pytest.raises(TrainingError):
-                fit(model, corpus, dev, cfg)
+                fit(model, corpus, dev, cfg, corpus, dev)
 
 
 class TestPaddingNeutrality:
@@ -348,12 +348,12 @@ class TestPaddingNeutrality:
         words = {t for s in corpus for t in s.tokens}
         model = new_model(cfg64, random_table(words, cfg64.word_dim),
                           build_char_vocab(corpus), np.random.default_rng(3))
-        batch = make_batches(corpus, 8, model.tables, np.float64)[0]
+        batch = make_batches(corpus, 8, model.tables, np.float64, corpus)[0]
 
-        def grads_for(arrays, gold):
-            return loss_and_grads(arrays, gold, model.tables, model.params)
+        def grads_for(arrays):
+            return loss_and_grads(arrays, model.tables, model.params)
 
-        base_loss, base_grads = grads_for(batch.arrays, batch.gold_flat)
+        base_loss, base_grads = grads_for(batch.arrays)
 
         a = batch.arrays
         t_max, bsz = a.mask.shape
@@ -364,12 +364,13 @@ class TestPaddingNeutrality:
         mask = np.vstack([a.mask, np.zeros((1, bsz))])
         spelling_idx = np.concatenate([a.spelling_idx, np.zeros(bsz, dtype=np.int64)])
         char_idx = np.vstack([a.char_idx, np.full((1, n_cols), 2, dtype=np.int64)])
-        padded = BatchArrays(word_idx, char_idx, a.char_lengths, spelling_idx, mask, a.lengths)
         gold = np.concatenate(
-            [batch.gold_flat.reshape(t_max, bsz), np.ones((1, bsz), dtype=np.int64)]
+            [a.gold.reshape(t_max, bsz), np.ones((1, bsz), dtype=np.int64)]
         ).reshape(-1)
+        padded = BatchArrays(word_idx, char_idx, a.char_lengths, spelling_idx, mask, a.lengths,
+                             gold)
 
-        pad_loss, pad_grads = grads_for(padded, gold)
+        pad_loss, pad_grads = grads_for(padded)
         assert abs(base_loss - pad_loss) < 1e-12
         for k in base_grads:
             assert np.max(np.abs(base_grads[k] - pad_grads[k])) < 1e-12, k
@@ -385,7 +386,7 @@ class TestDeterminism:
         rng = np.random.default_rng(cfg.seed)
         model = new_model(cfg, random_table(words, cfg.word_dim),
                           build_char_vocab(corpus), rng)
-        best = fit(model, corpus, corpus, cfg, rng=rng)
+        best = fit(model, corpus, corpus, cfg, corpus, corpus, rng=rng)
         return best
 
     def test_identical_seeds_identical_checkpoints(self, tmp_path):
@@ -402,7 +403,7 @@ class TestDeterminism:
         cfg = quick_cfg(max_epochs=2)
         model = new_model(cfg, table, build_char_vocab(ds), np.random.default_rng(0))
         checksum = model.tables.words.vectors.tobytes()
-        fit(model, ds, ds, cfg)
+        fit(model, ds, ds, cfg, ds, ds)
         assert model.tables.words.vectors.tobytes() == checksum
 
 
@@ -467,8 +468,8 @@ class TestCheckpointIO:
         path = tmp_path / "model.ck"
         save_checkpoint(ckpt, path)
         loaded = restore_model(load_checkpoint(path))
-        want = predict_dataset(restore_model(ckpt), corpus, 8)
-        got = predict_dataset(loaded, corpus, 8)
+        want = predict_dataset(restore_model(ckpt), corpus, 8, corpus)
+        got = predict_dataset(loaded, corpus, 8, corpus)
         assert want == got
 
     def test_metadata_round_trip(self, small_setup, tmp_path):
@@ -599,7 +600,7 @@ class TestCheckpointIO:
         same bytes."""
         path = DATA / "checkpoint_f32.ck"
         ckpt = load_checkpoint(path)
-        tags = predict_dataset(restore_model(ckpt), overfit_corpus, 8)
+        tags = predict_dataset(restore_model(ckpt), overfit_corpus, 8, overfit_corpus)
         want = json.loads((DATA / "checkpoint_f32.tags.json").read_text())
         assert [[str(t) for t in sent] for sent in tags] == want
         save_checkpoint(ckpt, tmp_path / "again.ck")
@@ -613,13 +614,13 @@ class TestCheckpointIO:
         from infinities."""
         model = restore_model(load_checkpoint(DATA / "checkpoint_overflow.ck"))
         with pytest.raises(ValueError, match=r"^sentence 1: the model's tag scores are not finite"):
-            predict_dataset(model, overfit_corpus, 8)
+            predict_dataset(model, overfit_corpus, 8, overfit_corpus)
         # one word's vector reaches only the sentences that hold it: "Jose"
         # is in sentences 3 and 23, and 23, longer, sorts into an earlier batch
         model = restore_model(load_checkpoint(DATA / "checkpoint_f32.ck"))
         model.tables.words.vectors[model.tables.words.vocabulary.index("Jose")] = np.nan
         with pytest.raises(ValueError, match=r"^sentence 3: "):
-            predict_dataset(model, overfit_corpus, 8)
+            predict_dataset(model, overfit_corpus, 8, overfit_corpus)
 
     @pytest.mark.parametrize("kind, entry", [("word", 5), ("char", 3)])
     def test_non_utf8_vocab_entry_located(self, small_setup, tmp_path, kind, entry):
@@ -746,7 +747,7 @@ class TestModelMemory:
         cfg = TrainingConfig()
         model = new_model(cfg, random_table(set(words), cfg.word_dim), build_char_vocab(corpus),
                           np.random.default_rng(1))
-        batch = make_batches(corpus, 64, model.tables, np.float32)[0]
+        batch = make_batches(corpus, 64, model.tables, np.float32, corpus)[0]
         a = batch.arrays
         char_rows, word_rows = int(a.char_lengths.sum()), int(a.mask.sum())
         projection = char_rows * 4 * cfg.char_hidden * 4
@@ -760,8 +761,8 @@ class TestModelMemory:
         # directions projected before either runs at 2.66 P, and a copy of
         # the projections taken inside the op at 3.08 P
         model, corpus, _, projection, _ = paper_batch
-        predict_dataset(model, corpus)
-        assert traced_peak(lambda: predict_dataset(model, corpus)) < 1.9 * projection
+        predict_dataset(model, corpus, 64, corpus)
+        assert traced_peak(lambda: predict_dataset(model, corpus, 64, corpus)) < 1.9 * projection
 
     def test_training_step_holds_each_gate_history_once(self, paper_batch):
         # consuming the projections, with pullbacks that keep only what
@@ -772,7 +773,7 @@ class TestModelMemory:
         model, _, batch, _, history = paper_batch
 
         def step():
-            ad.backward(*batch_loss(batch.arrays, batch.gold_flat, model.tables, model.params,
+            ad.backward(*batch_loss(batch.arrays, model.tables, model.params,
                                     rng=np.random.default_rng(0)))
 
         step()
