@@ -259,7 +259,12 @@ def cmd_eval(gold_path: str, pred_path: str) -> int:
 
 def cmd_stats(corpus_path: str) -> int:
     _require_files(corpus=corpus_path)
-    sys.stdout.write(format_stats(dataset_stats(read_conll(corpus_path))))
+    dataset = read_conll(corpus_path)
+    try:
+        stats = dataset_stats(dataset)
+    except ValueError as exc:  # an untagged sentence
+        raise ValueError(f"{corpus_path}: {exc}") from None
+    sys.stdout.write(format_stats(stats))
     return 0
 
 

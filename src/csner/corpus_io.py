@@ -242,15 +242,16 @@ def dataset_stats(dataset: Dataset) -> CorpusStats:
     """Word count and per-category entity counts (shared-span convention).
 
     Entities are counted exactly as the scorer extracts them, so orphan
-    I-spans count as entities too.
+    I-spans count as entities too.  An untagged sentence is an error that
+    names it, numbered from 1.
     """
     from .evaluate import extract_entities
 
     counts = {cat: 0 for cat in EntityCategory}
     words = 0
-    for sent in dataset:
+    for i, sent in enumerate(dataset, start=1):
         if sent.tags is None:
-            raise ValueError("dataset_stats needs a labeled dataset")
+            raise ValueError(f"sentence {i}: missing tags")
         words += len(sent)
         for span in extract_entities(sent.tags):
             counts[span.category] += 1

@@ -125,15 +125,15 @@ def score(gold: Dataset, pred: Dataset) -> EvalReport:
         for cat, counts in tally.items()
         if any(counts)
     }
-    micro = ClassCounts(*map(sum, zip(*tally.values())))  # summed over classes
     if per_class:
         harmonic = harmonic_mean([c.f1 for c in per_class.values()])
+        micro_f1 = ClassCounts(*map(sum, zip(*tally.values()))).f1  # summed over classes
     else:
-        harmonic = 1.0  # nothing to find, nothing found
+        harmonic = micro_f1 = 1.0  # nothing to find, nothing found
     return EvalReport(
         per_class=per_class,
         harmonic_f1=harmonic,
-        micro_f1=micro.f1,
+        micro_f1=micro_f1,
         sentences=len(gold),
         tokens=tokens,
     )

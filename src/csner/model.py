@@ -151,7 +151,10 @@ def _run_bilstm(x, rows, lengths, params: dict[str, np.ndarray], layer: str, kee
     over B sequences of the given ``lengths``, longest first.  A
     direction's packed live-row projections (``autodiff.lstm_seq``) are
     the ``rows`` of x @ wx, all of them when ``rows`` is None, made just
-    before it runs.
+    before it runs.  So x may hold each distinct input once: the char
+    layer's x is ``char_embed`` and its rows the live characters, and at
+    inference the word layer's x holds each distinct (word, spelling)
+    pair and its rows the live slots.
 
     Returns the directions' states side by side, packed like the
     projections: (sum(lengths), 2*hidden), or with ``final`` only each
@@ -229,16 +232,33 @@ def encode_batch(
 ):
     """Token context vectors, flat time-major shape (T*B, 2*word_hidden),
     and their pullback.  Dropout and the pullback are on exactly when
-    ``rng`` is given (training); without it the pullback is None."""
+    ``rng`` is given (training); without it the pullback is None.
+
+    Training builds the word layer's input row by row, one per live slot,
+    each with its own dropout.  Inference has no dropout, so a slot's row
+    depends only on its (word, spelling) pair: it builds one row per
+    distinct pair and the word layer projects those rows and gathers them
+    per slot, as the char layer does with ``char_embed``.  The pair holds
+    the word as well as the spelling, since a spelling may stand for two
+    normalized words."""
     keep = rng is not None
     spellings, char_back = _encode_chars(params, arrays.char_idx, arrays.char_lengths, keep)
-    # each spelling is encoded once; the gather's backward sums its uses
-    x, onehot = _word_vectors(params, tables.words, arrays.word_idx.reshape(-1))
-    u, u_mask = _dropout(np.concatenate([x, spellings[arrays.spelling_idx]], axis=1),
-                         dropout_rate, rng)
     live = np.flatnonzero(arrays.mask)  # the live word slots, step by step
-    c_live, word_back = _run_bilstm(u[live], None, arrays.lengths, params, "word", keep)
-    c = np.zeros((len(u), c_live.shape[1]), dtype=c_live.dtype)
+    if keep:
+        # each spelling is encoded once; the gather's backward sums its uses
+        x, onehot = _word_vectors(params, tables.words, arrays.word_idx.reshape(-1))
+        u, u_mask = _dropout(np.concatenate([x, spellings[arrays.spelling_idx]], axis=1),
+                             dropout_rate, rng)
+        u, rows = u[live], None
+    else:
+        # no dropout: a slot's row depends on its (word, spelling) pair alone
+        n_spellings = len(arrays.char_lengths)
+        pairs, rows = np.unique(arrays.word_idx.reshape(-1)[live] * n_spellings
+                                + arrays.spelling_idx[live], return_inverse=True)
+        x, _ = _word_vectors(params, tables.words, pairs // n_spellings)
+        u = np.concatenate([x, spellings[pairs % n_spellings]], axis=1)
+    c_live, word_back = _run_bilstm(u, rows, arrays.lengths, params, "word", keep)
+    c = np.zeros((arrays.mask.size, c_live.shape[1]), dtype=c_live.dtype)
     c[live] = c_live
     c, c_mask = _dropout(c, dropout_rate, rng)
     if not keep:

@@ -108,10 +108,16 @@ def preprocess_token(token: str, vocab) -> NormalizedToken:
 
 
 def preprocess_dataset(dataset: Dataset, vocab) -> Dataset:
-    """Apply both preprocessing steps to every token; tags pass through."""
+    """Apply both preprocessing steps to every token; tags pass through.
+    Each distinct token is preprocessed once per call."""
+    results: dict[str, str] = {}
     sentences = []
     for sent in dataset:
-        tokens = [preprocess_token(tok, vocab).result for tok in sent.tokens]
+        tokens = []
+        for tok in sent.tokens:
+            if tok not in results:
+                results[tok] = preprocess_token(tok, vocab).result
+            tokens.append(results[tok])
         tags = list(sent.tags) if sent.tags is not None else None
         sentences.append(TaggedSentence(tokens, tags))
     return Dataset(sentences, dataset.split)

@@ -573,6 +573,22 @@ class TestStatsAndEval:
         assert "# Words" in out and "3" in out
         assert "Person" in out and "Location" in out
 
+    def test_stats_on_untagged_corpus_names_file_and_sentence(self, tmp_path, capsys):
+        corpus = tmp_path / "c.conll"
+        corpus.write_text("Ana\nGarcia\n\nLima\n\n")
+        assert main(["stats", str(corpus)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {corpus}: sentence 1: missing tags\n")
+
+    def test_eval_entity_free_is_vacuously_perfect(self, tmp_path, capsys):
+        for text in ("", "mira\tO\nesto\tO\n\n"):
+            corpus = tmp_path / "c.conll"
+            corpus.write_text(text)
+            assert main(["eval", str(corpus), str(corpus)]) == 0
+            out = capsys.readouterr().out
+            assert "harmonic mean F1: 100.0000%" in out
+            assert "micro F1:         100.0000%" in out
+
     def test_eval_self_is_perfect(self, tmp_path, capsys):
         corpus = tmp_path / "c.conll"
         corpus.write_text("Ana\tB-PER\n\nLima\tB-LOC\n\n")

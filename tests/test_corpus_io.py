@@ -211,5 +211,10 @@ class TestStats:
         ds = Dataset([TaggedSentence(["a", "b"], [O, I_LOC])])
         assert dataset_stats(ds).entities[EntityCategory.LOCATION] == 1
 
+    def test_untagged_sentence_named_from_one(self):
+        ds = Dataset([TaggedSentence(["a"], [O]), TaggedSentence(["b"])])
+        with pytest.raises(ValueError, match=r"^sentence 2: missing tags$"):
+            dataset_stats(ds)
+
     def test_tag_indices_cover_inventory(self):
         assert sorted(TAG_INDEX.values()) == list(range(19))

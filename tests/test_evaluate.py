@@ -126,6 +126,7 @@ class TestScore:
         gold = ds("O O O")
         report = score(gold, gold)
         assert report.harmonic_f1 == 1.0
+        assert report.micro_f1 == 1.0
         assert report.per_class == {}
 
     def test_sentence_count_mismatch(self):

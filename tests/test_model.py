@@ -300,6 +300,57 @@ class TestSpellingColumns:
         assert columns == [len({w for s in self.SENTS for w in s})]
 
 
+class TestDistinctWordRows:
+    """Inference builds the word layer's input once per distinct (word,
+    spelling) pair; training keeps a row per slot for its dropout."""
+
+    # repeats, padding, and the spelling "pan" paired with both "pan" and "el"
+    TOKENS = [["Ana", "come", "pan", "pan", "el"], ["el", "Ana", "azul"], ["rio", "el"]]
+    SURFACES = [["Ana", "come", "pan", "pan", "pan"], ["el", "Ana", "azul"], ["rio", "el"]]
+
+    def arrays(self, tables, dtype):
+        return build_arrays([TaggedSentence(s) for s in self.TOKENS], tables, dtype,
+                            self.SURFACES)
+
+    def pairs(self):
+        return {pair for toks, surfs in zip(self.TOKENS, self.SURFACES)
+                for pair in zip(toks, surfs)}
+
+    @pytest.mark.parametrize("float64", [False, True])
+    def test_matches_per_slot_path(self, tiny_tables, float64):
+        # at least 3 live rows and 3 pairs: OpenBLAS may round a GEMM of 1
+        # or 2 rows differently from the same rows inside a larger one
+        cfg = dataclasses.replace(SMALL_CFG, float64=float64)
+        params = new_model(cfg, tiny_tables.words, tiny_tables.chars,
+                           np.random.default_rng(3)).params
+        arrays = self.arrays(tiny_tables, cfg.dtype)
+        assert arrays.mask.size > arrays.mask.sum() >= len(self.pairs()) >= 3
+        per_slot = encode_batch(arrays, tiny_tables, params, rng=np.random.default_rng(0),
+                                dropout_rate=0.0)[0]
+        deduped = encode_batch(arrays, tiny_tables, params)[0]
+        assert deduped.dtype == per_slot.dtype == cfg.dtype
+        assert np.array_equal(deduped, per_slot)
+
+    def test_one_word_row_per_distinct_pair(self, tiny_tables, monkeypatch):
+        from csner import model
+
+        params = small_model(tiny_tables)
+        arrays = self.arrays(tiny_tables, np.float64)
+        seen = []
+        run_bilstm = model._run_bilstm
+
+        def spy(x, rows, lengths, params, layer, *args, **kwargs):
+            if layer == "word":
+                seen.append((len(x), None if rows is None else len(rows)))
+            return run_bilstm(x, rows, lengths, params, layer, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_run_bilstm", spy)
+        encode_batch(arrays, tiny_tables, params)
+        encode_batch(arrays, tiny_tables, params, rng=np.random.default_rng(0))
+        live = int(arrays.mask.sum())
+        assert seen == [(len(self.pairs()), live), (live, None)]
+
+
 class TestEndToEndGradient:
     def test_full_model_matches_per_step_reference(self, micro_setup):
         _, tables, params = micro_setup

@@ -133,6 +133,31 @@ class TestPreprocessDataset:
         assert [len(s) for s in out] == [len(s) for s in ds]
         assert [s.tags for s in out] == [s.tags for s in ds]
 
+    def test_each_distinct_token_once(self, monkeypatch):
+        import csner.preprocess as pp
+
+        vocab = {"hola", "Hola", "USR", "URL"}
+        ds = Dataset([
+            TaggedSentence(["holaaa", "@ana", "hola", "http://t.co/x"], [O, B_PER, O, O]),
+            TaggedSentence(["@ana", "holaaa", "HOLA", "holaaa"], [B_PER, O, O, O]),
+            TaggedSentence(["http://t.co/x", "hola"]),
+        ])
+        per_token = [[preprocess_token(t, vocab).result for t in s.tokens] for s in ds]
+        calls = []
+
+        def counted(token, vocab):
+            calls.append(token)
+            return preprocess_token(token, vocab)
+
+        monkeypatch.setattr(pp, "preprocess_token", counted)
+        out = preprocess_dataset(ds, vocab)
+        assert out == Dataset([TaggedSentence(tokens, s.tags) for tokens, s in zip(per_token, ds)],
+                              ds.split)
+        assert sorted(calls) == sorted({t for s in ds for t in s.tokens})
+        # a second call starts afresh: nothing is kept between calls
+        preprocess_dataset(ds, vocab)
+        assert len(calls) == 2 * len(set(calls))
+
 
 class TestOovReport:
     def test_all_known(self):
