@@ -8,17 +8,21 @@ that dict, and ``adam_step`` applies it.  Values are numpy arrays of
 whatever float dtype the caller builds them with (float64 in tests,
 float32 in production training).
 
-Training runs independent halves of its work, such as the two
-directions of a BiLSTM, at once through ``both``: the second half on
-one worker thread while the first runs on the caller's.  numpy releases
-the GIL inside GEMMs and large ufuncs, so the halves overlap on a second
-CPU.  Every array op keeps its shape and operands, so the bits are those
-of running the halves one after the other.
+Independent halves of the work, such as the two directions of a
+BiLSTM in training and in tagging, run at once through ``both``: the
+second half on one worker thread while the first runs on the caller's.
+numpy releases the GIL inside GEMMs and large ufuncs, so the halves
+overlap on a second CPU.  Every array op keeps its shape and operands,
+so the bits are those of running the halves one after the other.
 """
 
 from __future__ import annotations
 
 import os
+# imported with the module: imported on first use, in the middle of a
+# tagging pass, its long-lived objects sat among the pass's freed arrays,
+# and `tag` peak RSS rose by about 5 MB in some process layouts
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +37,9 @@ _pool = None  # (pid, that process's one-worker ThreadPoolExecutor)
 
 def _executor():
     """This process's one-worker pool, made on first use; a forked child
-    makes its own, as it has no copy of its parent's thread.  The import
-    is here so that a process that only tags never loads it."""
+    makes its own, as it has no copy of its parent's thread."""
     global _pool
     if _pool is None or _pool[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-
         _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="csner"))
     return _pool[1]
 
@@ -54,11 +55,18 @@ def both(first, second):
     more, ``second`` runs on the worker thread while ``first`` runs on
     this one, so neither may write what the other reads.  An exception
     in either propagates once both have stopped, ``first``'s if both
-    raise.  On one usable CPU the two run here, one after the other,
-    which is faster there."""
+    raise.  Both run under this thread's numpy error handling
+    (``np.errstate``).  On one usable CPU the two run here, one after
+    the other, which is faster there."""
     if _usable_cpus() < 2:
         return first(), second()
-    future = _executor().submit(second)
+    errors = np.geterr()  # numpy's error handling is per thread: the caller's holds in both
+
+    def second_here():
+        with np.errstate(**errors):
+            return second()
+
+    future = _executor().submit(second_here)
     try:
         result = first()
     except BaseException:
@@ -205,29 +213,37 @@ def _backprop_steps(dz_all, g_out, wh, live, offsets, order, batch: int, final: 
 
 
 def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, reverse: bool = False,
-             final: bool = False):
+             final: bool = False, rows: np.ndarray | None = None, keep: bool = True):
     """One LSTM direction over B sequences in T = ``lengths[0]`` steps.
 
     ``lengths`` holds the sequences' lengths, longest first, so at every
-    step the live rows come first.  ``xw`` holds the input projections
-    x @ wx of the live rows only, packed in step order: step 0's live
-    rows, then step 1's, and so on.  ``wh`` (hidden, 4*hidden) and ``b``
-    (4*hidden,) have their gate columns blocked [input | forget |
-    candidate | output].  From a zero state the steps run in order (last
-    to first when ``reverse``) through the gated update c' = f*c + i*g,
+    step the live rows come first.  The input projections x @ wx of the
+    live rows are packed in step order: step 0's live rows, then step
+    1's, and so on.  They are ``xw[rows]``, or ``xw`` itself when
+    ``rows`` is None.  ``wh`` (hidden, 4*hidden) and ``b`` (4*hidden,)
+    have their gate columns blocked [input | forget | candidate |
+    output].  From a zero state the steps run in order (last to first
+    when ``reverse``) through the gated update c' = f*c + i*g,
     h' = o*tanh(c') for the live rows only.  Returns the live rows' h,
-    packed like ``xw`` (sum(lengths), hidden), and its pullback, which
-    takes their gradient in the same layout.  With ``final`` it returns
-    only each sequence's h after the direction's last step, (B, hidden),
-    and the pullback takes the gradient of that alone.
+    packed like the projections (sum(lengths), hidden), and its
+    pullback, which takes their gradient in the same layout.  With
+    ``final`` it returns only each sequence's h after the direction's
+    last step, (B, hidden), and the pullback takes the gradient of that
+    alone.
 
-    The op consumes ``xw``, a buffer nothing else may read afterwards:
-    it adds h @ wh and b into it, so it becomes the gate history.  The
-    pullback is hand-written BPTT and runs once.  It recomputes each
-    step's incoming cell state from the history, overwrites the history
-    with the gates' pre-activation gradients and returns that buffer as
-    ``xw``'s gradient, with those of wh and b: one GEMM and one reduction
-    over the live rows.
+    The op consumes ``xw``, a buffer nothing else may read afterwards.
+    When ``keep``, the packed projections are its gate history: each
+    step adds h @ wh and b into its rows.  The pullback is hand-written
+    BPTT and runs once.  It recomputes each step's incoming cell state
+    from the history, overwrites the history with the gates'
+    pre-activation gradients and returns that buffer as the packed
+    projections' gradient, with those of wh and b: one GEMM and one
+    reduction over the live rows.  Without ``keep`` (inference) the
+    pullback is None and no history is made: given ``rows``, each step
+    gathers its rows of ``xw`` into one (B, 4*hidden) buffer that every
+    step reuses, and with ``final`` no packed state is kept either.  A
+    step's values are the same copies of the same products either way,
+    and so are its bits.
     """
     lengths = np.asarray(lengths)
     batch = len(lengths)
@@ -235,20 +251,26 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, reverse: bo
     n_steps = int(lengths.max(initial=0))  # lengths[0], once they are checked
     alive = np.arange(n_steps)[:, None] < lengths
     counts = alive.sum(axis=1)
-    if xw.shape != (counts.sum(), 4 * n) or (np.diff(lengths) > 0).any():
-        raise ValueError(f"projections {xw.shape}, lengths {lengths.tolist()}: "
+    shape = (len(xw) if rows is None else len(rows), *xw.shape[1:])
+    if shape != (counts.sum(), 4 * n) or (np.diff(lengths) > 0).any():
+        raise ValueError(f"projections {shape}, lengths {lengths.tolist()}: "
                          f"expected (sum(lengths), {4 * n}), lengths[0] >= lengths[1] >= ...")
+    # checked once: each step's np.take clips, which writes straight into
+    # the step's buffer, where its "raise" mode would write a copy first
+    if rows is not None and len(rows) and not 0 <= rows.min() <= rows.max() < len(xw):
+        raise IndexError(f"row indices outside the {len(xw)} projections")
     live = counts.tolist()
     offsets = (np.cumsum(counts) - counts).tolist()
+    history = xw if rows is None else xw[rows] if keep else None
+    step_z = np.empty((batch, 4 * n), dtype=xw.dtype) if history is None else None
     # the live rows' states, and last a zero row: the h = 0 that a row
     # reads before its first step
-    states = np.empty((len(xw) + 1, n), dtype=xw.dtype)
-    states[-1] = 0.0
+    states = np.zeros((shape[0] + 1, n), dtype=xw.dtype) if keep or not final else None
     h, c = np.zeros((2, batch, n), dtype=xw.dtype)
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     for t in order:
-        k = live[t]
-        z = xw[offsets[t] : offsets[t] + k]
+        k, at = live[t], slice(offsets[t], offsets[t] + live[t])
+        z = history[at] if step_z is None else np.take(xw, rows[at], 0, step_z[:k], "clip")
         z += h[:k] @ wh
         z += b
         _activate_gates(z, n)
@@ -257,8 +279,10 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, reverse: bo
         c_live += z[:, :n] * z[:, 2 * n : 3 * n]
         np.tanh(c_live, out=h[:k])
         h[:k] *= z[:, 3 * n :]
-        states[offsets[t] : offsets[t] + k] = h[:k]
-    history = xw
+        if states is not None:
+            states[at] = h[:k]
+    if not keep:
+        return (h if final else states[:-1]), None
 
     def pullback(g_out):
         nonlocal history
@@ -269,12 +293,12 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, reverse: bo
         # a step's previous h is the neighbouring step's state of the same
         # sequence, the zero row where that sequence is not live; the
         # direction's first step starts from h = 0 and is left out
-        rows = np.flatnonzero(alive)  # each state's padded (t*B + b) row
-        packed = np.full(n_steps * batch, len(rows))
-        packed[rows] = np.arange(len(rows))
+        slots = np.flatnonzero(alive)  # each state's padded (t*B + b) row
+        packed = np.full(n_steps * batch, len(slots))
+        packed[slots] = np.arange(len(slots))
         first = live[order[0]] if live else 0
-        later = slice(0, len(rows) - first) if reverse else slice(first, len(rows))
-        prev_rows = packed[rows[later] + (batch if reverse else -batch)]
+        later = slice(0, len(slots) - first) if reverse else slice(first, len(slots))
+        prev_rows = packed[slots[later] + (batch if reverse else -batch)]
         return dz_all, states[prev_rows].T @ dz_all[later], dz_all.sum(axis=0)
 
     return (h if final else states[:-1]), pullback

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -253,6 +254,10 @@ def cmd_eval(gold_path: str, pred_path: str) -> int:
     _require_files(gold=gold_path, predictions=pred_path)
     gold = read_conll(gold_path, "gold")
     pred = read_conll(pred_path, "pred")
+    for path, dataset in ((gold_path, gold), (pred_path, pred)):
+        untagged = next((i for i, sent in enumerate(dataset, start=1) if sent.tags is None), 0)
+        if untagged:
+            raise ValueError(f"{path}: sentence {untagged}: missing tags")
     sys.stdout.write(format_report(score(gold, pred)))
     return 0
 
@@ -347,6 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stage(tb) -> str:
+    """The function that the command's ``cmd_*`` function was running when
+    the exception of traceback ``tb`` was raised, or else the innermost."""
+    names = [frame.f_code.co_name for frame, _ in traceback.walk_tb(tb)]
+    return next((callee for name, callee in zip(names, names[1:]) if name.startswith("cmd_")),
+                names[-1])
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -363,6 +376,10 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, VectorLoadError, TrainingError,
             CheckpointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # a size that an input declares, too large to allocate
+        print(f"error: {args.command}: out of memory in {_stage(sys.exc_info()[2])}",
+              file=sys.stderr)
         return 1
 
 

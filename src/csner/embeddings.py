@@ -122,6 +122,19 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
             raise VectorLoadError("line 1: expected header 'count dim'") from None
         if dim < 1:
             raise VectorLoadError(f"line 1: dimension {dim} is not positive")
+        # the header's sizes are checked before anything of them is allocated:
+        # the dimension against the first row's components, if it is UTF-8,
+        # and the count against a file with no rows
+        start, first = fp.tell(), fp.readline()
+        fp.seek(start)
+        try:  # a row that is not UTF-8 is reported where it is read
+            width = first.decode().rstrip("\n").removesuffix("\r").removesuffix(" ").count(" ")
+        except UnicodeDecodeError:
+            width = dim
+        if first and width != dim:
+            raise VectorLoadError(f"line 2: expected {dim} components, got {width}")
+        if not first and count:
+            raise VectorLoadError(f"line 1: header declares {count} rows, file has 0")
         index: dict[str, int] = {}  # kept word -> its row of ``vectors``
         vectors = np.empty((0, dim), dtype=np.float64)  # grown in place
         stat_sum = np.zeros(dim, dtype=np.float64)

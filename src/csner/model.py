@@ -14,8 +14,8 @@ exactly (not just approximately).
 The graph is fixed, so it is differentiated by hand: each stage returns
 its value and, in training (when an rng is given), a pullback that maps
 the gradient of the value to that of its input and writes its
-parameters' gradients by name.  Inference drops every pullback as soon
-as it is made, and with it all backward state.
+parameters' gradients by name.  Inference makes no pullback, and keeps
+nothing that only backward would read.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _dropout(x: np.ndarray, rate: float, rng):
 
 
 def _run_bilstm(x, rows, lengths, params: dict[str, np.ndarray], layer: str, keep: bool,
-                final: bool = False):
+                final: bool = False, at_once: bool = True):
     """Both directions of ``layer`` (its ``<layer>_fwd``/``_bwd`` tensors)
     over B sequences of the given ``lengths``, longest first.  A
     direction's packed live-row projections (``autodiff.lstm_seq``) are
@@ -158,12 +158,12 @@ def _run_bilstm(x, rows, lengths, params: dict[str, np.ndarray], layer: str, kee
 
     Returns the directions' states side by side, packed like the
     projections: (sum(lengths), 2*hidden), or with ``final`` only each
-    direction's last step, (B, 2*hidden).  When ``keep`` (training), the
-    directions run at once (``autodiff.both``) and so do their backward
-    passes, and the pullback that returns x's gradient comes too;
-    otherwise they run one after the other, so that one projection is
-    alive at a time, with None for the pullback and nothing of the
-    backward kept."""
+    direction's last step, (B, 2*hidden).  When ``at_once``, the
+    directions run at once (``autodiff.both``), and in training so do
+    their backward passes.  When ``keep`` (training), the pullback that
+    returns x's gradient comes too; otherwise it is None, nothing of the
+    backward is kept, and each direction gathers one step's projections
+    at a time, so that two directions at once hold no packed projection."""
     n = params[f"{layer}_fwd.wh"].shape[0]
     # both directions gather the same rows: their backward's order, once
     gather_back = ad.gather_pullback(rows, len(x)) if keep and rows is not None else None
@@ -171,8 +171,8 @@ def _run_bilstm(x, rows, lengths, params: dict[str, np.ndarray], layer: str, kee
     def direction(d):
         name, reverse = f"{layer}_{d}", d == "bwd"
         wx = params[f"{name}.wx"]
-        h, lstm_back = ad.lstm_seq(x @ wx if rows is None else (x @ wx)[rows], lengths,
-                                   params[f"{name}.wh"], params[f"{name}.b"], reverse, final)
+        h, lstm_back = ad.lstm_seq(x @ wx, lengths, params[f"{name}.wh"], params[f"{name}.b"],
+                                   reverse, final, rows, keep)
         if not keep:
             return h, None
 
@@ -185,10 +185,10 @@ def _run_bilstm(x, rows, lengths, params: dict[str, np.ndarray], layer: str, kee
 
         return h, pullback
 
+    run = ad.both if at_once else lambda first, second: (first(), second())
+    (h_fwd, fwd_back), (h_bwd, bwd_back) = run(lambda: direction("fwd"), lambda: direction("bwd"))
     if not keep:
-        return np.concatenate([direction("fwd")[0], direction("bwd")[0]], axis=1), None
-    (h_fwd, fwd_back), (h_bwd, bwd_back) = ad.both(lambda: direction("fwd"),
-                                                   lambda: direction("bwd"))
+        return np.concatenate([h_fwd, h_bwd], axis=1), None
 
     def pullback(g, grads):
         dx, dx_bwd = ad.both(lambda: fwd_back(g[:, :n], grads),
@@ -199,14 +199,16 @@ def _run_bilstm(x, rows, lengths, params: dict[str, np.ndarray], layer: str, kee
     return np.concatenate([h_fwd, h_bwd], axis=1), pullback
 
 
-def _encode_chars(params: dict[str, np.ndarray], char_idx, char_lengths, keep: bool = False):
+def _encode_chars(params: dict[str, np.ndarray], char_idx, char_lengths, keep: bool = False,
+                  at_once: bool = True):
     """(V, U) character indices -> (U, 2*char_hidden) spelling encodings,
     and when ``keep`` their pullback, which returns char_embed's gradient.
     The projection gathers the live characters' rows of char_embed @ wx.
     Forward freezes at each word's last character; backward ends after
     consuming the first."""
     live = char_idx[np.arange(len(char_idx))[:, None] < char_lengths]  # step by step
-    return _run_bilstm(params["char_embed"], live, char_lengths, params, "char", keep, final=True)
+    return _run_bilstm(params["char_embed"], live, char_lengths, params, "char", keep,
+                       final=True, at_once=at_once)
 
 
 def _word_vectors(params: dict[str, np.ndarray], table: EmbeddingTable, word_flat):
@@ -242,7 +244,10 @@ def encode_batch(
     the word as well as the spelling, since a spelling may stand for two
     normalized words."""
     keep = rng is not None
-    spellings, char_back = _encode_chars(params, arrays.char_idx, arrays.char_lengths, keep)
+    # one sentence at inference is too little work per step to share
+    at_once = keep or arrays.batch_size > 1
+    spellings, char_back = _encode_chars(params, arrays.char_idx, arrays.char_lengths, keep,
+                                         at_once)
     live = np.flatnonzero(arrays.mask)  # the live word slots, step by step
     if keep:
         # each spelling is encoded once; the gather's backward sums its uses
@@ -257,7 +262,7 @@ def encode_batch(
                                 + arrays.spelling_idx[live], return_inverse=True)
         x, _ = _word_vectors(params, tables.words, pairs // n_spellings)
         u = np.concatenate([x, spellings[pairs % n_spellings]], axis=1)
-    c_live, word_back = _run_bilstm(u, rows, arrays.lengths, params, "word", keep)
+    c_live, word_back = _run_bilstm(u, rows, arrays.lengths, params, "word", keep, at_once=at_once)
     c = np.zeros((arrays.mask.size, c_live.shape[1]), dtype=c_live.dtype)
     c[live] = c_live
     c, c_mask = _dropout(c, dropout_rate, rng)

@@ -287,6 +287,36 @@ class TestLstm:
         for name in fused:
             assert np.max(np.abs(fused[name] - ref_grads[name])) < 1e-10, name
 
+    @pytest.mark.parametrize("final", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gathered_inference_matches_training_forward(self, final, reverse, dtype):
+        # inference gathers each step's rows of the un-gathered product into
+        # one buffer; training gathers them all into its history first.
+        # Each value is the same copy of the same product either way
+        rng = np.random.default_rng(14)
+        p = {k: v.astype(dtype) for k, v in lstm_direction(3, 4, rng).items()}
+        table = rng.normal(size=(5, 3)).astype(dtype) @ p["wx"]  # five distinct inputs
+        rows = rng.integers(0, 5, size=sum(self.FINAL_LENGTHS))  # 12 live rows, repeats among them
+        args = (self.FINAL_LENGTHS, p["wh"], p["b"], reverse, final)
+        want, _ = ad.lstm_seq(table[rows], *args)
+        gathered, pullback = ad.lstm_seq(table.copy(), *args, rows, keep=False)
+        assert pullback is None and gathered.dtype == dtype
+        assert gathered.tobytes() == want.tobytes()
+        # training may hand the op its rows too: it gathers them once
+        assert ad.lstm_seq(table.copy(), *args, rows)[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_row_index_contract(self, keep):
+        p = self.zero_params()
+        # lengths [2, 2] read four packed rows of the 8-wide table
+        for count in (3, 5):
+            with pytest.raises(ValueError, match=r"projections \({}, 8\)".format(count)):
+                ad.lstm_seq(np.zeros((4, 8)), [2, 2], **p, rows=np.zeros(count, int), keep=keep)
+        for bad in (-1, 4):
+            with pytest.raises(IndexError, match="outside the 4 projections"):
+                ad.lstm_seq(np.zeros((4, 8)), [2, 2], **p, rows=np.array([0, 1, bad, 3]), keep=keep)
+
     def test_taped_history_holds_live_rows_only(self):
         # one 64-step sequence beside 63 one-step ones: 127 of 4,096 rows
         # live.  Forward keeps the gate history in the consumed input, and
@@ -516,6 +546,15 @@ class TestBoth:
     def test_one_usable_cpu_runs_both_here(self, monkeypatch):
         monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
         assert ad.both(threading.get_ident, threading.get_ident) == (threading.get_ident(),) * 2
+
+    def test_second_runs_under_the_callers_error_state(self, monkeypatch):
+        # numpy's error handling is per thread: the worker takes the caller's
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        with np.errstate(over="ignore", invalid="raise"):
+            here, there = ad.both(np.geterr, np.geterr)
+            assert here == there == np.geterr()
+            big = np.float32(3e38)
+            assert ad.both(lambda: big * 10, lambda: big * 10) == (np.inf, np.inf)
 
     def test_first_exception_wins_once_both_stopped(self, monkeypatch):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)

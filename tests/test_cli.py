@@ -589,6 +589,15 @@ class TestStatsAndEval:
             assert "harmonic mean F1: 100.0000%" in out
             assert "micro F1:         100.0000%" in out
 
+    def test_eval_names_the_untagged_file(self, tmp_path, capsys):
+        tagged, untagged = tmp_path / "tagged.conll", tmp_path / "untagged.conll"
+        tagged.write_text("Ana\tB-PER\n\nLima\tB-LOC\n\n")
+        untagged.write_text("Ana\n\nLima\n\n")
+        for gold, pred in ((tagged, untagged), (untagged, tagged)):
+            assert main(["eval", str(gold), str(pred)]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {untagged}: sentence 1: missing tags\n")
+
     def test_eval_self_is_perfect(self, tmp_path, capsys):
         corpus = tmp_path / "c.conll"
         corpus.write_text("Ana\tB-PER\n\nLima\tB-LOC\n\n")
@@ -637,6 +646,45 @@ class TestPreprocessCommand:
         vec.write_text("2 2\n\n\n")
         assert main(["preprocess", str(corpus), "--vec-eng", str(vec)]) == 1
         assert capsys.readouterr().err == "error: line 2: expected 2 components, got 0\n"
+
+
+class TestDeclaredSizes:
+    """A size that an input declares and that cannot be allocated ends in
+    one error line and exit 1.  Each run is a subprocess whose address
+    space is limited to 2 GiB, so that a regression fails fast instead of
+    filling the machine."""
+
+    LIMITED = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+               "from csner.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+
+    def run_limited(self, *argv):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+        return subprocess.run([sys.executable, "-c", self.LIMITED, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 3000000000\na 1 2\n", "line 2: expected 3000000000 components, got 2"),
+        ("1 3000000000\n", "line 1: header declares 1 rows, file has 0"),
+    ])
+    def test_vec_dimension_checked_before_allocating(self, tmp_path, text, message):
+        corpus, vec = tmp_path / "c.conll", tmp_path / "big.vec"
+        corpus.write_text("a\tO\n\n")
+        vec.write_text(text)
+        run = self.run_limited("preprocess", corpus, "--vec-eng", vec, "--vec-spa", vec)
+        assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {message}\n")
+
+    def test_out_of_memory_names_the_stage(self, tmp_path):
+        corpus, vec, config = tmp_path / "t.conll", tmp_path / "v.vec", tmp_path / "big.cfg"
+        corpus.write_text("a\tO\n\n")
+        vec.write_text("1 2\na 1 2\n")
+        config.write_text("hidden = 100000\nword_dim = 2\n")  # wh alone would be 298 GiB
+        run = self.run_limited("train", "--config", config, "--train", corpus, "--dev", corpus,
+                               "--vec-eng", vec, "--checkpoint", tmp_path / "m.ck")
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "error: train: out of memory in new_model\n"
+        assert not (tmp_path / "m.ck").exists()
 
 
 class TestTrainPredict:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csner.model as model_mod
 import csner.trainer as trainer_mod
 from csner import autodiff as ad
 from csner.corpus_io import O, Dataset, TaggedSentence
@@ -241,7 +242,7 @@ class TestThreadedStep:
             return grads
 
         def failing(*args, **kwargs):
-            if args[5]:  # the backward direction, on the worker
+            if args[4]:  # the backward direction, on the worker
                 raise FloatingPointError("in the worker")
             return lstm_seq(*args, **kwargs)
 
@@ -289,6 +290,78 @@ class TestThreadedStep:
         assert len(lstm_threads) == 2
         assert {"autodiff.backward", "autodiff.adam", "model.word_bilstm"} <= {
             name for name, *_ in tracer.spans}
+
+
+class TestThreadedPredict:
+    """Inference runs the two directions of each BiLSTM through
+    ``autodiff.both`` too, where a batch holds more than one sentence; a
+    one-sentence batch has too little work per step to share, and stays
+    on the caller's thread.  Neither may change a bit."""
+
+    def tags_and_logits(self, model, corpus, monkeypatch):
+        """Each sentence's tag ids, and each batch's logits as bytes, with
+        the threads that ran ``lstm_seq``."""
+        logits, threads = [], set()
+        batch_logits, lstm_seq = model_mod.batch_logits, ad.lstm_seq
+
+        def watched_logits(*args):
+            out = batch_logits(*args)
+            logits.append(out[0].tobytes())
+            return out
+
+        def watched_lstm(*args):
+            threads.add(threading.get_ident())
+            return lstm_seq(*args)
+
+        monkeypatch.setattr(model_mod, "batch_logits", watched_logits)
+        monkeypatch.setattr(ad, "lstm_seq", watched_lstm)
+        tags = predict_dataset(model, corpus, 16, corpus, post=False)
+        return tags, logits, len(threads)
+
+    @pytest.mark.parametrize("float64", [False, True])
+    def test_threads_change_no_bit(self, overfit_corpus, monkeypatch, float64):
+        cfg = quick_cfg(hidden=16, char_hidden=12, char_dim=8, float64=float64)
+        words = {t for s in overfit_corpus for t in s.tokens}
+        model = new_model(cfg, random_table(words, cfg.word_dim), build_char_vocab(overfit_corpus),
+                          np.random.default_rng(cfg.seed))
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_usable_cpus", lambda: 2)  # the worker, even on one CPU
+            *threaded, n_threads = self.tags_and_logits(model, overfit_corpus, m)
+        assert n_threads == 2
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_usable_cpus", lambda: 2)
+            m.setattr(ad, "_executor", InlineExecutor)
+            assert self.tags_and_logits(model, overfit_corpus, m) == (*threaded, 1)
+        with monkeypatch.context() as m:
+            m.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
+            assert self.tags_and_logits(model, overfit_corpus, m) == (*threaded, 1)
+
+    def test_one_sentence_stays_on_the_callers_thread(self, small_setup, monkeypatch):
+        _, model, corpus = small_setup
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        calls = []
+        both = ad.both
+
+        def counted(first, second):
+            calls.append(1)
+            return both(first, second)
+
+        monkeypatch.setattr(ad, "both", counted)
+        sentences = list(corpus)
+        assert self.tags_and_logits(model, Dataset(sentences[:1]), monkeypatch)[2] == 1
+        assert calls == []
+        predict_dataset(model, Dataset(sentences[:2]), 16, Dataset(sentences[:2]))
+        assert calls == [1, 1]  # the char layer, then the word layer
+
+    def test_worker_keeps_the_callers_error_state(self, overfit_corpus, monkeypatch):
+        # the tag pass ignores overflow inside the LSTM, whose tanh bounds
+        # it, on the worker too: no warning, which the tests turn into errors
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        model = restore_model(load_checkpoint(DATA / "checkpoint_f32.ck"))
+        model.params["word_bwd.wh"][:] = 3e38
+        sentences = list(overfit_corpus)[:4]
+        tags = predict_dataset(model, Dataset(sentences), 8, Dataset(sentences))
+        assert [len(t) for t in tags] == [len(s) for s in sentences]
 
 
 class TestFitStopping:
@@ -731,8 +804,9 @@ class TestCheckpointMemory:
 
 
 class TestModelMemory:
-    """The LSTM op consumes its input projections, and each direction is
-    projected just before it runs.  At paper sizes on one batch of 64
+    """The LSTM op consumes its input projections, each direction is
+    projected just before it runs, and inference gathers one step's
+    projections at a time.  At paper sizes on one batch of 64
     twenty-word sentences (1,280 word rows, about 6,700 live characters)
     the char layer's projections are the largest arrays: one direction's
     are P bytes, and all four LSTMs' gate histories H bytes."""
@@ -754,15 +828,17 @@ class TestModelMemory:
         history = 2 * projection + 2 * word_rows * 4 * cfg.hidden * 4
         return model, corpus, batch, projection, history
 
-    def test_predict_holds_one_projection_at_a_time(self, paper_batch):
-        # one projection at a time, each char direction's output dropped
-        # but for the step it reads, peaked at 1.70 P; keeping each whole
-        # char output through the other direction at 2.08 P, both
-        # directions projected before either runs at 2.66 P, and a copy of
-        # the projections taken inside the op at 3.08 P
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_predict_holds_no_packed_projection(self, paper_batch, monkeypatch, cpus):
+        # each step gathers its rows of the un-gathered projection into one
+        # buffer, and the char layer keeps only each spelling's last h:
+        # 0.92 P with both directions at once, 0.68 P on one CPU.  Gathering
+        # each direction's packed projections whole, one direction at a
+        # time, peaked at 1.57 P, and the two at once at about 2.5 P
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
         model, corpus, _, projection, _ = paper_batch
         predict_dataset(model, corpus, 64, corpus)
-        assert traced_peak(lambda: predict_dataset(model, corpus, 64, corpus)) < 1.9 * projection
+        assert traced_peak(lambda: predict_dataset(model, corpus, 64, corpus)) < 1.1 * projection
 
     def test_training_step_holds_each_gate_history_once(self, paper_batch):
         # consuming the projections, with pullbacks that keep only what
