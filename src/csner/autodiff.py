@@ -209,7 +209,8 @@ def _backprop_steps(dz_all, g_out, wh, live, offsets, order, batch: int, final: 
         tmp *= tc
         tmp *= dh_live
         o *= tmp
-        np.matmul(dz, wh.T, out=dh_live)
+        if t != order[0]:  # the direction's first step has no previous h to pass dh to
+            np.matmul(dz, wh.T, out=dh_live)
 
 
 def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, reverse: bool = False,

@@ -270,6 +270,9 @@ def cmd_stats(corpus_path: str) -> int:
     except ValueError as exc:  # an untagged sentence
         raise ValueError(f"{corpus_path}: {exc}") from None
     sys.stdout.write(format_stats(stats))
+    # on stderr, so that stdout keeps its format
+    print("IOB defects: " + ", ".join(f"kind {kind} {n}" for kind, n in stats.iob_defects.items()),
+          file=sys.stderr)
     return 0
 
 

@@ -236,10 +236,12 @@ class CorpusStats:
     sentences: int
     words: int
     entities: dict[EntityCategory, int]
+    iob_defects: dict[int, int]  # validate_iob's count of each kind, 1 to 3
 
 
 def dataset_stats(dataset: Dataset) -> CorpusStats:
-    """Word count and per-category entity counts (shared-span convention).
+    """Word count, per-category entity counts (shared-span convention)
+    and the count of each kind of ``validate_iob`` defect.
 
     Entities are counted exactly as the scorer extracts them, so orphan
     I-spans count as entities too.  An untagged sentence is an error that
@@ -248,6 +250,7 @@ def dataset_stats(dataset: Dataset) -> CorpusStats:
     from .evaluate import extract_entities
 
     counts = {cat: 0 for cat in EntityCategory}
+    defects = dict.fromkeys((1, 2, 3), 0)
     words = 0
     for i, sent in enumerate(dataset, start=1):
         if sent.tags is None:
@@ -255,7 +258,9 @@ def dataset_stats(dataset: Dataset) -> CorpusStats:
         words += len(sent)
         for span in extract_entities(sent.tags):
             counts[span.category] += 1
-    return CorpusStats(sentences=len(dataset), words=words, entities=counts)
+        for violation in validate_iob(sent):
+            defects[violation.kind] += 1
+    return CorpusStats(sentences=len(dataset), words=words, entities=counts, iob_defects=defects)
 
 
 def format_stats(stats: CorpusStats) -> str:

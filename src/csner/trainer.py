@@ -10,6 +10,7 @@ improve for ``patience`` consecutive epochs.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import json
 import math
 import os
@@ -271,6 +272,30 @@ def restore_model(ckpt: Checkpoint) -> TaggerModel:
     return TaggerModel(params, Tables(table, chars))
 
 
+# glibc's mallopt parameters, from malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep the heap memory that a training step frees, so
+    that the next step reuses those pages instead of faulting fresh ones
+    in.  Arrays up to 32 MiB, the most glibc allows, come from the heap,
+    not from their own mmap, and free top-of-heap memory is handed back
+    to the OS only past 1 GiB, more than a paper-size step's working set
+    (28 to 158 MB measured).  Both are set: setting either one freezes
+    glibc's adaptive thresholds where they stand.  The setting lasts for
+    the process.  Without glibc, nothing is done."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def fit(
     model: TaggerModel,
     train: Dataset,
@@ -290,6 +315,7 @@ def fit(
     cfg.validate()
     if not dev.labeled:
         raise TrainingError("dev split must carry gold tags")
+    _keep_freed_heap()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     batches = make_batches(train, cfg.batch_size, model.tables, cfg.dtype, train_surfaces)

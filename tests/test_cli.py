@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from csner import cli
 from csner.cli import ConfigError, build_run_config, main, parse_config_file
@@ -573,6 +575,35 @@ class TestStatsAndEval:
         assert "# Words" in out and "3" in out
         assert "Person" in out and "Location" in out
 
+    @pytest.mark.parametrize("text, persons, defects", [
+        # an O inside a PER span (kind 1), whose I-PER is also an orphan
+        # (kind 3), and an I-PER after B-LOC (kind 2); each orphan I-PER
+        # counts as an entity
+        ("Ana\tB-PER\nde\tO\nGarcia\tI-PER\n\nLima\tB-LOC\nPeru\tI-PER\n\n", 3,
+         "IOB defects: kind 1 1, kind 2 1, kind 3 1\n"),
+        ("Ana\tB-PER\nde\tI-PER\nGarcia\tI-PER\n\nLima\tB-LOC\nPeru\tO\n\n", 1,
+         "IOB defects: kind 1 0, kind 2 0, kind 3 0\n"),
+    ])
+    def test_stats_counts_iob_defects_on_stderr(self, tmp_path, capsys, text, persons, defects):
+        corpus = tmp_path / "c.conll"
+        corpus.write_text(text)
+        assert main(["stats", str(corpus)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == defects
+        assert captured.out == (
+            "# Sentences             2\n"
+            "# Words                 5\n"
+            f"# Person                {persons}\n"
+            "# Location              1\n"
+            "# Product               0\n"
+            "# Title                 0\n"
+            "# Organization          0\n"
+            "# Group                 0\n"
+            "# Time                  0\n"
+            "# Event                 0\n"
+            "# Other                 0\n"
+        )
+
     def test_stats_on_untagged_corpus_names_file_and_sentence(self, tmp_path, capsys):
         corpus = tmp_path / "c.conll"
         corpus.write_text("Ana\nGarcia\n\nLima\n\n")
@@ -648,11 +679,27 @@ class TestPreprocessCommand:
         assert capsys.readouterr().err == "error: line 2: expected 2 components, got 0\n"
 
 
+# the integers an input may declare at their extremes: zero, negative,
+# past int32, past int64, too large to allocate, and past float range
+EXTREMES = ("0", "-1", str(2**31), str(2**63), str(10**12), "1e309")
+# a whole number, not a digit of a name or of a decimal
+INTEGER = re.compile(r"(?<![\w.])\d+(?![\w.])")
+CHECKPOINT = (DATA / "checkpoint_f32.ck").read_bytes()
+HEADER_END = CHECKPOINT.index(b"\nend\n")
+CONFIG_KEYS = ("hidden", "char_hidden", "word_dim", "char_dim", "batch_size", "patience",
+               "seed", "max_epochs")
+TWO_DRAWS = settings(max_examples=2, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestDeclaredSizes:
     """A size that an input declares and that cannot be allocated ends in
-    one error line and exit 1.  Each run is a subprocess whose address
-    space is limited to 2 GiB, so that a regression fails fast instead of
-    filling the machine."""
+    one error line and exit 1.  Each integer that a ``.vec`` header, a
+    checkpoint header line or a config file declares, set to each of
+    ``EXTREMES``, ends in exit 1 with one error line, or in success;
+    Hypothesis draws which header line or config key takes the value.
+    Each run is a subprocess whose address space is limited to 2 GiB, so
+    that a regression fails fast instead of filling the machine."""
 
     LIMITED = ("import resource, sys\n"
                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -686,6 +733,46 @@ class TestDeclaredSizes:
         assert run.stderr == "error: train: out of memory in new_model\n"
         assert not (tmp_path / "m.ck").exists()
 
+    def assert_clean(self, run):
+        if run.returncode == 0:
+            assert "error:" not in run.stderr and "Traceback" not in run.stderr, run.stderr
+        else:
+            assert run.returncode == 1, run.stderr
+            assert re.fullmatch(r"error: [^\n]*\n", run.stderr), run.stderr
+
+    @pytest.mark.parametrize("value", EXTREMES)
+    def test_vec_header(self, tmp_path, value):
+        corpus, vec = tmp_path / "c.conll", tmp_path / "v.vec"
+        corpus.write_text("a\tO\n\n")
+        vec.write_text(f"{value} {value}\na 1 2\nb 3 4\n")
+        self.assert_clean(self.run_limited("preprocess", corpus, "--vec-eng", vec))
+
+    @pytest.mark.parametrize("value", EXTREMES)
+    @TWO_DRAWS
+    @given(line=st.sampled_from(CHECKPOINT[:HEADER_END].decode().split("\n")[1:]))
+    def test_checkpoint_header_line(self, tmp_path, value, line):
+        # every line after the magic holds integers
+        header = CHECKPOINT[:HEADER_END].decode().replace(line, INTEGER.sub(value, line), 1)
+        ckpt, corpus = tmp_path / "m.ck", tmp_path / "c.conll"
+        ckpt.write_bytes(header.encode() + CHECKPOINT[HEADER_END:])
+        corpus.write_text("Ana\nva\n\n")
+        self.assert_clean(self.run_limited("predict", corpus, "--checkpoint", ckpt))
+
+    @pytest.mark.parametrize("value", EXTREMES)
+    @TWO_DRAWS
+    @given(key=st.sampled_from(CONFIG_KEYS))
+    def test_config_key(self, tmp_path, value, key):
+        # one key at a time: max_epochs and patience both at 10**12 would
+        # be a legal run of 10**12 epochs
+        corpus, vec, config = tmp_path / "t.conll", tmp_path / "v.vec", tmp_path / "c.cfg"
+        corpus.write_text("a\tB-PER\n\n")
+        vec.write_text("1 2\na 1 2\n")
+        sizes = {**dict.fromkeys(CONFIG_KEYS, 2), key: value}
+        config.write_text("".join(f"{k} = {v}\n" for k, v in sizes.items()))
+        self.assert_clean(self.run_limited("train", "--config", config, "--train", corpus,
+                                           "--dev", corpus, "--vec-eng", vec,
+                                           "--checkpoint", tmp_path / "m.ck"))
+
 
 class TestTrainPredict:
     def test_separate_processes_at_one_blas_thread_write_identical_files(self, workdir):
@@ -700,6 +787,31 @@ class TestTrainPredict:
             )
         for suffix in ("ck", "log"):
             assert filecmp.cmp(tmp_path / f"a.{suffix}", tmp_path / f"b.{suffix}", shallow=False)
+
+    def test_without_libc_the_same_files(self, workdir):
+        # fit sets glibc's malloc thresholds through ctypes, which moves
+        # only where freed pages live; a process where libc.so.6 cannot
+        # be loaded sets nothing and writes the same bits
+        tmp_path, config = workdir
+        no_libc = ("import ctypes, sys\n"
+                   "from csner.cli import main\n"
+                   "def no_libc(name, *args, **kwargs):\n"
+                   "    print('CDLL', name)\n"
+                   "    raise OSError(f'{name}: cannot open shared object file')\n"
+                   "ctypes.CDLL = no_libc\n"
+                   "sys.exit(main(sys.argv[1:]))\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+        runs = {}
+        for run, code in (("glibc", ["-m", "csner.cli"]), ("none", ["-c", no_libc])):
+            runs[run] = subprocess.run(
+                [sys.executable, *code, "train", "--config", str(config),
+                 "--checkpoint", str(tmp_path / f"{run}.ck"), "--out", str(tmp_path / f"{run}.log")],
+                env=env, check=True, capture_output=True, text=True, timeout=120,
+            ).stdout
+        assert runs["none"].startswith("CDLL libc.so.6\n")
+        for suffix in ("ck", "log"):
+            assert filecmp.cmp(tmp_path / f"glibc.{suffix}", tmp_path / f"none.{suffix}",
+                               shallow=False)
 
     def test_train_then_predict(self, workdir, capsys):
         tmp_path, config = workdir

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import platform
 import sys
 import threading
 from concurrent.futures import Future
@@ -870,3 +871,26 @@ class TestModelMemory:
 
         one = traced_peak(epoch([batch]))
         assert traced_peak(epoch([batch, batch])) < 1.03 * one
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="fit sets glibc's malloc thresholds")
+    def test_second_fit_faults_in_almost_no_pages(self, paper_batch):
+        # with glibc's own thresholds, freed step arrays went back to the
+        # OS and a one-epoch fit faulted 10,000 to 13,000 pages in every
+        # time; with the freed heap kept, none here and a few hundred in
+        # a fresh process.  A 64 MiB trim threshold, below this batch's
+        # working set, still faulted 10,400 on one CPU
+        import resource  # Unix only
+
+        model, corpus, _, _, _ = paper_batch
+        cfg = TrainingConfig(max_epochs=1)
+
+        def faults():
+            fresh = new_model(cfg, model.tables.words, model.tables.chars,
+                              np.random.default_rng(1))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            fit(fresh, corpus, corpus, cfg, corpus, corpus)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults()
+        assert faults() < 1500
