@@ -152,21 +152,12 @@ def _activate_gates(z, n: int) -> None:
         block *= 0.5
 
 
-def _backprop_steps(dz_all, g_out, wh, live, offsets, order, batch: int, final: bool) -> None:
+def _backprop_steps(dz_all, g_out, wh, cells, live, offsets, order, batch: int, final: bool) -> None:
     """The step loop of ``lstm_seq``'s pullback, in place: the gate history
-    ``dz_all`` becomes the gradients of the gates' pre-activations.  A
-    function of its own, so that its buffers, every live row's cell state
-    among them, are freed before the pullback gathers the previous h."""
+    ``dz_all`` becomes the gradients of the gates' pre-activations.
+    ``cells`` holds each step's incoming cell state, packed like the
+    history, as the forward kept it."""
     n = wh.shape[0]
-    # each step's incoming cell state, by forward's own in-place ops
-    cells = np.empty((len(dz_all), n), dtype=dz_all.dtype)
-    c = np.zeros((batch, n), dtype=dz_all.dtype)
-    for t in order:
-        k = live[t]
-        z = dz_all[offsets[t] : offsets[t] + k]
-        cells[offsets[t] : offsets[t] + k] = c[:k]
-        c[:k] *= z[:, n : 2 * n]
-        c[:k] += z[:, :n] * z[:, 2 * n : 3 * n]
     dh, dc = np.zeros((2, batch, n), dtype=dz_all.dtype)
     if final:  # the last step runs first here
         dh += g_out
@@ -234,24 +225,23 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, reverse: bo
 
     The op consumes ``xw``, a buffer nothing else may read afterwards.
     When ``keep``, the packed projections are its gate history: each
-    step adds h @ wh and b into its rows.  The pullback is hand-written
-    BPTT and runs once.  It recomputes each step's incoming cell state
-    from the history, overwrites the history with the gates'
-    pre-activation gradients and returns that buffer as the packed
-    projections' gradient, with those of wh and b: one GEMM and one
-    reduction over the live rows.  Without ``keep`` (inference) the
-    pullback is None and no history is made: given ``rows``, each step
-    gathers its rows of ``xw`` into one (B, 4*hidden) buffer that every
-    step reuses, and with ``final`` no packed state is kept either.  A
-    step's values are the same copies of the same products either way,
-    and so are its bits.
+    step adds h @ wh and b into its rows, and the forward keeps each
+    step's incoming h and c, packed like the history.  The pullback is
+    hand-written BPTT and runs once.  It reads those states, overwrites
+    the history with the gates' pre-activation gradients and returns
+    that buffer as the packed projections' gradient, with those of wh
+    and b: one GEMM and one reduction over the live rows.  Without
+    ``keep`` (inference) the pullback is None and no history is made:
+    given ``rows``, each step gathers its rows of ``xw`` into one
+    (B, 4*hidden) buffer that every step reuses.  With ``final`` no
+    packed output is made either.  A step's values are the same copies
+    of the same products either way, and so are its bits.
     """
     lengths = np.asarray(lengths)
     batch = len(lengths)
     n = wh.shape[0]
     n_steps = int(lengths.max(initial=0))  # lengths[0], once they are checked
-    alive = np.arange(n_steps)[:, None] < lengths
-    counts = alive.sum(axis=1)
+    counts = (np.arange(n_steps)[:, None] < lengths).sum(axis=1)
     shape = (len(xw) if rows is None else len(rows), *xw.shape[1:])
     if shape != (counts.sum(), 4 * n) or (np.diff(lengths) > 0).any():
         raise ValueError(f"projections {shape}, lengths {lengths.tolist()}: "
@@ -264,14 +254,15 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, reverse: bo
     offsets = (np.cumsum(counts) - counts).tolist()
     history = xw if rows is None else xw[rows] if keep else None
     step_z = np.empty((batch, 4 * n), dtype=xw.dtype) if history is None else None
-    # the live rows' states, and last a zero row: the h = 0 that a row
-    # reads before its first step
-    states = np.zeros((shape[0] + 1, n), dtype=xw.dtype) if keep or not final else None
+    h_in, c_in = np.empty((2, shape[0], n), dtype=xw.dtype) if keep else (None, None)
+    states = None if final else np.empty((shape[0], n), dtype=xw.dtype)
     h, c = np.zeros((2, batch, n), dtype=xw.dtype)
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     for t in order:
         k, at = live[t], slice(offsets[t], offsets[t] + live[t])
         z = history[at] if step_z is None else np.take(xw, rows[at], 0, step_z[:k], "clip")
+        if keep:
+            h_in[at], c_in[at] = h[:k], c[:k]
         z += h[:k] @ wh
         z += b
         _activate_gates(z, n)
@@ -283,26 +274,21 @@ def lstm_seq(xw: np.ndarray, lengths, wh: np.ndarray, b: np.ndarray, reverse: bo
         if states is not None:
             states[at] = h[:k]
     if not keep:
-        return (h if final else states[:-1]), None
+        return (h if final else states), None
+    kept = history, h_in, c_in
 
     def pullback(g_out):
-        nonlocal history
-        if history is None:
+        nonlocal kept
+        if kept is None:
             raise RuntimeError("lstm_seq backward already ran for this forward")
-        dz_all, history = history, None
-        _backprop_steps(dz_all, g_out, wh, live, offsets, order, batch, final)
-        # a step's previous h is the neighbouring step's state of the same
-        # sequence, the zero row where that sequence is not live; the
-        # direction's first step starts from h = 0 and is left out
-        slots = np.flatnonzero(alive)  # each state's padded (t*B + b) row
-        packed = np.full(n_steps * batch, len(slots))
-        packed[slots] = np.arange(len(slots))
+        (dz_all, h_prev, c_prev), kept = kept, None
+        _backprop_steps(dz_all, g_out, wh, c_prev, live, offsets, order, batch, final)
+        # the direction's first step starts from h = 0 and is left out
         first = live[order[0]] if live else 0
-        later = slice(0, len(slots) - first) if reverse else slice(first, len(slots))
-        prev_rows = packed[slots[later] + (batch if reverse else -batch)]
-        return dz_all, states[prev_rows].T @ dz_all[later], dz_all.sum(axis=0)
+        later = slice(0, len(dz_all) - first) if reverse else slice(first, len(dz_all))
+        return dz_all, h_prev[later].T @ dz_all[later], dz_all.sum(axis=0)
 
-    return (h if final else states[:-1]), pullback
+    return (h if final else states), pullback
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,10 @@ def cmd_preprocess(cfg: RunConfig, corpus_path: str) -> int:
 _HELP = {"config": "key = value settings file", "train": "training corpus",
          "dev": "development corpus", "test": "test corpus", "vec_eng": "English .vec file",
          "vec_spa": "Spanish .vec file", "checkpoint": "model checkpoint path",
-         "out": "output path", "prune_to": "retain only vector rows reachable from this corpus"}
+         "out": "output path", "prune_to": "retain only vector rows reachable from this corpus",
+         "seed": "seed of the initial weights and the dropout masks",
+         "max_epochs": "most epochs to train", "float64": "compute in double precision",
+         "no_post": "skip the IOB repairs"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,9 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in keys:
             flag, kind = "--" + key.replace("_", "-"), _KEY_TYPES.get(key)
             if kind == "bool":
-                p.add_argument(flag, action="store_true", default=None)
+                p.add_argument(flag, action="store_true", default=None, help=_HELP[key])
             else:
-                p.add_argument(flag, type=int if kind == "int" else None, help=_HELP.get(key),
+                p.add_argument(flag, type=int if kind == "int" else None, help=_HELP[key],
                                metavar="CORPUS" if key == "prune_to" else None)
         return p
 
@@ -347,11 +350,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 "config", "checkpoint", "out", "no_post")
     p.add_argument("input", nargs="?", help="corpus to tag (default: the config's test key)")
     p = command("eval", "score predictions against gold")
-    p.add_argument("gold")
-    p.add_argument("pred")
-    command("stats", "corpus statistics").add_argument("corpus")
-    command("preprocess", "normalize a corpus, report OOV rates",
-            "config", "train", "vec_eng", "vec_spa", "out", "prune_to").add_argument("corpus")
+    p.add_argument("gold", help="gold corpus")
+    p.add_argument("pred", help="predicted corpus")
+    command("stats", "corpus statistics").add_argument("corpus", help="corpus to count")
+    p = command("preprocess", "normalize a corpus, report OOV rates",
+                "config", "train", "vec_eng", "vec_spa", "out", "prune_to")
+    p.add_argument("corpus", help="corpus to normalize")
     return parser
 
 

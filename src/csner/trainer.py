@@ -108,6 +108,8 @@ def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
     table = replace(table, vectors=table.vectors.astype(cfg.dtype, copy=False))
     params = {}
     for name, shape in param_shapes(cfg, len(chars)).items():
+        if 8 * math.prod(shape) > np.iinfo(np.intp).max:  # numpy would refuse the shape
+            raise MemoryError(f"{name} {shape}: no address space holds the float64 draw")
         # the trainable PAD/UNK/USR/URL rows start as the table's own
         data = (table.vectors[:4].copy() if name == "word_specials"
                 else rng.uniform(-0.1, 0.1, shape).astype(cfg.dtype))

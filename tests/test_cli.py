@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import os
 import pathlib
@@ -441,6 +442,13 @@ class TestPathsCheckedFirst:
         flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
         assert flags == set(ACCEPTED[command])
 
+    @pytest.mark.parametrize("command", ACCEPTED)
+    def test_every_argument_has_help(self, command):
+        subcommands = next(action for action in cli._build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        assert [action.dest for action in subcommands.choices[command]._actions
+                if not action.help] == []
+
     @pytest.mark.parametrize("command, flag", [
         cell for cell in MATRIX if ACCEPTED[cell[0]].get(cell[1]) in PATH_ROLES
     ])
@@ -722,11 +730,15 @@ class TestDeclaredSizes:
         run = self.run_limited("preprocess", corpus, "--vec-eng", vec, "--vec-spa", vec)
         assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {message}\n")
 
-    def test_out_of_memory_names_the_stage(self, tmp_path):
+    @pytest.mark.parametrize("value", [2**31, 2**62, 2**63])
+    @pytest.mark.parametrize("key", ["hidden", "char_hidden", "char_dim"])
+    def test_out_of_memory_names_the_stage(self, tmp_path, key, value):
+        # 2**31 is too large for the address-space limit, and the larger
+        # values give shapes that numpy cannot make at all
         corpus, vec, config = tmp_path / "t.conll", tmp_path / "v.vec", tmp_path / "big.cfg"
         corpus.write_text("a\tO\n\n")
         vec.write_text("1 2\na 1 2\n")
-        config.write_text("hidden = 100000\nword_dim = 2\n")  # wh alone would be 298 GiB
+        config.write_text(f"{key} = {value}\nword_dim = 2\n")
         run = self.run_limited("train", "--config", config, "--train", corpus, "--dev", corpus,
                                "--vec-eng", vec, "--checkpoint", tmp_path / "m.ck")
         assert (run.returncode, run.stdout) == (1, "")

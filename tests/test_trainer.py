@@ -843,10 +843,12 @@ class TestModelMemory:
 
     def test_training_step_holds_each_gate_history_once(self, paper_batch):
         # consuming the projections, with pullbacks that keep only what
-        # backward reads and the cell states recomputed in backward,
-        # peaked at 2.31 H; a tape that kept every op's output and each
-        # step's cell state at 2.76 H, and copying the projections into a
-        # separate gate history at 3.54 H
+        # backward reads, each step's incoming h and c among them, peaks
+        # at 2.04 H.  Rebuilding those states in backward peaked at
+        # 2.09 H, and at 2.31 H while the char layer also kept its padded
+        # rows; a tape that kept every op's output and each step's cell
+        # state at 2.76 H, and copying the projections into a separate
+        # gate history at 3.54 H
         model, _, batch, _, history = paper_batch
 
         def step():
