@@ -12,8 +12,9 @@ Independent halves of the work, such as the two directions of a BiLSTM
 or the two row halves of Adam's update, run at once through ``both``: the
 second half on one worker thread while the first runs on the caller's.
 numpy releases the GIL inside GEMMs and large ufuncs, so the halves
-overlap on a second CPU.  The LSTM ops keep their shapes and operands,
-and Adam's are elementwise, so the bits are those of one thread.
+overlap on a second CPU; on one CPU the two threads take turns on it.
+The LSTM ops keep their shapes and operands, and Adam's are elementwise,
+so the bits are those of one thread.
 """
 
 from __future__ import annotations
@@ -40,22 +41,12 @@ def _executor():
     return _pool[1]
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def both(first, second):
-    """``(first(), second())``.  Where this process may use two CPUs or
-    more, ``second`` runs on the worker thread while ``first`` runs on
-    this one, so neither may write what the other reads.  An exception
-    in either propagates once both have stopped, ``first``'s if both
-    raise.  Both run under this thread's numpy error handling
-    (``np.errstate``).  On one usable CPU the two run here, one after
-    the other, which is faster there."""
-    if _usable_cpus() < 2:
-        return first(), second()
+    """``(first(), second())``: ``second`` runs on the worker thread while
+    ``first`` runs on this one, so neither may write what the other reads.
+    An exception in either propagates once both have stopped, ``first``'s
+    if both raise.  Both run under this thread's numpy error handling
+    (``np.errstate``)."""
     errors = np.geterr()  # numpy's error handling is per thread: the caller's holds in both
 
     def second_here():

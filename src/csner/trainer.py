@@ -172,10 +172,20 @@ def make_batches(
 
 
 def lr_schedule(lr0: float, epoch: int, decay: float = math.sqrt(2.0)) -> float:
-    """Time-based decay: lr0 / decay**epoch, epoch counted from 0."""
+    """Time-based decay: lr0 / decay**epoch, epoch counted from 0.  Raises
+    TrainingError, naming the epoch counted from 1 as ``fit`` logs it,
+    where that rate is not positive and finite: ``decay**epoch`` or the
+    quotient overflows or underflows."""
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
-    return lr0 / decay**epoch
+    try:
+        lr = lr0 / decay**epoch
+    except (ZeroDivisionError, OverflowError):
+        lr = math.nan
+    if not 0 < lr < math.inf:
+        raise TrainingError(f"epoch {epoch + 1}: learning rate lr0 / decay**{epoch} is not "
+                            f"positive and finite (lr0 {lr0!r}, decay {decay!r})")
+    return lr
 
 
 def train_epoch(
@@ -347,7 +357,10 @@ def fit(
     for epoch in range(1, cfg.max_epochs + 1):
         lr = lr_schedule(cfg.lr0, epoch - 1, cfg.decay)
         loss = train_epoch(model, batches, lr, rng, adam, cfg.dropout)
-        f1 = dev_f1(model, dev, cfg.batch_size, dev_surfaces)
+        try:
+            f1 = dev_f1(model, dev, cfg.batch_size, dev_surfaces)
+        except ValueError as exc:  # a dev sentence's tag scores are not finite
+            raise TrainingError(f"epoch {epoch}, learning rate {lr!r}: dev {exc}") from None
         if log_fn is not None:
             log_fn(epoch, loss, lr, f1)
         if best is None or f1 > best.dev_score:

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from csner import cli
@@ -800,16 +800,23 @@ class TestOverflowingValues:
         lines = run.stderr.splitlines(keepends=True)
         return run.returncode, [line for line in lines if not line.startswith("epoch ")]
 
-    # lr0 overflows the first step; decay makes the second epoch's rate infinite
-    @pytest.mark.parametrize("line", ["lr0 = 1e308", "decay = 1e-320"])
+    # lr0 overflows the first step's weights; decay makes the second
+    # epoch's rate infinite, and the third epoch's decay**2 overflow
+    @pytest.mark.parametrize("lines, error", [
+        ("lr0 = 1e308", "epoch 1, learning rate 1e+308: dev sentence 1: "
+                        "the model's tag scores are not finite (its weights overflow)"),
+        ("decay = 1e-320", "epoch 2: learning rate lr0 / decay**1 is not positive and finite "
+                           "(lr0 0.01, decay 1e-320)"),
+        ("decay = 1e200\nmax_epochs = 4\npatience = 4",
+         "epoch 3: learning rate lr0 / decay**2 is not positive and finite "
+         "(lr0 0.01, decay 1e+200)"),
+    ], ids=["lr0 = 1e308", "decay = 1e-320", "decay = 1e200"])
     @pytest.mark.parametrize("float64", ["no", "yes"])
-    def test_rate_that_overflows_the_weights(self, workdir, line, float64):
+    def test_rate_that_overflows_the_weights(self, workdir, lines, error, float64):
         tmp_path, config = workdir
         with open(config, "a", encoding="utf-8") as fp:
-            fp.write(f"{line}\nfloat64 = {float64}\n")
-        assert self.run("train", "--config", config) == (1, [
-            "error: sentence 1: the model's tag scores are not finite (its weights overflow)\n"
-        ])
+            fp.write(f"{lines}\nfloat64 = {float64}\n")
+        assert self.run("train", "--config", config) == (1, [f"error: {error}\n"])
         assert not (tmp_path / "model.ck").exists()
 
     def test_vector_that_overflows_float32(self, workdir):
@@ -835,6 +842,39 @@ class TestOverflowingValues:
         assert self.run("predict", tmp_path / "train.conll", "--checkpoint", path) == (1, [
             "error: tensor proj_w overflows float32\n"
         ])
+
+
+# the smallest subnormal, one whose square underflows, one whose square
+# overflows, and one that overflows the weights as a rate
+RATES = st.one_of(st.sampled_from([5e-324, 1e-320, 1e200, 1e308]),
+                  st.floats(min_value=5e-324, max_value=1e308))
+
+
+class TestTrainingConfigs:
+    """Every training config that ``validate`` accepts ends in exit 0, or in
+    exit 1 with one error line after the ``epoch`` lines, at toy sizes."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lr0=RATES, decay=RATES, dropout=st.floats(0.0, 1.0, exclude_max=True),
+           max_epochs=st.integers(1, 4), patience=st.integers(1, 4),
+           seed=st.integers(0, 2**64), float64=st.booleans())
+    # in epoch 3, decay**2 underflows to 0, and overflows
+    @example(lr0=1e-300, decay=1e-320, dropout=0.4, max_epochs=4, patience=4, seed=3,
+             float64=False)
+    @example(lr0=0.01, decay=1e200, dropout=0.4, max_epochs=4, patience=4, seed=3,
+             float64=False)
+    def test_exit_0_or_one_error_line(self, workdir, capsys, **keys):
+        tmp_path, config = workdir
+        drawn = tmp_path / "drawn.cfg"
+        drawn.write_text(config.read_text(encoding="utf-8")
+                         + "".join(f"{key} = {value!r}\n" for key, value in keys.items()),
+                         encoding="utf-8")
+        code = main(["train", "--config", str(drawn)])
+        err = [line for line in capsys.readouterr().err.splitlines(keepends=True)
+               if not line.startswith("epoch ")]
+        assert (code, len(err)) in ((0, 0), (1, 1)), err
+        assert all(re.fullmatch(r"error: [^\n]*\n", line) for line in err), err
 
 
 class TestTrainPredict:

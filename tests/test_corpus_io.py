@@ -46,6 +46,16 @@ class TestTagInventory:
                 tag_from_string(bad)
 
 
+class TestTaggedSentence:
+    def test_no_tokens_rejected(self):
+        with pytest.raises(ValueError, match="^sentence must contain at least one token$"):
+            TaggedSentence([])
+
+    def test_one_tag_per_token(self):
+        with pytest.raises(ValueError, match="^1 tags for 2 tokens$"):
+            TaggedSentence(["Ana", "va"], [B_PER])
+
+
 class TestParse:
     def test_person_example(self):
         ds = parse_conll("Kendrick\tB-PER\nLamar\tI-PER\n\n")

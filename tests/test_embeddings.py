@@ -12,6 +12,7 @@ from csner.embeddings import (
     PAD_TOKEN,
     SPECIAL_TOKENS,
     UNK_TOKEN,
+    EmbeddingTable,
     VectorLoadError,
     Vocabulary,
     build_char_vocab,
@@ -273,6 +274,13 @@ class TestBlocks:
         peak = traced_peak(lambda: tables.append(load_vec(path)))
         assert tables[0].vectors.shape == (6000, 300)
         assert peak <= 1.4 * tables[0].vectors.nbytes
+
+
+class TestEmbeddingTable:
+    def test_one_row_per_token(self):
+        # two words after PAD, UNK, USR and URL
+        with pytest.raises(ValueError, match="^5 rows for 6 tokens$"):
+            EmbeddingTable(Vocabulary(["a", "b"]), np.zeros((5, 3)))
 
 
 class TestMerge:

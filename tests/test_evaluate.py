@@ -90,6 +90,10 @@ class TestHarmonicMean:
         with pytest.raises(ValueError):
             harmonic_mean([])
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="^harmonic_mean needs non-negative values$"):
+            harmonic_mean([0.5, -0.1])
+
     def test_at_most_arithmetic_mean(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

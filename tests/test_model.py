@@ -26,7 +26,15 @@ from csner.model import (
 from csner.trainer import TrainingConfig, new_model
 
 import reference_ops as ref
-from conftest import SMALL_CFG, corpus_from, loss_and_grads, random_table, small_model, traced_peak
+from conftest import (
+    SMALL_CFG,
+    InlineExecutor,
+    corpus_from,
+    loss_and_grads,
+    random_table,
+    small_model,
+    traced_peak,
+)
 
 
 @pytest.fixture()
@@ -413,9 +421,9 @@ class TestBackwardState:
         # projections would take (0.12 of it in the char layer and 0.45,
         # mostly the packed states, in the word layer; gathering the
         # history as training does read 1.07 and 1.41).  Long sentences of
-        # long spellings make that history the call's largest array; one
-        # usable CPU runs the calls one at a time under the tracer
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
+        # long spellings make that history the call's largest array; the
+        # calls run one at a time on this thread under the tracer
+        monkeypatch.setattr(ad, "_executor", InlineExecutor)
         calls = []
         lstm_seq = ad.lstm_seq
 

@@ -2,9 +2,9 @@ import hashlib
 import json
 import math
 import platform
+import re
 import sys
 import threading
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from csner.trainer import (
 )
 
 from conftest import (
+    InlineExecutor,
     corpus_from,
     corrupt_tensor_value,
     corrupt_vocab_entry,
@@ -71,6 +72,10 @@ class TestConfigValidate:
     def test_non_finite_rate_rejected(self, name, value):
         with pytest.raises(ValueError, match="^lr0 and decay must be positive and finite$"):
             quick_cfg(**{name: value}).validate()
+
+    def test_patience_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^patience must be at least 1$"):
+            quick_cfg(patience=0).validate()
 
 
 class TestMakeBatches:
@@ -116,6 +121,12 @@ class TestMakeBatches:
         with pytest.raises(ValueError):
             make_batches(corpus, 0, model.tables, np.float64, corpus)
 
+    def test_unaligned_surfaces_rejected(self, small_setup):
+        _, model, corpus = small_setup
+        surfaces = Dataset(corpus.sentences[:-1])
+        with pytest.raises(ValueError, match="^surface dataset is not aligned with the input$"):
+            make_batches(corpus, 2, model.tables, np.float64, surfaces)
+
 
 class TestLrSchedule:
     def test_initial_value(self):
@@ -130,6 +141,25 @@ class TestLrSchedule:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
             lr_schedule(0.01, -1)
+
+    @pytest.mark.parametrize("lr0, epoch, decay", [
+        (1e-300, 2, 1e-320),  # decay**2 underflows to 0
+        (0.01, 2, 1e200),  # decay**2 overflows
+        (0.01, 1, 1e-320),  # the quotient overflows
+        (5e-324, 1, 2.0),  # the quotient underflows to 0
+        (10**400, 0, 2.0),  # an int quotient that no float holds
+    ], ids=["decay**2 underflows", "decay**2 overflows", "overflows", "underflows", "int"])
+    def test_rate_that_is_not_positive_and_finite(self, lr0, epoch, decay):
+        # named by the epoch as fit logs it, counted from 1
+        message = (f"epoch {epoch + 1}: learning rate lr0 / decay**{epoch} is not positive "
+                   f"and finite (lr0 {lr0!r}, decay {decay!r})")
+        with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
+            lr_schedule(lr0, epoch, decay)
+
+    def test_earlier_epochs_keep_their_rates(self):
+        assert lr_schedule(1e-300, 0, 1e-320) == 1e-300
+        assert lr_schedule(1e-300, 1, 1e-320) == 1e-300 / 1e-320
+        assert lr_schedule(0.01, 1, 1e200) == 0.01 / 1e200
 
 
 class TestTrainEpoch:
@@ -160,6 +190,20 @@ class TestTrainEpoch:
         with pytest.raises(TrainingError):
             train_epoch(model, batches, 0.01, np.random.default_rng(0), ad.AdamState())
 
+    def test_non_finite_loss_moves_nothing(self, small_setup):
+        # a first step at rate 1e308 overflows the weights, so the next
+        # loss is NaN: no parameter, moment or step count moves
+        cfg, model, corpus = small_setup
+        batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)[:1]
+        adam = ad.AdamState()
+        train_epoch(model, batches, 1e308, np.random.default_rng(0), adam)
+        before = [{k: t.tobytes() for k, t in d.items()} for d in (model.params, adam.m, adam.v)]
+        with pytest.raises(TrainingError, match=r"^non-finite loss nan \(lr 1e\+308\)$"):
+            train_epoch(model, batches, 1e308, np.random.default_rng(0), adam)
+        assert adam.step == 1
+        assert [{k: t.tobytes() for k, t in d.items()}
+                for d in (model.params, adam.m, adam.v)] == before
+
     def test_non_finite_gradient_moves_nothing(self, small_setup, monkeypatch):
         # two bad gradients: the error names the first in params order, and
         # no parameter, moment or step count moves, not even those before it
@@ -187,19 +231,6 @@ class TestTrainEpoch:
                 assert np.array_equal(t, kept[k]), k
 
 
-class InlineExecutor:
-    """An executor that runs each call as it is submitted, on the caller's
-    thread: ``autodiff.both`` then runs its second call before its first."""
-
-    def submit(self, fn):
-        future = Future()
-        try:
-            future.set_result(fn())
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-
 class TestThreadedStep:
     """Training runs the two directions of each BiLSTM, forward and
     backward, and the two halves of Adam through ``autodiff.both``: the
@@ -223,21 +254,13 @@ class TestThreadedStep:
 
     @pytest.mark.parametrize("float64", [False, True])
     def test_threads_change_no_bit(self, overfit_corpus, monkeypatch, float64):
-        with monkeypatch.context() as m:
-            m.setattr(ad, "_usable_cpus", lambda: 2)  # the worker, even on one CPU
-            threaded = self.two_steps(overfit_corpus, float64)
-        with monkeypatch.context() as m:
-            m.setattr(ad, "_usable_cpus", lambda: 2)
-            m.setattr(ad, "_executor", InlineExecutor)
-            assert self.two_steps(overfit_corpus, float64) == threaded
-        with monkeypatch.context() as m:
-            m.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
-            assert self.two_steps(overfit_corpus, float64) == threaded
+        threaded = self.two_steps(overfit_corpus, float64)
+        monkeypatch.setattr(ad, "_executor", InlineExecutor)
+        assert self.two_steps(overfit_corpus, float64) == threaded
 
-    def test_more_training_threads_than_cores(self, overfit_corpus, monkeypatch):
+    def test_more_training_threads_than_cores(self, overfit_corpus):
         # four callers share the one worker, and switch threads often: each
         # still gets every gradient, and the bits of a run on its own
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         want = self.two_steps(overfit_corpus, False)
         results = [None] * 4
 
@@ -259,7 +282,6 @@ class TestThreadedStep:
 
     def test_worker_exceptions_reach_train_epoch(self, small_setup, monkeypatch):
         cfg, model, corpus = small_setup
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)[:2]
         lstm_seq = ad.lstm_seq
 
@@ -289,7 +311,6 @@ class TestThreadedStep:
         import tracing
 
         cfg, model, corpus = small_setup
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)[:2]
         span_threads, lstm_threads = set(), set()
         tracer = tracing.Tracer()
@@ -343,20 +364,13 @@ class TestThreadedPredict:
         model = new_model(cfg, random_table(words, cfg.word_dim), build_char_vocab(overfit_corpus),
                           np.random.default_rng(cfg.seed))
         with monkeypatch.context() as m:
-            m.setattr(ad, "_usable_cpus", lambda: 2)  # the worker, even on one CPU
             *threaded, n_threads = self.tags_and_logits(model, overfit_corpus, m)
         assert n_threads == 2
-        with monkeypatch.context() as m:
-            m.setattr(ad, "_usable_cpus", lambda: 2)
-            m.setattr(ad, "_executor", InlineExecutor)
-            assert self.tags_and_logits(model, overfit_corpus, m) == (*threaded, 1)
-        with monkeypatch.context() as m:
-            m.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
-            assert self.tags_and_logits(model, overfit_corpus, m) == (*threaded, 1)
+        monkeypatch.setattr(ad, "_executor", InlineExecutor)
+        assert self.tags_and_logits(model, overfit_corpus, monkeypatch) == (*threaded, 1)
 
     def test_one_sentence_stays_on_the_callers_thread(self, small_setup, monkeypatch):
         _, model, corpus = small_setup
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         calls = []
         both = ad.both
 
@@ -371,10 +385,9 @@ class TestThreadedPredict:
         predict_dataset(model, Dataset(sentences[:2]), 16, Dataset(sentences[:2]))
         assert calls == [1, 1]  # the char layer, then the word layer
 
-    def test_worker_keeps_the_callers_error_state(self, overfit_corpus, monkeypatch):
+    def test_worker_keeps_the_callers_error_state(self, overfit_corpus):
         # the tag pass ignores overflow inside the LSTM, whose tanh bounds
         # it, on the worker too: no warning, which the tests turn into errors
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         model = restore_model(load_checkpoint(DATA / "checkpoint_f32.ck"))
         model.params["word_bwd.wh"][:] = 3e38
         sentences = list(overfit_corpus)[:4]
@@ -876,14 +889,12 @@ class TestModelMemory:
         history = 2 * projection + 2 * word_rows * 4 * cfg.hidden * 4
         return model, corpus, batch, projection, history
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_predict_holds_no_packed_projection(self, paper_batch, monkeypatch, cpus):
+    def test_predict_holds_no_packed_projection(self, paper_batch):
         # each step gathers its rows of the un-gathered projection into one
         # buffer, and the char layer keeps only each spelling's last h:
-        # 0.92 P with both directions at once, 0.68 P on one CPU.  Gathering
-        # each direction's packed projections whole, one direction at a
-        # time, peaked at 1.57 P, and the two at once at about 2.5 P
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+        # 0.92 P with both directions at once.  Gathering each direction's
+        # packed projections whole, one direction at a time, peaked at
+        # 1.57 P, and the two at once at about 2.5 P
         model, corpus, _, projection, _ = paper_batch
         predict_dataset(model, corpus, 64, corpus)
         assert traced_peak(lambda: predict_dataset(model, corpus, 64, corpus)) < 1.1 * projection
