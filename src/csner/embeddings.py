@@ -122,22 +122,12 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
             raise VectorLoadError("line 1: expected header 'count dim'") from None
         if dim < 1:
             raise VectorLoadError(f"line 1: dimension {dim} is not positive")
-        # the header's sizes are checked before anything of them is allocated:
-        # the dimension against the first row's components, if it is UTF-8,
-        # and the count against a file with no rows
-        start, first = fp.tell(), fp.readline()
-        fp.seek(start)
-        try:  # a row that is not UTF-8 is reported where it is read
-            width = first.decode().rstrip("\n").removesuffix("\r").removesuffix(" ").count(" ")
-        except UnicodeDecodeError:
-            width = dim
-        if first and width != dim:
-            raise VectorLoadError(f"line 2: expected {dim} components, got {width}")
-        if not first and count:
-            raise VectorLoadError(f"line 1: header declares {count} rows, file has 0")
+        # nothing is sized by the header's dimension until a parsed row has
+        # that many components: a false header fails at its first row, or at
+        # its row count when no row follows
         index: dict[str, int] = {}  # kept word -> its row of ``vectors``
         vectors = np.empty((0, dim), dtype=np.float64)  # grown in place
-        stat_sum = np.zeros(dim, dtype=np.float64)
+        stat_sum = None  # made with the first block that holds a parsed row
         stat_count = 0
         non_finite = None  # the line at which the sum stopped being finite
         while raw := fp.readlines(_BLOCK_BYTES):
@@ -153,6 +143,10 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
             rows = _parse_block(tails, dim) if all(tails) else None
             if rows is None:
                 rows = _parse_rows(tails, 2 + stat_count, dim)
+            if len(tails) < len(raw):
+                raise VectorLoadError(f"line {2 + stat_count + len(tails)}: not valid UTF-8")
+            if stat_sum is None:
+                stat_sum = np.zeros(dim, dtype=np.float64)
             before = stat_sum.copy()
             for word, row in zip(words, rows):
                 stat_sum += row  # row by row, in file order
@@ -169,8 +163,6 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
                         non_finite = 2 + stat_count + i
                         break
             stat_count += len(tails)
-            if len(tails) < len(raw):
-                raise VectorLoadError(f"line {2 + stat_count}: not valid UTF-8")
     if non_finite is not None:
         raise VectorLoadError(f"line {non_finite}: non-finite vector component")
     if stat_count != count:
@@ -179,7 +171,7 @@ def load_vec(path, keep: set[str] | None = None) -> EmbeddingTable:
     return EmbeddingTable(
         Vocabulary(index, specials=False),
         vectors,
-        stat_sum=stat_sum,
+        stat_sum=np.zeros(dim, dtype=np.float64) if stat_sum is None else stat_sum,
         stat_count=stat_count,
     )
 
@@ -199,12 +191,13 @@ def _parse_block(tails: list[str], dim: int) -> np.ndarray | None:
     return rows if rows.shape == (len(tails), dim) else None
 
 
-def _parse_rows(tails: list[str | None], first_line_no: int, dim: int) -> np.ndarray:
-    """The components of ``tails``, one row at a time, or the
-    ``VectorLoadError`` of the first bad row.  Accepts every number
+def _parse_rows(tails: list[str | None], first_line_no: int, dim: int) -> list[np.ndarray]:
+    """The components of ``tails``, one array per row, or the
+    ``VectorLoadError`` of the first bad row.  A row's width is checked
+    before anything of ``dim`` is allocated.  Accepts every number
     Python's ``float`` does (``1_0``, full-width digits), unlike numpy's
     reader."""
-    rows = np.empty((len(tails), dim), dtype=np.float64)
+    rows = []
     for i, tail in enumerate(tails):
         parts = [] if tail is None else tail.split(" ")
         if len(parts) != dim:
@@ -212,7 +205,7 @@ def _parse_rows(tails: list[str | None], first_line_no: int, dim: int) -> np.nda
                 f"line {first_line_no + i}: expected {dim} components, got {len(parts)}"
             )
         try:
-            rows[i] = np.array(parts, dtype=np.float64)
+            rows.append(np.array(parts, dtype=np.float64))
         except ValueError:
             raise VectorLoadError(
                 f"line {first_line_no + i}: non-numeric vector component"

@@ -132,13 +132,13 @@ def build_arrays(
     return BatchArrays(word_idx, char_idx, char_lengths, spelling_idx, mask, lengths, gold)
 
 
-def _dropout(x: np.ndarray, rate: float, rng):
+def _dropout(x: np.ndarray, rate: float, rng: np.random.Generator):
     """Inverted dropout with its mask drawn from ``rng``: survivors are
     scaled by 1/(1-rate).  Returns the result and the mask, which is None
-    without an rng (inference) or at rate 0, where it is the identity."""
+    at rate 0, where it is the identity.  Training alone calls it."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    if rng is None or rate == 0.0:
+    if rate == 0.0:
         return x, None
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     mask = keep / np.asarray(1.0 - rate, dtype=x.dtype)
@@ -265,9 +265,9 @@ def encode_batch(
     c_live, word_back = _run_bilstm(u, rows, arrays.lengths, params, "word", keep, at_once=at_once)
     c = np.zeros((arrays.mask.size, c_live.shape[1]), dtype=c_live.dtype)
     c[live] = c_live
-    c, c_mask = _dropout(c, dropout_rate, rng)
     if not keep:
         return c, None
+    c, c_mask = _dropout(c, dropout_rate, rng)
 
     def pullback(g, grads):
         if c_mask is not None:

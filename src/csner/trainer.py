@@ -209,7 +209,7 @@ def train_epoch(
                                         rng=rng, dropout_rate=dropout_rate)
             value = float(loss)
             if not math.isfinite(value):
-                raise TrainingError(f"non-finite loss {value} (lr {lr})")
+                raise TrainingError(f"non-finite loss {value}")
             grads = ad.backward(loss, pullback)
             for name in model.params:
                 if not np.isfinite(grads[name]).all():
@@ -356,7 +356,10 @@ def fit(
     bad_epochs = 0
     for epoch in range(1, cfg.max_epochs + 1):
         lr = lr_schedule(cfg.lr0, epoch - 1, cfg.decay)
-        loss = train_epoch(model, batches, lr, rng, adam, cfg.dropout)
+        try:
+            loss = train_epoch(model, batches, lr, rng, adam, cfg.dropout)
+        except TrainingError as exc:  # e.g. a step's loss is not finite
+            raise TrainingError(f"epoch {epoch}, learning rate {lr!r}: {exc}") from None
         try:
             f1 = dev_f1(model, dev, cfg.batch_size, dev_surfaces)
         except ValueError as exc:  # a dev sentence's tag scores are not finite

@@ -1,7 +1,10 @@
 import ast
 import itertools
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -605,6 +608,27 @@ class TestBoth:
         with pytest.raises(ValueError, match="second"):
             ad.both(lambda: None, second)
         assert ad.both(lambda: 1, lambda: 2) == (1, 2)
+
+    # a child that the parent forks after a ``both`` call has no copy of the
+    # parent's worker thread, so it must make its own pool or wait forever;
+    # the alarm ends such a child
+    FORK = ("import os, signal, warnings\n"
+            "warnings.simplefilter('ignore', DeprecationWarning)  # fork() with threads\n"
+            "from csner import autodiff as ad\n"
+            "assert ad.both(lambda: 1, lambda: 2) == (1, 2)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    os._exit(0 if ad.both(lambda: 3, lambda: 4) == (3, 4) else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self):
+        src = pathlib.Path(ad.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-c", self.FORK], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
 
 
 class TestFiniteDiff:

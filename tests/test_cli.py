@@ -720,13 +720,14 @@ class TestDeclaredSizes:
                               capture_output=True, text=True, timeout=120)
 
     @pytest.mark.parametrize("text, message", [
-        ("1 3000000000\na 1 2\n", "line 2: expected 3000000000 components, got 2"),
-        ("1 3000000000\n", "line 1: header declares 1 rows, file has 0"),
+        (b"1 3000000000\na 1 2\n", "line 2: expected 3000000000 components, got 2"),
+        (b"1 3000000000\n", "line 1: header declares 1 rows, file has 0"),
+        (b"1 3000000000\n\xff 1 2\n", "line 2: not valid UTF-8"),
     ])
     def test_vec_dimension_checked_before_allocating(self, tmp_path, text, message):
         corpus, vec = tmp_path / "c.conll", tmp_path / "big.vec"
         corpus.write_text("a\tO\n\n")
-        vec.write_text(text)
+        vec.write_bytes(text)
         run = self.run_limited("preprocess", corpus, "--vec-eng", vec, "--vec-spa", vec)
         assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {message}\n")
 
@@ -800,17 +801,19 @@ class TestOverflowingValues:
         lines = run.stderr.splitlines(keepends=True)
         return run.returncode, [line for line in lines if not line.startswith("epoch ")]
 
-    # lr0 overflows the first step's weights; decay makes the second
-    # epoch's rate infinite, and the third epoch's decay**2 overflow
+    # lr0 overflows the first step's weights, which at batch 8 the second
+    # step's loss shows; decay makes the second epoch's rate infinite, and
+    # the third epoch's decay**2 overflow
     @pytest.mark.parametrize("lines, error", [
         ("lr0 = 1e308", "epoch 1, learning rate 1e+308: dev sentence 1: "
                         "the model's tag scores are not finite (its weights overflow)"),
+        ("lr0 = 1e308\nbatch_size = 8", "epoch 1, learning rate 1e+308: non-finite loss nan"),
         ("decay = 1e-320", "epoch 2: learning rate lr0 / decay**1 is not positive and finite "
                            "(lr0 0.01, decay 1e-320)"),
         ("decay = 1e200\nmax_epochs = 4\npatience = 4",
          "epoch 3: learning rate lr0 / decay**2 is not positive and finite "
          "(lr0 0.01, decay 1e+200)"),
-    ], ids=["lr0 = 1e308", "decay = 1e-320", "decay = 1e200"])
+    ], ids=["lr0 = 1e308", "lr0 = 1e308, batch 8", "decay = 1e-320", "decay = 1e200"])
     @pytest.mark.parametrize("float64", ["no", "yes"])
     def test_rate_that_overflows_the_weights(self, workdir, lines, error, float64):
         tmp_path, config = workdir

@@ -464,11 +464,6 @@ class TestDropout:
         out, mask = _dropout(x, 0.0, np.random.default_rng(0))
         assert out is x and mask is None
 
-    def test_inference_identity(self):
-        x = np.ones((3, 3))
-        out, mask = _dropout(x, 0.9, None)
-        assert out is x and mask is None
-
     def test_rate_contract(self):
         x = np.ones(2)
         with pytest.raises(ValueError):

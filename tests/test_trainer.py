@@ -198,7 +198,7 @@ class TestTrainEpoch:
         adam = ad.AdamState()
         train_epoch(model, batches, 1e308, np.random.default_rng(0), adam)
         before = [{k: t.tobytes() for k, t in d.items()} for d in (model.params, adam.m, adam.v)]
-        with pytest.raises(TrainingError, match=r"^non-finite loss nan \(lr 1e\+308\)$"):
+        with pytest.raises(TrainingError, match=r"^non-finite loss nan$"):
             train_epoch(model, batches, 1e308, np.random.default_rng(0), adam)
         assert adam.step == 1
         assert [{k: t.tobytes() for k, t in d.items()}
