@@ -163,9 +163,18 @@ def _require_writable(cfg: RunConfig, inputs: dict, **outputs) -> None:
         claimed[real] = name
 
 
+def _read(reader, path, *args, **kwargs):
+    """``reader(path, ...)``, whose ParseError or VectorLoadError names ``path``."""
+    try:
+        return reader(path, *args, **kwargs)
+    except (ParseError, VectorLoadError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _load_tables(cfg: RunConfig, keep: set[str]):
     """The English table, and the merge of it with the Spanish one if given."""
-    tables = [load_vec(path, keep=keep) for path in (cfg.vec_eng, cfg.vec_spa) if path]
+    tables = [_read(load_vec, path, keep=keep) for path in (cfg.vec_eng, cfg.vec_spa) if path]
     return tables[0], merge_tables(*tables)
 
 
@@ -173,7 +182,7 @@ def _prune_set(cfg: RunConfig, *datasets):
     """Vector rows to retain: the normalization candidate closure of
     either an explicit --prune-to corpus or the pipeline's own corpora."""
     if cfg.prune_to:
-        return corpus_candidate_forms(read_conll(cfg.prune_to))
+        return corpus_candidate_forms(_read(read_conll, cfg.prune_to))
     return corpus_candidate_forms(*datasets)
 
 
@@ -186,13 +195,11 @@ def cmd_train(cfg: RunConfig) -> int:
     _require_writable(cfg, inputs, checkpoint=cfg.checkpoint,
                       **{"out" if cfg.out else "log": log_path})
 
-    train_raw = read_conll(cfg.train, "train")
-    dev_raw = read_conll(cfg.dev, "dev")
+    train_raw = _read(read_conll, cfg.train, "train")
+    dev_raw = _read(read_conll, cfg.dev, "dev")
     if not train_raw.labeled or not dev_raw.labeled:
         raise TrainingError("train and dev corpora must carry gold tags")
-    extras = []
-    if cfg.test:
-        extras.append(read_conll(cfg.test, "test"))
+    extras = [_read(read_conll, cfg.test, "test")] if cfg.test else []
     table = _load_tables(cfg, _prune_set(cfg, train_raw, dev_raw, *extras))[1]
 
     train_norm = preprocess_dataset(train_raw, table.vocabulary)
@@ -228,7 +235,7 @@ def cmd_predict(cfg: RunConfig, input_path: str | None) -> int:
     inputs = _require_files(checkpoint=cfg.checkpoint, input=input_path)
     _require_writable(cfg, inputs, out=cfg.out)
     model = restore_model(load_checkpoint(cfg.checkpoint))
-    raw = read_conll(input_path, "input")
+    raw = _read(read_conll, input_path, "input")
     if len(raw) == 0:
         output = ""
     else:
@@ -252,8 +259,8 @@ def cmd_predict(cfg: RunConfig, input_path: str | None) -> int:
 
 def cmd_eval(gold_path: str, pred_path: str) -> int:
     _require_files(gold=gold_path, predictions=pred_path)
-    gold = read_conll(gold_path, "gold")
-    pred = read_conll(pred_path, "pred")
+    gold = _read(read_conll, gold_path, "gold")
+    pred = _read(read_conll, pred_path, "pred")
     for path, dataset in ((gold_path, gold), (pred_path, pred)):
         untagged = next((i for i, sent in enumerate(dataset, start=1) if sent.tags is None), 0)
         if untagged:
@@ -264,7 +271,7 @@ def cmd_eval(gold_path: str, pred_path: str) -> int:
 
 def cmd_stats(corpus_path: str) -> int:
     _require_files(corpus=corpus_path)
-    dataset = read_conll(corpus_path)
+    dataset = _read(read_conll, corpus_path)
     try:
         stats = dataset_stats(dataset)
     except ValueError as exc:  # an untagged sentence
@@ -280,7 +287,7 @@ def cmd_preprocess(cfg: RunConfig, corpus_path: str) -> int:
     inputs = {**_require_files(corpus=corpus_path, vec_eng=cfg.vec_eng),
               **_require_given(cfg, "vec_spa", "train", "prune_to")}
     _require_writable(cfg, inputs, out=cfg.out)
-    corpus = read_conll(corpus_path)
+    corpus = _read(read_conll, corpus_path)
     if len(corpus) == 0:
         raise ConfigError(f"empty corpus: {corpus_path}")
 
@@ -297,7 +304,7 @@ def cmd_preprocess(cfg: RunConfig, corpus_path: str) -> int:
 
     rows = []
     if cfg.train:
-        train_vocab = {t for s in read_conll(cfg.train) for t in s.tokens}
+        train_vocab = {t for s in _read(read_conll, cfg.train) for t in s.tokens}
         rows.append(("corpus", oov_report(corpus, train_vocab)))
     rows.append(("vectors (eng)", oov_report(corpus, eng.vocabulary)))
     rows.append(("+ vectors (spa)", oov_report(corpus, merged.vocabulary)))

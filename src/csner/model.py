@@ -301,17 +301,16 @@ def batch_loss(
     arrays: BatchArrays,
     tables: Tables,
     params: dict[str, np.ndarray],
-    rng: np.random.Generator | None = None,
-    dropout_rate: float = 0.4,
+    rng: np.random.Generator,
+    dropout_rate: float,
 ):
-    """The mean loss over the live word slots against ``arrays.gold``, and
-    when ``rng`` is given (training, with dropout) its pullback for
-    ``autodiff.backward``."""
+    """The training loss, the mean over the live word slots against
+    ``arrays.gold`` with ``rng`` drawing the dropout masks, and its
+    pullback for ``autodiff.backward``.  ``predict_batch`` is the
+    inference pass."""
     encoded, encode_back = encode_batch(arrays, tables, params, rng, dropout_rate)
     logits, logits_back = batch_logits(encoded, params)
     loss, loss_back = ad.masked_cross_entropy_logits(logits, arrays.gold, arrays.mask.reshape(-1))
-    if encode_back is None:
-        return loss, None
     return loss, lambda g, grads: encode_back(logits_back(loss_back(g), grads), grads)
 
 

@@ -335,11 +335,13 @@ def fit(
     cfg: TrainingConfig,
     train_surfaces: Dataset,
     dev_surfaces: Dataset,
-    rng: np.random.Generator | None = None,
-    log_fn=None,
+    rng: np.random.Generator,
+    log_fn,
 ) -> Checkpoint:
     """Train with per-epoch dev selection and early stopping.  The
     ``*_surfaces`` datasets hold the raw spellings of ``train`` and ``dev``.
+    ``rng`` draws every dropout mask, and ``log_fn(epoch, loss, lr,
+    dev_f1)`` is called once per epoch.
 
     The dev metric is the harmonic-mean F1 of post-processed predictions,
     matching the tuned pipeline.  Returns the best checkpoint seen.
@@ -348,8 +350,6 @@ def fit(
     if not dev.labeled:
         raise TrainingError("dev split must carry gold tags")
     _keep_freed_heap()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     batches = make_batches(train, cfg.batch_size, model.tables, cfg.dtype, train_surfaces)
     adam = ad.AdamState()
     best: Checkpoint | None = None
@@ -364,8 +364,7 @@ def fit(
             f1 = dev_f1(model, dev, cfg.batch_size, dev_surfaces)
         except ValueError as exc:  # a dev sentence's tag scores are not finite
             raise TrainingError(f"epoch {epoch}, learning rate {lr!r}: dev {exc}") from None
-        if log_fn is not None:
-            log_fn(epoch, loss, lr, f1)
+        log_fn(epoch, loss, lr, f1)
         if best is None or f1 > best.dev_score:
             best = snapshot(model, cfg, f1, epoch)
             bad_epochs = 0

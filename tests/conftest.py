@@ -184,9 +184,9 @@ def small_model(tables: Tables, seed=3) -> dict:
 
 
 def loss_and_grads(arrays, tables, params, rng=None, dropout_rate=0.0):
-    """``model.batch_loss`` and its gradients by name.  An rng is always
-    passed, which keeps the pullback; dropout draws from it only at a
-    rate above 0, so by default the loss is deterministic."""
+    """``model.batch_loss`` and its gradients by name.  Without ``rng``
+    it is given a fresh stream; dropout draws from it only at a rate
+    above 0, so by default the loss is deterministic."""
     loss, pullback = batch_loss(arrays, tables, params,
                                 rng=np.random.default_rng(0) if rng is None else rng,
                                 dropout_rate=dropout_rate)

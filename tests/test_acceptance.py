@@ -71,8 +71,8 @@ def test_criterion_1_gradient_correctness(micro_setup):
         batch = make_batches(corpus, 4, tables, np.float64, corpus)[0]
         grads = loss_and_grads(batch.arrays, tables, params)[1]
 
-        def loss():  # forward only: without an rng, as at dropout 0
-            return batch_loss(batch.arrays, tables, params)[0]
+        def loss():  # the training-path loss at rate 0.0, as loss_and_grads takes it
+            return batch_loss(batch.arrays, tables, params, np.random.default_rng(0), 0.0)[0]
 
         err = finite_diff_check(loss, grads, params, h=1e-4)
         elapsed = time.monotonic() - start
@@ -91,6 +91,7 @@ def test_criterion_2_overfit_capability(overfit_corpus, overfit_tables):
         epochs = []
         best = fit(
             model, overfit_corpus, overfit_corpus, cfg, overfit_corpus, overfit_corpus,
+            rng=np.random.default_rng(cfg.seed),
             log_fn=lambda e, loss, lr, f1: epochs.append((e, f1)),
         )
         assert best.dev_score == 1.0
@@ -342,6 +343,8 @@ def test_criterion_9_full_data_reproduction(tmp_path):
             cfg,
             train_surfaces=train,
             dev_surfaces=dev,
+            rng=np.random.default_rng(cfg.seed),
+            log_fn=lambda *record: None,
         )
         final = restore_model(best)
         raw_dev = unrepaired_f1(final, preprocess_dataset(dev, merged.vocabulary),

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from csner import cli
 from csner.cli import ConfigError, build_run_config, main, parse_config_file
 from csner.corpus_io import read_conll
+from csner.embeddings import build_char_vocab, corpus_candidate_forms, load_vec, merge_tables
 from csner.postprocess import postprocess_sentence
-from csner.trainer import load_checkpoint, save_checkpoint
+from csner.preprocess import preprocess_dataset
+from csner.trainer import TrainingConfig, fit, load_checkpoint, new_model, save_checkpoint
 
 from conftest import (
     OVERFIT_SENTENCES,
@@ -332,13 +334,37 @@ class TestErrors:
         corpus = tmp_path / "c.conll"
         corpus.write_bytes(b"Ana\tB-PER\n" * 40 + b"Jos\xe9\tB-PER\n\n")
         assert main(["stats", str(corpus)]) == 1
-        assert capsys.readouterr().err == "error: line 41: not valid UTF-8\n"
+        assert capsys.readouterr().err == f"error: {corpus}: line 41: not valid UTF-8\n"
 
     def test_corpus_error_before_a_later_non_utf8_line(self, tmp_path, capsys):
         corpus = tmp_path / "c.conll"
         corpus.write_bytes(b"Ana\tB-PER\n\tO\nva\tO\nJos\xe9\tB-PER\n\n")
         assert main(["stats", str(corpus)]) == 1
-        assert capsys.readouterr().err == "error: line 2: empty token\n"
+        assert capsys.readouterr().err == f"error: {corpus}: line 2: empty token\n"
+
+    def test_train_names_the_malformed_dev_corpus(self, workdir, capsys):
+        tmp_path, config = workdir
+        dev = tmp_path / "dev.conll"
+        dev.write_text("a\tB-NOPE\n\n", encoding="utf-8")
+        assert main(["train", "--config", str(config), "--dev", str(dev)]) == 1
+        assert capsys.readouterr().err == f"error: {dev}: line 1: malformed tag 'B-NOPE'\n"
+
+    def test_eval_names_the_malformed_prediction_file(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text("Ana\tB-PER\nva\tO\n\n", encoding="utf-8")
+        pred.write_text("Ana\tB-PER\nva\n\n", encoding="utf-8")
+        assert main(["eval", str(gold), str(pred)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pred}: line 2: tag column present on some lines but absent on others\n"
+        )
+
+    def test_preprocess_names_the_malformed_spanish_vectors(self, tmp_path, capsys):
+        corpus, eng, spa = tmp_path / "c.conll", tmp_path / "eng.vec", tmp_path / "spa.vec"
+        corpus.write_text("mira\tO\n\n")
+        eng.write_text("1 2\nmira 1 1\n")
+        spa.write_text("2 2\nver 1 0\nmira nan 0\n")
+        assert main(["preprocess", str(corpus), "--vec-eng", str(eng), "--vec-spa", str(spa)]) == 1
+        assert capsys.readouterr().err == f"error: {spa}: line 3: non-finite vector component\n"
 
     def test_config_error_before_a_later_non_utf8_line(self, tmp_path, capsys, monkeypatch):
         reads = record_reads(monkeypatch)
@@ -676,7 +702,7 @@ class TestPreprocessCommand:
         vec = tmp_path / "eng.vec"
         vec.write_text("2 2\nmira 1 1\nver nan 0\n")
         assert main(["preprocess", str(corpus), "--vec-eng", str(vec)]) == 1
-        assert capsys.readouterr().err == "error: line 3: non-finite vector component\n"
+        assert capsys.readouterr().err == f"error: {vec}: line 3: non-finite vector component\n"
 
     def test_blank_vector_rows_fail_cleanly(self, tmp_path, capsys):
         corpus = tmp_path / "c.conll"
@@ -684,7 +710,7 @@ class TestPreprocessCommand:
         vec = tmp_path / "eng.vec"
         vec.write_text("2 2\n\n\n")
         assert main(["preprocess", str(corpus), "--vec-eng", str(vec)]) == 1
-        assert capsys.readouterr().err == "error: line 2: expected 2 components, got 0\n"
+        assert capsys.readouterr().err == f"error: {vec}: line 2: expected 2 components, got 0\n"
 
 
 # the integers an input may declare at their extremes: zero, negative,
@@ -729,7 +755,7 @@ class TestDeclaredSizes:
         corpus.write_text("a\tO\n\n")
         vec.write_bytes(text)
         run = self.run_limited("preprocess", corpus, "--vec-eng", vec, "--vec-spa", vec)
-        assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {message}\n")
+        assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {vec}: {message}\n")
 
     @pytest.mark.parametrize("value", [2**31, 2**62, 2**63])
     @pytest.mark.parametrize("key", ["hidden", "char_hidden", "char_dim"])
@@ -918,6 +944,29 @@ class TestTrainPredict:
         for suffix in ("ck", "log"):
             assert filecmp.cmp(tmp_path / f"glibc.{suffix}", tmp_path / f"none.{suffix}",
                                shallow=False)
+
+    def test_library_use_writes_the_train_checkpoint(self, workdir):
+        # README "Library use", step by step, on the config file's inputs
+        tmp_path, config = workdir
+        assert main(["train", "--config", str(config)]) == 0
+        cfg = TrainingConfig(word_dim=16, char_dim=4, char_hidden=5, hidden=6, max_epochs=2,
+                             seed=3)
+        args = cli._build_parser().parse_args(["train", "--config", str(config)])
+        assert cfg == build_run_config(args).training
+        train = read_conll(tmp_path / "train.conll")
+        dev = read_conll(tmp_path / "train.conll")  # the config names it as dev too
+        keep = corpus_candidate_forms(train, dev)
+        table = merge_tables(load_vec(tmp_path / "eng.vec", keep=keep),
+                             load_vec(tmp_path / "spa.vec", keep=keep))
+        rng = np.random.default_rng(cfg.seed)
+        model = new_model(cfg, table, build_char_vocab(train), rng)
+        best = fit(model,
+                   preprocess_dataset(train, table.vocabulary),
+                   preprocess_dataset(dev, table.vocabulary),
+                   cfg, train_surfaces=train, dev_surfaces=dev, rng=rng,
+                   log_fn=lambda epoch, loss, lr, f1: None)
+        save_checkpoint(best, tmp_path / "library.ck")
+        assert filecmp.cmp(tmp_path / "model.ck", tmp_path / "library.ck", shallow=False)
 
     def test_train_then_predict(self, workdir, capsys):
         tmp_path, config = workdir

@@ -449,7 +449,7 @@ class TestBackwardState:
         sents = [TaggedSentence(s, [O] * len(s)) for s in self.SENTS]
         arrays = build_arrays(sents, tiny_tables, np.float64, self.SENTS)
         loss, pullback = batch_loss(arrays, tiny_tables, small_model(tiny_tables),
-                                    rng=np.random.default_rng(0))
+                                    rng=np.random.default_rng(0), dropout_rate=0.4)
         # the char directions run at once, and may each start before the
         # other's pullback exists; the word directions start after both
         assert max(alive[:2]) <= 1 and min(alive[2:]) >= 2

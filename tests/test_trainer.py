@@ -245,7 +245,8 @@ class TestThreadedStep:
         rng, adam, seen = np.random.default_rng(1), ad.AdamState(), []
         for batch in make_batches(overfit_corpus, cfg.batch_size, model.tables, cfg.dtype,
                                   overfit_corpus):
-            loss, pullback = batch_loss(batch.arrays, model.tables, model.params, rng=rng)
+            loss, pullback = batch_loss(batch.arrays, model.tables, model.params, rng=rng,
+                                        dropout_rate=0.4)
             grads = ad.backward(loss, pullback)
             assert set(grads) == set(model.params)
             seen.append((loss.tobytes(), {name: g.tobytes() for name, g in grads.items()}))
@@ -413,7 +414,8 @@ class TestFitStopping:
         words = {t for s in corpus for t in s.tokens}
         model = new_model(cfg, random_table(words, cfg.word_dim),
                           build_char_vocab(corpus), np.random.default_rng(0))
-        best = fit(model, corpus, corpus, cfg, corpus, corpus)
+        best = fit(model, corpus, corpus, cfg, corpus, corpus,
+                   rng=np.random.default_rng(cfg.seed), log_fn=lambda *record: None)
         return best, len(seen)
 
     def test_plateau_sequence_stops_after_epoch_four(self, monkeypatch):
@@ -442,7 +444,8 @@ class TestFitStopping:
                                    *corpus.sentences[2:]])
         for dev in (unlabeled, second_untagged):
             with pytest.raises(TrainingError):
-                fit(model, corpus, dev, cfg, corpus, dev)
+                fit(model, corpus, dev, cfg, corpus, dev, rng=np.random.default_rng(cfg.seed),
+                    log_fn=lambda *record: None)
 
 
 class TestPaddingNeutrality:
@@ -490,7 +493,8 @@ class TestDeterminism:
         rng = np.random.default_rng(cfg.seed)
         model = new_model(cfg, random_table(words, cfg.word_dim),
                           build_char_vocab(corpus), rng)
-        best = fit(model, corpus, corpus, cfg, corpus, corpus, rng=rng)
+        best = fit(model, corpus, corpus, cfg, corpus, corpus, rng=rng,
+                   log_fn=lambda *record: None)
         return best
 
     def test_identical_seeds_identical_checkpoints(self, tmp_path):
@@ -507,7 +511,8 @@ class TestDeterminism:
         cfg = quick_cfg(max_epochs=2)
         model = new_model(cfg, table, build_char_vocab(ds), np.random.default_rng(0))
         checksum = model.tables.words.vectors.tobytes()
-        fit(model, ds, ds, cfg, ds, ds)
+        fit(model, ds, ds, cfg, ds, ds, rng=np.random.default_rng(cfg.seed),
+            log_fn=lambda *record: None)
         assert model.tables.words.vectors.tobytes() == checksum
 
 
@@ -911,7 +916,7 @@ class TestModelMemory:
 
         def step():
             ad.backward(*batch_loss(batch.arrays, model.tables, model.params,
-                                    rng=np.random.default_rng(0)))
+                                    rng=np.random.default_rng(0), dropout_rate=0.4))
 
         step()
         assert traced_peak(step) < 2.6 * history
@@ -949,7 +954,8 @@ class TestModelMemory:
             fresh = new_model(cfg, model.tables.words, model.tables.chars,
                               np.random.default_rng(1))
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            fit(fresh, corpus, corpus, cfg, corpus, corpus)
+            fit(fresh, corpus, corpus, cfg, corpus, corpus, rng=np.random.default_rng(cfg.seed),
+                log_fn=lambda *record: None)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         faults()
