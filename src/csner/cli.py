@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
+import signal
 import sys
 import traceback
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -164,18 +168,83 @@ def _require_writable(cfg: RunConfig, inputs: dict, **outputs) -> None:
 
 
 def _read(reader, path, *args, **kwargs):
-    """``reader(path, ...)``, whose ParseError or VectorLoadError names ``path``."""
+    """``reader(path, ...)``, whose ParseError, VectorLoadError or
+    CheckpointError names ``path``."""
     try:
         return reader(path, *args, **kwargs)
-    except (ParseError, VectorLoadError) as exc:
+    except (ParseError, VectorLoadError, CheckpointError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
 
+@contextmanager
+def _forked(call):
+    """``call()`` started in a forked child, which pickles ``(True, its
+    result)`` or ``(False, its exception)`` into a pipe and exits.  The body
+    gets a function that returns the result or raises the exception; where
+    this process cannot fork, or the child ends without a result, that
+    function makes the call itself.  The child is reaped however the body
+    ends."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns when a process with other threads (such as
+            # autodiff.both's worker) forks.  The warning comes in the parent
+            # once the child exists, so an "error" filter would turn it into an
+            # exception that leaves the child unreaped; the child only runs
+            # ``call`` and exits.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork on this platform, or no process to spare
+        pid = None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, call())
+            except Exception as exc:  # the parent raises it
+                result = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:  # no exit handler and no flush of the parent's buffers
+            os._exit(0)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+
+        def result():
+            try:
+                ok, value = pickle.load(pipe)
+            except Exception:  # no child, or no whole result from it
+                return call()
+            if not ok:
+                raise value
+            return value
+
+        try:
+            yield result
+        finally:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)  # done, or parsing for a result nobody reads
+                os.waitpid(pid, 0)
+
+
 def _load_tables(cfg: RunConfig, keep: set[str]):
-    """The English table, and the merge of it with the Spanish one if given."""
-    tables = [_read(load_vec, path, keep=keep) for path in (cfg.vec_eng, cfg.vec_spa) if path]
-    return tables[0], merge_tables(*tables)
+    """The English table, and the merge of it with the Spanish one if given.
+
+    With both files, a forked child parses the Spanish one while this
+    process parses the English one: numpy's text reader holds the GIL, so
+    two threads would take turns.  English's error is raised first, as
+    a serial load raises it."""
+    def load(path):
+        return _read(load_vec, path, keep=keep)
+
+    if not cfg.vec_spa:
+        eng = load(cfg.vec_eng)
+        return eng, merge_tables(eng)
+    with _forked(lambda: load(cfg.vec_spa)) as spanish:
+        eng = load(cfg.vec_eng)
+        spa = spanish()
+    return eng, merge_tables(eng, spa)
 
 
 def _prune_set(cfg: RunConfig, *datasets):
@@ -234,7 +303,7 @@ def cmd_predict(cfg: RunConfig, input_path: str | None) -> int:
     input_path = input_path or cfg.test
     inputs = _require_files(checkpoint=cfg.checkpoint, input=input_path)
     _require_writable(cfg, inputs, out=cfg.out)
-    model = restore_model(load_checkpoint(cfg.checkpoint))
+    model = _read(lambda path: restore_model(load_checkpoint(path)), cfg.checkpoint)
     raw = _read(read_conll, input_path, "input")
     if len(raw) == 0:
         output = ""
@@ -368,8 +437,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _stage(tb) -> str:
     """The function that the command's ``cmd_*`` function was running when
-    the exception of traceback ``tb`` was raised, or else the innermost."""
-    names = [frame.f_code.co_name for frame, _ in traceback.walk_tb(tb)]
+    the exception of traceback ``tb`` was raised, or else the innermost;
+    ``_read`` and the reader it was given are seen through."""
+    names = [frame.f_code.co_name for frame, _ in traceback.walk_tb(tb)
+             if frame.f_code.co_name not in ("_read", "<lambda>")]
     return next((callee for name, callee in zip(names, names[1:]) if name.startswith("cmd_")),
                 names[-1])
 

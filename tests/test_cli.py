@@ -1,16 +1,19 @@
 import argparse
+import errno
 import filecmp
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from csner import autodiff as ad
 from csner import cli
 from csner.cli import ConfigError, build_run_config, main, parse_config_file
 from csner.corpus_io import read_conll
@@ -154,7 +157,8 @@ class TestErrors:
 
     def predict_with_checkpoint(self, workdir, capsys, lines, payload=b""):
         """Exit code and stderr of ``predict`` on a checkpoint of the given
-        header ``lines`` (magic and terminator added) and ``payload``."""
+        header ``lines`` (magic and terminator added) and ``payload``; the
+        checkpoint is ``<workdir>/bad.ck``, which its errors name."""
         tmp_path, config = workdir
         bad = tmp_path / "bad.ck"
         bad.write_bytes("\n".join(["CSNER1", *lines, "end\n"]).encode() + payload)
@@ -169,14 +173,15 @@ class TestErrors:
 
     def test_checkpoint_without_config_fails_cleanly(self, workdir, capsys):
         assert self.predict_with_meta(workdir, capsys, '{"dev_score": 0.0, "epoch": 1}') == (
-            1, "error: header line 2: meta has no 'config'\n"
+            1, f"error: {workdir[0] / 'bad.ck'}: header line 2: meta has no 'config'\n"
         )
 
     def test_checkpoint_with_mistyped_config_fails_cleanly(self, workdir, capsys):
         meta = '{"config": {"char_hidden": "2"}, "dev_score": 0.0, "epoch": 1}'
-        assert self.predict_with_meta(workdir, capsys, meta) == (
-            1, "error: header line 2: bad meta block: char_hidden must be int, not '2'\n"
-        )
+        assert self.predict_with_meta(workdir, capsys, meta) == (1, (
+            f"error: {workdir[0] / 'bad.ck'}: "
+            "header line 2: bad meta block: char_hidden must be int, not '2'\n"
+        ))
 
     @pytest.mark.parametrize("key, value, shown", [
         # JSON reads 1e309 as infinity, which int() cannot take
@@ -197,7 +202,7 @@ class TestErrors:
         fields = {"config": "{}", "dev_score": "0.0", "epoch": "1", key: value}
         meta = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
         assert self.predict_with_meta(workdir, capsys, meta) == (
-            1, f"error: header line 2: bad meta block: {shown}\n"
+            1, f"error: {workdir[0] / 'bad.ck'}: header line 2: bad meta block: {shown}\n"
         )
 
     @pytest.mark.parametrize("lines, payload, message", [
@@ -218,11 +223,11 @@ class TestErrors:
     def test_malformed_checkpoint_layout_fails_cleanly(self, workdir, capsys, lines, payload,
                                                        message):
         got = self.predict_with_checkpoint(workdir, capsys, [f"meta {GOOD_META}", *lines], payload)
-        assert got == (1, f"error: {message}\n")
+        assert got == (1, f"error: {workdir[0] / 'bad.ck'}: {message}\n")
 
     def test_checkpoint_without_reserved_words_fails_cleanly(self, workdir, capsys):
         assert self.predict_with_meta(workdir, capsys, GOOD_META) == (
-            1, "error: vocabulary does not start with PAD/UNK/USR/URL\n"
+            1, f"error: {workdir[0] / 'bad.ck'}: vocabulary does not start with PAD/UNK/USR/URL\n"
         )
 
     def test_train_without_checkpoint_fails_cleanly(self, workdir, capsys):
@@ -270,7 +275,8 @@ class TestErrors:
         capsys.readouterr()
         code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
         assert (code, capsys.readouterr().err) == (1, (
-            f"error: tensor 'char_embed' has shape ({n_chars - 1}, 4), expected ({n_chars}, 4)\n"
+            f"error: {path}: "
+            f"tensor 'char_embed' has shape ({n_chars - 1}, 4), expected ({n_chars}, 4)\n"
         ))
 
     def test_checkpoint_char_order_fails_cleanly(self, workdir, capsys):
@@ -283,16 +289,19 @@ class TestErrors:
         capsys.readouterr()
         code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
         assert (code, capsys.readouterr().err) == (1, (
-            "error: character list is not in vocabulary order (PAD, UNK, then sorted)\n"
+            f"error: {path}: character list is not in vocabulary order (PAD, UNK, then sorted)\n"
         ))
 
     def test_checkpoint_non_utf8_vocab_fails_cleanly(self, workdir, capsys):
         tmp_path, config = workdir
         assert main(["train", "--config", str(config)]) == 0
-        corrupt_vocab_entry(tmp_path / "model.ck", "word", 7)
+        path = tmp_path / "model.ck"
+        corrupt_vocab_entry(path, "word", 7)
         capsys.readouterr()
         code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
-        assert (code, capsys.readouterr().err) == (1, "error: vocab word entry 7: not valid UTF-8\n")
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {path}: vocab word entry 7: not valid UTF-8\n"
+        )
 
     def test_overflowing_checkpoint_fails_cleanly(self, tmp_path, capsys):
         # finite weights whose tag scores overflow: one error line and exit
@@ -316,7 +325,7 @@ class TestErrors:
             capsys.readouterr()
             code = main(["predict", str(tmp_path / "train.conll"), "--config", str(config)])
             assert (code, capsys.readouterr().err) == (
-                1, f"error: tensor {name} has a non-finite value\n"
+                1, f"error: {path}: tensor {name} has a non-finite value\n"
             )
 
     def test_non_utf8_config_fails_cleanly(self, tmp_path, capsys, monkeypatch):
@@ -713,6 +722,167 @@ class TestPreprocessCommand:
         assert capsys.readouterr().err == f"error: {vec}: line 2: expected 2 components, got 0\n"
 
 
+def assert_no_child_left():
+    """This process has no child process, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTablesLoadAtOnce:
+    """With both ``.vec`` files, ``_load_tables`` parses the Spanish one in
+    a forked child while this process parses the English one.  The tables,
+    every message and the output are those of a serial load, and every
+    path reaps the child."""
+
+    def preprocess(self, workdir, capsys):
+        """Exit code, stdout, stderr and ``--out`` bytes of ``preprocess``
+        on the workdir corpus with both vector files."""
+        tmp_path, config = workdir
+        out = tmp_path / "prep.conll"
+        code = main(["preprocess", str(tmp_path / "train.conll"), "--config", str(config),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if code == 0 else None
+
+    def spy_forks(self, monkeypatch) -> list:
+        """The pids of the children that ``os.fork`` makes from here on."""
+        forks, fork = [], os.fork
+
+        def spied():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spied)
+        return forks
+
+    def raise_in_child(self, monkeypatch, exc):
+        """Make the CLI's ``load_vec`` raise ``exc`` in a child process."""
+        parent = os.getpid()
+
+        def load(path, keep=None):
+            if os.getpid() != parent:
+                raise exc
+            return load_vec(path, keep=keep)
+
+        monkeypatch.setattr(cli, "load_vec", load)
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_tables_equal_a_serial_load(self, workdir, monkeypatch, pruned):
+        tmp_path, _ = workdir
+        eng, spa = str(tmp_path / "eng.vec"), str(tmp_path / "spa.vec")
+        keep = corpus_candidate_forms(read_conll(tmp_path / "train.conll")) if pruned else None
+        forks = self.spy_forks(monkeypatch)
+        cfg = build_run_config(argparse.Namespace(vec_eng=eng, vec_spa=spa))
+        got = cli._load_tables(cfg, keep)
+        serial_eng = load_vec(eng, keep=keep)
+        want = serial_eng, merge_tables(serial_eng, load_vec(spa, keep=keep))
+        assert len(forks) == 1
+        assert_no_child_left()
+        for table, serial in zip(got, want):
+            assert table.vocabulary.tokens == serial.vocabulary.tokens
+            assert table.vectors.dtype == serial.vectors.dtype
+            assert table.vectors.tobytes() == serial.vectors.tobytes()
+            assert table.stat_sum.tobytes() == serial.stat_sum.tobytes()
+            assert table.stat_count == serial.stat_count
+
+    def test_english_error_comes_first(self, tmp_path, capsys):
+        corpus, eng, spa = tmp_path / "c.conll", tmp_path / "eng.vec", tmp_path / "spa.vec"
+        corpus.write_text("mira\tO\n\n")
+        eng.write_text("2 2\nmira 1 1\nver nan 0\n")
+        spa.write_text("2 2\n\n\n")
+        assert main(["preprocess", str(corpus), "--vec-eng", str(eng), "--vec-spa", str(spa)]) == 1
+        assert capsys.readouterr().err == f"error: {eng}: line 3: non-finite vector component\n"
+        assert_no_child_left()
+
+    def test_english_error_does_not_wait_for_a_large_table(self, tmp_path):
+        # the Spanish table, every row kept, outgrows the pipe's buffer, so a
+        # child left to finish would block on its write while the parent
+        # waits to reap it; a subprocess, so that such a deadlock fails the
+        # test instead of holding it
+        corpus, eng, spa = tmp_path / "c.conll", tmp_path / "eng.vec", tmp_path / "spa.vec"
+        words = [f"w{i}" for i in range(2000)]
+        corpus.write_text("".join(f"{word}\tO\n" for word in words) + "\n")
+        eng.write_text("1 2\nmira nan 0\n")
+        write_vec_file(spa, words, dim=16)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-m", "csner.cli", "preprocess", str(corpus),
+                              "--vec-eng", str(eng), "--vec-spa", str(spa)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr) == (
+            1, f"error: {eng}: line 2: non-finite vector component\n"
+        )
+
+    def test_out_of_memory_in_the_child(self, workdir, capsys, monkeypatch):
+        self.raise_in_child(monkeypatch, MemoryError)
+        assert self.preprocess(workdir, capsys)[:3] == (
+            1, "", "error: preprocess: out of memory in _load_tables\n"
+        )
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fork", ["fails", "missing"])
+    def test_loads_here_without_a_child(self, workdir, capsys, monkeypatch, fork):
+        forked = self.preprocess(workdir, capsys)
+        assert forked[0] == 0
+
+        def fork_fails():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        if fork == "fails":
+            monkeypatch.setattr(os, "fork", fork_fails)
+        else:
+            monkeypatch.delattr(os, "fork")
+        assert self.preprocess(workdir, capsys) == forked
+        assert_no_child_left()
+
+    def test_interrupted_child_is_reaped(self, workdir, capsys, monkeypatch):
+        # the child ends without a result, so this process loads the Spanish file
+        forked = self.preprocess(workdir, capsys)
+        self.raise_in_child(monkeypatch, KeyboardInterrupt)
+        forks = self.spy_forks(monkeypatch)
+        assert self.preprocess(workdir, capsys) == forked
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_fork_warning_is_not_an_error(self, workdir, capsys, monkeypatch):
+        # Python >= 3.12 warns on a fork while autodiff.both's worker thread
+        # lives, in the parent once the child exists; the stand-in warns so
+        # on every version
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        assert ad.both(lambda: 1, lambda: 2) == (1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.preprocess(workdir, capsys)[0] == 0
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command, reader", [
+        ("stats", "read_conll"), ("predict", "load_checkpoint"), ("predict", "restore_model"),
+    ])
+    def test_out_of_memory_names_the_reader(self, workdir, capsys, monkeypatch, command,
+                                            reader):
+        def exhausted(*args):
+            raise MemoryError
+
+        # named like the reader it stands in for: _stage reads the frames' names
+        exhausted.__code__ = exhausted.__code__.replace(co_name=reader)
+        monkeypatch.setattr(cli, reader, exhausted)
+        corpus = str(workdir[0] / "train.conll")
+        argv = {"stats": ["stats", corpus],
+                "predict": ["predict", corpus, "--checkpoint", str(DATA / "checkpoint_f32.ck")]}
+        assert main(argv[command]) == 1
+        assert capsys.readouterr().err == f"error: {command}: out of memory in {reader}\n"
+
+
 # the integers an input may declare at their extremes: zero, negative,
 # past int32, past int64, too large to allocate, and past float range
 EXTREMES = ("0", "-1", str(2**31), str(2**63), str(10**12), "1e309")
@@ -869,7 +1039,7 @@ class TestOverflowingValues:
         assert blob.count(b'"float64": true') == 1
         path.write_bytes(blob.replace(b'"float64": true', b'"float64": false'))
         assert self.run("predict", tmp_path / "train.conll", "--checkpoint", path) == (1, [
-            "error: tensor proj_w overflows float32\n"
+            f"error: {path}: tensor proj_w overflows float32\n"
         ])
 
 
