@@ -289,9 +289,12 @@ def restore_model(ckpt: Checkpoint) -> TaggerModel:
     # row r of char_embed belongs to character r of the stored list
     if chars.chars != ckpt.char_list:
         raise CheckpointError("character list is not in vocabulary order (PAD, UNK, then sorted)")
-    shapes = param_shapes(cfg, len(chars))
+    shapes = {**param_shapes(cfg, len(chars)), "word_fixed": (len(vocab), cfg.word_dim)}
+    unknown = [name for name in ckpt.tensors if name not in shapes]
+    if unknown:
+        raise CheckpointError(f"unknown tensor {unknown[0]!r}")
     params = {}
-    for name, shape in {**shapes, "word_fixed": (len(vocab), cfg.word_dim)}.items():
+    for name, shape in shapes.items():
         if name not in ckpt.tensors:
             raise CheckpointError(f"missing tensor {name!r}")
         if ckpt.tensors[name].shape != shape:
@@ -463,17 +466,14 @@ def load_checkpoint(path) -> Checkpoint:
     if header_lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {header_lines[0]!r}")
 
-    meta = None
-    meta_line = None
-    tensor_specs = []
-    vocab_specs = {}
-    declared = None
+    meta = meta_line = declared = payload_line = None
+    blocks = []  # (line number, "tensor" or "vocab", name, offset, (shape, dtype) or count)
+    seen = set()
     for number, line in enumerate(header_lines[1:], start=2):
         kind, _, rest = line.partition(" ")
         try:
             if kind == "meta":
-                meta = json.loads(rest)
-                meta_line = number
+                key, meta, meta_line = kind, json.loads(rest), number
             elif kind == "tensor":
                 name, shape_s, offset_s, *mark = rest.split(" ")
                 if mark not in ([], ["<f8"]):
@@ -482,40 +482,64 @@ def load_checkpoint(path) -> Checkpoint:
                 offset = int(offset_s)
                 if min(shape + (offset,)) < 0:
                     raise ValueError("negative size")
-                tensor_specs.append((name, shape, offset, np.dtype(mark[0] if mark else "<f4")))
+                key = f"tensor {name}"
+                blocks.append((number, kind, name, offset,
+                               (shape, np.dtype(mark[0] if mark else "<f4"))))
             elif kind == "vocab":
                 name, count_s, offset_s = rest.split(" ")
                 count, offset = int(count_s), int(offset_s)
                 if min(count, offset) < 0:
                     raise ValueError("negative size")
-                vocab_specs[name] = (count, offset)
+                if name not in ("word", "char"):
+                    raise CheckpointError(f"header line {number}: unrecognized {line!r}")
+                key = f"vocab {name}"
+                blocks.append((number, kind, name, offset, count))
             elif kind == "payload":
-                declared = int(rest)
+                key, declared, payload_line = kind, int(rest), number
             else:
                 raise CheckpointError(f"header line {number}: unrecognized {line!r}")
         except ValueError:
             raise CheckpointError(f"header line {number}: malformed {kind} line {line!r}") from None
-    if meta is None or declared is None or "word" not in vocab_specs or "char" not in vocab_specs:
+        if key in seen:
+            raise CheckpointError(f"header line {number}: repeated {key} line")
+        seen.add(key)
+    if meta is None or declared is None or not {"vocab word", "vocab char"} <= seen:
         raise CheckpointError("incomplete header")
     if len(payload) != declared:
         raise CheckpointError(
             f"payload is {len(payload)} bytes, header declares {declared}"
         )
 
-    tensors = {}
-    for name, shape, offset, dtype in tensor_specs:
-        size = dtype.itemsize * math.prod(shape)  # exact: np.prod wraps in int64
-        if offset + size > len(payload):
-            raise CheckpointError(f"tensor {name} overruns the payload")
-        tensors[name] = np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape)
-        if not np.isfinite(tensors[name]).all():
-            raise CheckpointError(f"tensor {name} has a non-finite value")
+    # the blocks lie back to back in header order, from byte 0 to the
+    # payload's end, as save_checkpoint writes them.  A vocab block's size
+    # is not in the header: it ends where the next block starts.
+    blocks.append((payload_line, "payload", "end", declared, None))
+    tensors, vocab_spans = {}, {}
+    end, vocab = 0, None  # where the next block starts, or the vocab block it ends
+    for number, kind, name, offset, spec in blocks:
+        if vocab is not None:
+            vocab_name, count, start = vocab
+            if offset < start:
+                raise CheckpointError(f"header line {number}: {kind} {name} at byte {offset}, "
+                                      f"before vocab {vocab_name} at {start}")
+            vocab_spans[vocab_name], vocab = (count, start, offset), None
+        elif offset != end:
+            raise CheckpointError(f"header line {number}: {kind} {name} at byte {offset}, "
+                                  f"expected {end}")
+        if kind == "vocab":
+            vocab = name, spec, offset
+        elif kind == "tensor":
+            shape, dtype = spec
+            end = offset + dtype.itemsize * math.prod(shape)  # exact: np.prod wraps in int64
+            if end > len(payload):
+                raise CheckpointError(f"tensor {name} overruns the payload")
+            tensors[name] = np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape)
+            if not np.isfinite(tensors[name]).all():
+                raise CheckpointError(f"tensor {name} has a non-finite value")
 
     def read_tokens(kind):
-        count, offset = vocab_specs[kind]
-        starts = sorted(off for _, off in vocab_specs.values() if off > offset)
-        end = starts[0] if starts else declared
-        return _unpack_tokens(bytes(payload[offset:end]), count, kind)
+        count, start, stop = vocab_spans[kind]
+        return _unpack_tokens(bytes(payload[start:stop]), count, kind)
 
     try:
         cfg = TrainingConfig(**meta["config"])

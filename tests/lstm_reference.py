@@ -1,5 +1,5 @@
 """Per-step LSTM built from the oracle tape's ops (``reference_ops``): the
-reference the fused ``autodiff.lstm_seq`` is checked against.
+reference the fused ``model.lstm_seq`` is checked against.
 
 Each step tapes its own matmuls, slices, gate activations and masked
 blend, so its gradients come from the generic backward closures rather
@@ -36,7 +36,7 @@ def masked(new, prev, m):
 
 
 def lstm_seq(x, lengths, wx, wh, b, reverse=False):
-    """``autodiff.lstm_seq``'s recurrence, one taped step at a time, on
+    """``model.lstm_seq``'s recurrence, one taped step at a time, on
     the padded flat time-major ``x`` (T*B, n_in) with its own ``wx``."""
     batch = len(lengths)
     n_steps = len(x.data) // batch

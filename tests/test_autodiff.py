@@ -15,6 +15,7 @@ import pytest
 import lstm_reference
 import reference_ops as ref
 from csner import autodiff as ad
+from csner import model
 from csner.embeddings import CharVocabulary
 from csner.model import param_shapes
 from csner.trainer import TrainingConfig, new_model
@@ -36,7 +37,7 @@ def gate_probe(preactivations, hidden=1):
     ``preactivations`` (T, 4*hidden), blocked [i | f | g | o]."""
     z = np.array(preactivations, dtype=np.float64)  # a fresh buffer: lstm_seq consumes it
     wh, b = np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden)
-    return ad.lstm_seq(z, [len(z)], wh, b)[0]
+    return model.lstm_seq(z, [len(z)], wh, b)[0]
 
 
 def live_rows(n_steps, lengths):
@@ -50,7 +51,7 @@ def lstm_loss(x, lengths, p, w, reverse=False):
     by ``p["wx"]``), with ``w`` padded like ``x``, and the gradients of
     ``x`` and of ``p``'s arrays."""
     live = live_rows(max(lengths), lengths)
-    out, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], reverse)
+    out, pullback = model.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], reverse)
     w = w[live]
     d_xw, d_wh, d_b = pullback(w)
     d_x = np.zeros_like(x)
@@ -146,7 +147,7 @@ class TestPrimitives:
         rng = np.random.default_rng(12)
         idx = rng.permutation(np.repeat([5, 3, 2, 6], [40, 3, 1, 1]))
         g = rng.normal(size=(45, 4)).astype(np.float32)
-        got = ad.gather_pullback(idx, 7)(g)
+        got = model.gather_pullback(idx, 7)(g)
         want = np.zeros((7, 4), dtype=np.float32)
         np.add.at(want, idx, g)
         assert got.dtype == np.float32
@@ -154,7 +155,7 @@ class TestPrimitives:
         assert not got[[0, 1, 4]].any()
         single = [2, 6]
         assert got[single].tobytes() == want[single].tobytes()
-        assert not ad.gather_pullback(idx[:0], 3)(g[:0]).any()
+        assert not model.gather_pullback(idx[:0], 3)(g[:0]).any()
 
     def test_shared_subexpression_accumulates(self):
         x = ref.param(np.array([2.0]))
@@ -184,7 +185,7 @@ class TestLstm:
     def test_zero_fixed_point(self):
         p = self.zero_params()
         for reverse in (False, True):
-            out, _ = ad.lstm_seq(np.zeros((6, 8)), [3, 3], **p, reverse=reverse)
+            out, _ = model.lstm_seq(np.zeros((6, 8)), [3, 3], **p, reverse=reverse)
             assert np.array_equal(out, np.zeros((6, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
@@ -223,7 +224,7 @@ class TestLstm:
         for lengths, reverse in itertools.product(self.REFERENCE_CASES, (False, True)):
             p, x, lengths, _ = self.padded_case(7, lengths)
             live = live_rows(max(lengths), lengths)
-            got, _ = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], reverse=reverse)
+            got, _ = model.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], reverse=reverse)
             want = lstm_reference.lstm_seq(ref.Tensor(x), lengths,
                                            *(ref.Tensor(p[k]) for k in ("wx", "wh", "b")),
                                            reverse=reverse).data[live]
@@ -238,9 +239,9 @@ class TestLstm:
             p, x, lengths, w = self.padded_case(4)
             live = live_rows(4, lengths)
             xw = x[live] @ p["wx"]
-            taped, pullback = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse=reverse)
+            taped, pullback = model.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse=reverse)
             pullback(w[live])
-            untaped, _ = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse=reverse)
+            untaped, _ = model.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse=reverse)
             assert taped.tobytes() == untaped.tobytes()
 
     # row 3 dies after step 0 and rows 1 and 2 after step 2: read in
@@ -258,8 +259,8 @@ class TestLstm:
         t, batch = max(lengths), len(lengths)
         live = live_rows(t, lengths)
         xw = x[live].astype(dtype) @ p["wx"]
-        out, packed_back = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse)
-        h, final_back = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse, final=True)
+        out, packed_back = model.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse)
+        h, final_back = model.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse, final=True)
         # each sequence's padded row at its last step, then its packed row
         ends = np.arange(batch) if reverse else (np.array(lengths) - 1) * batch + np.arange(batch)
         last = np.searchsorted(live, ends)
@@ -276,7 +277,7 @@ class TestLstm:
         t, batch = max(lengths), len(lengths)
         w = np.random.default_rng(12).normal(size=(batch, 4))
         live = live_rows(t, lengths)
-        h, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], reverse, final=True)
+        h, pullback = model.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"], reverse, final=True)
         d_xw, d_wh, d_b = pullback(w)
         d_x = np.zeros_like(x)
         d_x[live] = d_xw @ p["wx"].T
@@ -303,12 +304,12 @@ class TestLstm:
         table = rng.normal(size=(5, 3)).astype(dtype) @ p["wx"]  # five distinct inputs
         rows = rng.integers(0, 5, size=sum(self.FINAL_LENGTHS))  # 12 live rows, repeats among them
         args = (self.FINAL_LENGTHS, p["wh"], p["b"], reverse, final)
-        want, _ = ad.lstm_seq(table[rows], *args)
-        gathered, pullback = ad.lstm_seq(table.copy(), *args, rows, keep=False)
+        want, _ = model.lstm_seq(table[rows], *args)
+        gathered, pullback = model.lstm_seq(table.copy(), *args, rows, keep=False)
         assert pullback is None and gathered.dtype == dtype
         assert gathered.tobytes() == want.tobytes()
         # training may hand the op its rows too: it gathers them once
-        assert ad.lstm_seq(table.copy(), *args, rows)[0].tobytes() == want.tobytes()
+        assert model.lstm_seq(table.copy(), *args, rows)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("keep", [False, True])
     def test_row_index_contract(self, keep):
@@ -316,10 +317,10 @@ class TestLstm:
         # lengths [2, 2] read four packed rows of the 8-wide table
         for count in (3, 5):
             with pytest.raises(ValueError, match=r"projections \({}, 8\)".format(count)):
-                ad.lstm_seq(np.zeros((4, 8)), [2, 2], **p, rows=np.zeros(count, int), keep=keep)
+                model.lstm_seq(np.zeros((4, 8)), [2, 2], **p, rows=np.zeros(count, int), keep=keep)
         for bad in (-1, 4):
             with pytest.raises(IndexError, match="outside the 4 projections"):
-                ad.lstm_seq(np.zeros((4, 8)), [2, 2], **p, rows=np.array([0, 1, bad, 3]), keep=keep)
+                model.lstm_seq(np.zeros((4, 8)), [2, 2], **p, rows=np.array([0, 1, bad, 3]), keep=keep)
 
     def test_taped_history_holds_live_rows_only(self):
         # one 64-step sequence beside 63 one-step ones: 127 of 4,096 rows
@@ -335,7 +336,7 @@ class TestLstm:
         for reverse in (False, True):
             tracemalloc.start()
             try:
-                out, pullback = ad.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse)
+                out, pullback = model.lstm_seq(xw.copy(), lengths, p["wh"], p["b"], reverse)
                 forward_peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
@@ -359,7 +360,7 @@ class TestLstm:
         xw = projections.copy()
         tracemalloc.start()
         try:
-            out, pullback = ad.lstm_seq(xw, lengths, p["wh"], p["b"])
+            out, pullback = model.lstm_seq(xw, lengths, p["wh"], p["b"])
             forward_peak = tracemalloc.get_traced_memory()[1]
             g_out = np.ones_like(out)
             tracemalloc.reset_peak()
@@ -377,7 +378,7 @@ class TestLstm:
     def test_backward_runs_once_per_forward(self):
         p, x, lengths, w = self.padded_case(5)
         live = live_rows(4, lengths)
-        out, pullback = ad.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"])
+        out, pullback = model.lstm_seq(x[live] @ p["wx"], lengths, p["wh"], p["b"])
         pullback(w[live])
         with pytest.raises(RuntimeError):
             pullback(w[live])
@@ -386,16 +387,16 @@ class TestLstm:
         p = self.zero_params()
         # at step 1, row 1 would be live while row 0 is not
         with pytest.raises(ValueError, match=r"lengths\[0\] >= lengths\[1\]"):
-            ad.lstm_seq(np.zeros((3, 8)), [1, 2], **p)
+            model.lstm_seq(np.zeros((3, 8)), [1, 2], **p)
 
     def test_input_width_contract(self):
         p = self.zero_params()
         # 4*hidden = 8 columns, and one row per live step of a sequence
         with pytest.raises(ValueError, match=r"expected \(sum\(lengths\), 8\)"):
-            ad.lstm_seq(np.zeros((1, 5)), [1], **p)
+            model.lstm_seq(np.zeros((1, 5)), [1], **p)
         for rows in (3, 5):
             with pytest.raises(ValueError, match=r"expected \(sum\(lengths\), 8\)"):
-                ad.lstm_seq(np.zeros((rows, 8)), [2, 2], **p)
+                model.lstm_seq(np.zeros((rows, 8)), [2, 2], **p)
 
     def test_forget_bias_initialized_to_one(self):
         cfg = TrainingConfig(char_dim=3, char_hidden=4, word_dim=2, hidden=5)

@@ -219,6 +219,9 @@ class TestErrors:
                      id="negative_shape"),
         pytest.param(["vocab word 0 0", "vocab char 0 0"], b"", "incomplete header",
                      id="no_payload_line"),
+        pytest.param(["tensor proj_b 1 0", "tensor proj_w 1 0", "vocab word 0 4", "vocab char 0 4",
+                      "payload 4"], bytes(4),
+                     "header line 4: tensor proj_w at byte 0, expected 4", id="aliased_block"),
     ])
     def test_malformed_checkpoint_layout_fails_cleanly(self, workdir, capsys, lines, payload,
                                                        message):

@@ -10,6 +10,7 @@ import pytest
 
 import csner
 from csner import autodiff as ad
+from csner import model
 from csner.corpus_io import O, TAG_INDEX, TAGS, Dataset, TaggedSentence
 from csner.embeddings import CharVocabulary, EmbeddingTable, Vocabulary
 from csner.model import (
@@ -291,7 +292,6 @@ class TestSpellingColumns:
         assert len(outputs) == 1
 
     def test_encoder_runs_once_per_spelling(self, tiny_tables, monkeypatch):
-        from csner import model
         from csner.trainer import make_batches
 
         params = small_model(tiny_tables)
@@ -341,8 +341,6 @@ class TestDistinctWordRows:
         assert np.array_equal(deduped, per_slot)
 
     def test_one_word_row_per_distinct_pair(self, tiny_tables, monkeypatch):
-        from csner import model
-
         params = small_model(tiny_tables)
         arrays = self.arrays(tiny_tables, np.float64)
         seen = []
@@ -402,7 +400,7 @@ class TestBackwardState:
         """A weak reference to the pullback of every ``lstm_seq`` call, and
         for each call how many earlier pullbacks were alive when it began."""
         refs, alive = [], []
-        lstm_seq = ad.lstm_seq
+        lstm_seq = model.lstm_seq
 
         def watched(*args, **kwargs):
             alive.append(sum(r() is not None for r in refs))
@@ -410,7 +408,7 @@ class TestBackwardState:
             refs.append(weakref.ref(pullback))
             return out, pullback
 
-        monkeypatch.setattr(ad, "lstm_seq", watched)
+        monkeypatch.setattr(model, "lstm_seq", watched)
         return refs, alive
 
     SENTS = [["Ana", "come", "pan"], ["el", "rio"]]
@@ -425,7 +423,7 @@ class TestBackwardState:
         # calls run one at a time on this thread under the tracer
         monkeypatch.setattr(ad, "_executor", InlineExecutor)
         calls = []
-        lstm_seq = ad.lstm_seq
+        lstm_seq = model.lstm_seq
 
         def watched(xw, lengths, *args):
             tracemalloc.reset_peak()
@@ -435,7 +433,7 @@ class TestBackwardState:
             calls.append((pullback, (tracemalloc.get_traced_memory()[1] - before) / history))
             return out, pullback
 
-        monkeypatch.setattr(ad, "lstm_seq", watched)
+        monkeypatch.setattr(model, "lstm_seq", watched)
         words = ["azulcomepan" * 2 + str(i) for i in range(24)]
         arrays = arrays_of([words, words[:20]], tiny_tables)
         cfg = dataclasses.replace(SMALL_CFG, char_hidden=32, hidden=32)  # arrays over headers

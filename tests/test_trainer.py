@@ -284,7 +284,7 @@ class TestThreadedStep:
     def test_worker_exceptions_reach_train_epoch(self, small_setup, monkeypatch):
         cfg, model, corpus = small_setup
         batches = make_batches(corpus, cfg.batch_size, model.tables, cfg.dtype, corpus)[:2]
-        lstm_seq = ad.lstm_seq
+        lstm_seq = model_mod.lstm_seq
 
         def failing(*args, **kwargs):
             if args[4]:  # the backward direction, on the worker
@@ -296,7 +296,7 @@ class TestThreadedStep:
 
         before = {k: t.copy() for k, t in model.params.items()}
         with monkeypatch.context() as m:
-            m.setattr(ad, "lstm_seq", failing)
+            m.setattr(model_mod, "lstm_seq", failing)
             with pytest.raises(FloatingPointError, match="in the worker"):
                 epoch()
         for k, t in model.params.items():
@@ -317,13 +317,13 @@ class TestThreadedStep:
         tracer = tracing.Tracer()
         span = tracer.span
         tracer.span = lambda name: (span_threads.add(threading.get_ident()), span(name))[1]
-        lstm_seq = ad.lstm_seq
+        lstm_seq = model_mod.lstm_seq
 
         def watched(*args, **kwargs):
             lstm_threads.add(threading.get_ident())
             return lstm_seq(*args, **kwargs)
 
-        monkeypatch.setattr(ad, "lstm_seq", watched)
+        monkeypatch.setattr(model_mod, "lstm_seq", watched)
         with tracer.installed():
             trainer_mod.train_epoch(model, batches, 0.01, np.random.default_rng(0), ad.AdamState())
         assert span_threads == {threading.get_ident()}
@@ -342,7 +342,7 @@ class TestThreadedPredict:
         """Each sentence's tag ids, and each batch's logits as bytes, with
         the threads that ran ``lstm_seq``."""
         logits, threads = [], set()
-        batch_logits, lstm_seq = model_mod.batch_logits, ad.lstm_seq
+        batch_logits, lstm_seq = model_mod.batch_logits, model_mod.lstm_seq
 
         def watched_logits(*args):
             out = batch_logits(*args)
@@ -354,7 +354,7 @@ class TestThreadedPredict:
             return lstm_seq(*args)
 
         monkeypatch.setattr(model_mod, "batch_logits", watched_logits)
-        monkeypatch.setattr(ad, "lstm_seq", watched_lstm)
+        monkeypatch.setattr(model_mod, "lstm_seq", watched_lstm)
         tags = predict_dataset(model, corpus, 16, corpus, post=False)
         return tags, logits, len(threads)
 
@@ -663,6 +663,17 @@ class TestCheckpointIO:
          "bad meta block: batch_size must be positive"),
         ("meta", lambda rest: rest.replace('"lr0": 0.01', '"lr0": NaN'),
          "bad meta block: lr0 and decay must be positive and finite"),
+        # each line once, the blocks back to back from byte 0 (proj_b: 19 floats, then vocabs)
+        ("meta", lambda rest: rest + "\nmeta " + rest.replace('"epoch": 3', '"epoch": 7'),
+         "repeated meta line$"),
+        ("tensor proj_b", lambda rest: rest + "\ntensor proj_b " + rest,
+         "repeated tensor proj_b line$"),
+        ("tensor proj_b", lambda rest: rest.split(" ")[0] + " 0",
+         r"tensor proj_b at byte 0, expected [1-9]\d*$"),
+        ("tensor proj_b", lambda rest: f"19 {int(rest.split(' ')[1]) + 4}",
+         r"tensor proj_b at byte (\d+), expected (?!\1)\d+$"),
+        ("vocab char", lambda rest: rest.split(" ")[0] + " 0",
+         r"vocab char at byte 0, before vocab word at [1-9]\d*$"),
     ])
     def test_malformed_header_line_located(self, small_setup, tmp_path, kind, edit, message):
         path = tmp_path / "model.ck"
@@ -670,7 +681,8 @@ class TestCheckpointIO:
         header, sep, payload = path.read_bytes().partition(b"\nend\n")
         lines = header.decode().split("\n")
         number = next(i for i, line in enumerate(lines, start=1) if line.startswith(kind + " "))
-        lines[number - 1] = kind + " " + edit(lines[number - 1].partition(" ")[2])
+        lines[number - 1] = kind + " " + edit(lines[number - 1][len(kind) + 1:])
+        number += lines[number - 1].count("\n")  # an edit that adds lines is located at its last
         path.write_bytes("\n".join(lines).encode() + sep + payload)
         with pytest.raises(CheckpointError, match=f"^header line {number}: {message}"):
             load_checkpoint(path)
@@ -808,6 +820,16 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError) as err:
             restore_model(ckpt)
         assert str(err.value) == message
+
+    def test_restore_rejects_unknown_tensor(self, small_setup, tmp_path):
+        # the file is well formed, so it loads; no model has the tensor
+        ckpt = self.make_checkpoint(small_setup)
+        ckpt.tensors["proj_c"] = ckpt.tensors["proj_b"]
+        path = tmp_path / "model.ck"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="^unknown tensor 'proj_c'$"):
+            restore_model(loaded)
 
     def test_restore_checks_char_order(self, small_setup):
         ckpt = self.make_checkpoint(small_setup)
