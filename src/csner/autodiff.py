@@ -73,26 +73,22 @@ def backward(loss: np.ndarray, pullback) -> dict[str, np.ndarray]:
 def masked_cross_entropy_logits(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     """Mean cross-entropy of log-softmax(logits) over unmasked steps, and
     its pullback; padding steps (mask 0) contribute nothing to either the
-    value or the gradient."""
+    value or the gradient.  ``logits`` is (N, classes), ``targets`` and
+    ``mask`` are (N,); only each row's target log-probability is formed."""
     total = float(mask.sum())
     if total == 0:
         raise ValueError("mask selects no positions")
+    rows = np.arange(len(targets))
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     sums = e.sum(axis=-1, keepdims=True)
-    logp = z - np.log(sums)
-    gathered = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    gathered = z[rows, targets] - np.log(sums[:, 0])
     loss = np.asarray(-(gathered * mask).sum() / total, dtype=logits.dtype)
 
     def pullback(g):
         dz = e / sums
-        np.put_along_axis(
-            dz,
-            targets[..., None],
-            np.take_along_axis(dz, targets[..., None], axis=-1) - 1.0,
-            axis=-1,
-        )
-        dz *= (mask * (g / total))[..., None]
+        dz[rows, targets] -= 1.0
+        dz *= (mask * (g / total))[:, None]
         return dz
 
     return loss, pullback

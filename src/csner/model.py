@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus_io import TAG_INDEX, TAGS, TaggedSentence
-from .embeddings import CharVocabulary, EmbeddingTable
+from .embeddings import SPECIAL_TOKENS, CharVocabulary, EmbeddingTable
 
 N_TAGS = len(TAGS)
 
@@ -58,7 +58,7 @@ def param_shapes(cfg, n_chars: int) -> dict[str, tuple[int, ...]]:
             shapes[f"{prefix}.wh"] = (n, 4 * n)
             shapes[f"{prefix}.b"] = (4 * n,)
     shapes.update(proj_w=(2 * cfg.hidden, N_TAGS), proj_b=(N_TAGS,),
-                  word_specials=(4, cfg.word_dim))
+                  word_specials=(len(SPECIAL_TOKENS), cfg.word_dim))
     return shapes
 
 
@@ -391,14 +391,14 @@ def _encode_chars(params: dict[str, np.ndarray], char_idx, char_lengths, keep: b
 
 
 def _word_vectors(params: dict[str, np.ndarray], table: EmbeddingTable, word_flat):
-    """Fixed-row lookup plus the trainable special rows (indices 0-3).
-    Returns the vectors and the (T*B, 4) one-hot that picks the special
-    rows: their gradient is onehot.T @ (the vectors' gradient)."""
+    """Fixed-row lookup plus the trainable special rows, PAD/UNK/USR/URL.
+    Returns the vectors and the one-hot, a column per special row, that
+    picks them: their gradient is onehot.T @ (the vectors' gradient)."""
     dtype = params["proj_w"].dtype
     vectors = table.vectors[word_flat].astype(dtype, copy=False)
-    special = word_flat < 4
+    special = word_flat < len(SPECIAL_TOKENS)
     vectors[special] = 0.0
-    onehot = np.zeros((word_flat.size, 4), dtype=dtype)
+    onehot = np.zeros((word_flat.size, len(SPECIAL_TOKENS)), dtype=dtype)
     onehot[special, word_flat[special]] = 1.0
     vectors += onehot @ params["word_specials"]
     return vectors, onehot

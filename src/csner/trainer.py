@@ -111,7 +111,7 @@ def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
         raise ValueError(
             f"vector file dimension {table.dim} != configured word_dim {cfg.word_dim}"
         )
-    if table.vocabulary.tokens[:4] != list(SPECIAL_TOKENS):
+    if table.vocabulary.tokens[: len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
         raise ValueError("vocabulary does not start with PAD/UNK/USR/URL: "
                          "build the table with merge_tables")
     # the model's own table: the caller's keeps its array and dtype
@@ -125,7 +125,7 @@ def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
         if 8 * math.prod(shape) > np.iinfo(np.intp).max:  # numpy would refuse the shape
             raise MemoryError(f"{name} {shape}: no address space holds the float64 draw")
         # the trainable PAD/UNK/USR/URL rows start as the table's own
-        data = (table.vectors[:4].copy() if name == "word_specials"
+        data = (table.vectors[: len(SPECIAL_TOKENS)].copy() if name == "word_specials"
                 else rng.uniform(-0.1, 0.1, shape).astype(cfg.dtype))
         if name.endswith(".b"):  # the forget-gate block of an LSTM bias
             data[data.size // 4 : data.size // 2] = 1.0
@@ -133,14 +133,24 @@ def new_model(cfg: TrainingConfig, table: EmbeddingTable, chars: CharVocabulary,
     return TaggerModel(params, Tables(table, chars))
 
 
-@dataclass
-class Batch:
-    arrays: BatchArrays
-    order: list[int]  # original corpus position of each sentence
+def batch_positions(dataset: Dataset, batch_size: int, surfaces: Dataset) -> list[list[int]]:
+    """The corpus positions of each batch: the sentences sorted by length
+    descending (stable) and cut into consecutive ``batch_size`` chunks.
+    ``surfaces`` holds the raw spellings of ``dataset``, sentence for
+    sentence."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    if len(dataset) == 0:
+        raise ValueError("cannot batch an empty dataset")
+    if len(surfaces) != len(dataset):
+        raise ValueError("surface dataset is not aligned with the input")
+    order = sorted(range(len(dataset)), key=lambda i: -len(dataset.sentences[i]))
+    return [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
 
-    @property
-    def n_tokens(self) -> int:
-        return sum(self.arrays.lengths)
+
+def _chunk_arrays(chunk, dataset: Dataset, tables: Tables, dtype, surfaces: Dataset) -> BatchArrays:
+    return build_arrays([dataset.sentences[i] for i in chunk], tables, dtype,
+                        [surfaces.sentences[i].tokens for i in chunk])
 
 
 def make_batches(
@@ -149,26 +159,14 @@ def make_batches(
     tables: Tables,
     dtype,
     surfaces: Dataset,
-) -> list[Batch]:
-    """Sort by length descending (stable) and chunk; ``build_arrays``
-    indexes and pads each chunk.  ``dataset`` holds the normalized tokens,
-    with their gold tags when the corpus is tagged, and ``surfaces`` the
-    raw spellings that the char encoder reads, sentence for sentence.
+) -> list[BatchArrays]:
+    """``build_arrays`` of each chunk of ``batch_positions``, which indexes
+    and pads it.  ``dataset`` holds the normalized tokens, with their gold
+    tags when the corpus is tagged, and ``surfaces`` the raw spellings
+    that the char encoder reads, sentence for sentence.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    if len(dataset) == 0:
-        raise ValueError("cannot batch an empty dataset")
-    if len(surfaces) != len(dataset):
-        raise ValueError("surface dataset is not aligned with the input")
-    order = sorted(range(len(dataset)), key=lambda i: -len(dataset.sentences[i]))
-    batches = []
-    for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        arrays = build_arrays([dataset.sentences[i] for i in chunk], tables, dtype,
-                              [surfaces.sentences[i].tokens for i in chunk])
-        batches.append(Batch(arrays, chunk))
-    return batches
+    return [_chunk_arrays(chunk, dataset, tables, dtype, surfaces)
+            for chunk in batch_positions(dataset, batch_size, surfaces)]
 
 
 def lr_schedule(lr0: float, epoch: int, decay: float = math.sqrt(2.0)) -> float:
@@ -190,7 +188,7 @@ def lr_schedule(lr0: float, epoch: int, decay: float = math.sqrt(2.0)) -> float:
 
 def train_epoch(
     model: TaggerModel,
-    batches: list[Batch],
+    batches: list[BatchArrays],
     lr: float,
     rng: np.random.Generator,
     adam: ad.AdamState,
@@ -203,9 +201,9 @@ def train_epoch(
     total_tokens = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for batch in batches:
-            if batch.arrays.gold is None:
+            if batch.gold is None:
                 raise TrainingError("cannot train on unlabeled sentences")
-            loss, pullback = batch_loss(batch.arrays, model.tables, model.params,
+            loss, pullback = batch_loss(batch, model.tables, model.params,
                                         rng=rng, dropout_rate=dropout_rate)
             value = float(loss)
             if not math.isfinite(value):
@@ -216,8 +214,9 @@ def train_epoch(
                     raise TrainingError(f"non-finite gradient in {name}")
             ad.adam_step(model.params, grads, adam, lr)
             del pullback, grads  # the next batch's forward must not hold this one's state
-            total_loss += value * batch.n_tokens
-            total_tokens += batch.n_tokens
+            n_tokens = sum(batch.lengths)
+            total_loss += value * n_tokens
+            total_tokens += n_tokens
     return total_loss / total_tokens
 
 
@@ -228,13 +227,14 @@ def predict_dataset(
     surfaces: Dataset,
     post: bool = True,
 ) -> list[list]:
-    """Predicted tag sequences in corpus order.  Raises ValueError naming
-    the first sentence whose tag scores are not finite."""
+    """Predicted tag sequences in corpus order, each batch built just
+    before it is tagged.  Raises ValueError naming the first sentence
+    whose tag scores are not finite."""
     dtype = model.params["proj_w"].dtype
-    batches = make_batches(dataset, batch_size, model.tables, dtype, surfaces)
     results: list[list | None] = [None] * len(dataset)
-    for batch in batches:
-        for position, ids in zip(batch.order, predict_batch(batch.arrays, model.tables, model.params)):
+    for chunk in batch_positions(dataset, batch_size, surfaces):
+        arrays = _chunk_arrays(chunk, dataset, model.tables, dtype, surfaces)
+        for position, ids in zip(chunk, predict_batch(arrays, model.tables, model.params)):
             if ids is not None:
                 tags = [TAGS[i] for i in ids]
                 results[position] = postprocess_sentence(tags) if post else tags
@@ -282,9 +282,9 @@ def snapshot(model: TaggerModel, cfg: TrainingConfig, dev_score: float, epoch: i
 def restore_model(ckpt: Checkpoint) -> TaggerModel:
     """Rebuild a runnable model from a checkpoint."""
     cfg = ckpt.config
-    if ckpt.word_tokens[:4] != list(SPECIAL_TOKENS):
+    if ckpt.word_tokens[: len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
         raise CheckpointError("vocabulary does not start with PAD/UNK/USR/URL")
-    vocab = Vocabulary(ckpt.word_tokens[4:], specials=True)
+    vocab = Vocabulary(ckpt.word_tokens[len(SPECIAL_TOKENS) :], specials=True)
     chars = CharVocabulary(ckpt.char_list)
     # row r of char_embed belongs to character r of the stored list
     if chars.chars != ckpt.char_list:
@@ -533,7 +533,10 @@ def load_checkpoint(path) -> Checkpoint:
             end = offset + dtype.itemsize * math.prod(shape)  # exact: np.prod wraps in int64
             if end > len(payload):
                 raise CheckpointError(f"tensor {name} overruns the payload")
-            tensors[name] = np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape)
+            try:
+                tensors[name] = np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape)
+            except ValueError as exc:  # a shape numpy cannot make, such as 0 by 2**64
+                raise CheckpointError(f"header line {number}: tensor {name}: {exc}") from None
             if not np.isfinite(tensors[name]).all():
                 raise CheckpointError(f"tensor {name} has a non-finite value")
 

@@ -69,10 +69,10 @@ def test_criterion_1_gradient_correctness(micro_setup):
         corpus, tables, params = micro_setup
         start = time.monotonic()
         batch = make_batches(corpus, 4, tables, np.float64, corpus)[0]
-        grads = loss_and_grads(batch.arrays, tables, params)[1]
+        grads = loss_and_grads(batch, tables, params)[1]
 
         def loss():  # the training-path loss at rate 0.0, as loss_and_grads takes it
-            return batch_loss(batch.arrays, tables, params, np.random.default_rng(0), 0.0)[0]
+            return batch_loss(batch, tables, params, np.random.default_rng(0), 0.0)[0]
 
         err = finite_diff_check(loss, grads, params, h=1e-4)
         elapsed = time.monotonic() - start
@@ -178,14 +178,13 @@ def test_criterion_6_masking_neutrality(overfit_corpus, overfit_tables):
         )
         model = new_model(cfg, overfit_tables.words, overfit_tables.chars,
                           np.random.default_rng(cfg.seed))
-        batch = make_batches(overfit_corpus, 16, model.tables, np.float64, overfit_corpus)[0]
+        a = make_batches(overfit_corpus, 16, model.tables, np.float64, overfit_corpus)[0]
 
         def run(arrays):
             return loss_and_grads(arrays, model.tables, model.params)
 
-        base_loss, base_grads = run(batch.arrays)
+        base_loss, base_grads = run(a)
 
-        a = batch.arrays
         rng = np.random.default_rng(0)
         pad = a.mask == 0.0
         assert pad.any()

@@ -44,6 +44,9 @@ def test_every_layer_found_and_every_hook_runs(tmp_path, monkeypatch):
     assert tracer.failed_hooks == set()
     traced = {span[0] for span in tracer.spans}
     assert {layer for _, _, layer, hook in tracing.LAYERS if hook is not None} <= traced
+    tagging = {span[0] for span in tracer.spans[:first_training_span]}
+    assert {"trainer.predict", "model.build_arrays", "model.char_encoder",
+            "model.word_bilstm", "postprocess"} <= tagging
     training = {span[0] for span in tracer.spans[first_training_span:]}
     assert {"trainer.train_epoch", "model.build_arrays", "model.encode_other",
             "model.char_encoder", "model.word_bilstm", "model.projection_loss",

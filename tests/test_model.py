@@ -199,7 +199,7 @@ class TestPredict:
 
 class TestBatchSemantics:
     def test_permutation_coherence(self, tiny_tables):
-        from csner.trainer import make_batches
+        from csner.trainer import batch_positions, make_batches
 
         params = small_model(tiny_tables)
         words = ["azul", "come", "el", "pan", "rio", "Ana", "nunca"]
@@ -210,11 +210,11 @@ class TestBatchSemantics:
         def logits_by_sentence(order):
             ds = Dataset([TaggedSentence(sents[i]) for i in order])
             out = {}
-            for batch in make_batches(ds, len(sents), tiny_tables, np.float64, ds):
-                a = batch.arrays
+            for chunk, a in zip(batch_positions(ds, len(sents), ds),
+                                make_batches(ds, len(sents), tiny_tables, np.float64, ds)):
                 logits, _ = batch_logits(encode_batch(a, tiny_tables, params)[0], params)
                 logits = logits.reshape(a.max_len, a.batch_size, -1)
-                for j, pos in enumerate(batch.order):
+                for j, pos in enumerate(chunk):
                     out[order[pos]] = logits[: a.lengths[j], j]
             return out
 
@@ -304,8 +304,7 @@ class TestSpellingColumns:
 
         monkeypatch.setattr(model, "_encode_chars", counting)
         ds = Dataset([TaggedSentence(s) for s in self.SENTS])
-        batch = make_batches(ds, 8, tiny_tables, np.float64, ds)[0]
-        predict_batch(batch.arrays, tiny_tables, params)
+        predict_batch(make_batches(ds, 8, tiny_tables, np.float64, ds)[0], tiny_tables, params)
         assert columns == [len({w for s in self.SENTS for w in s})]
 
 
@@ -367,8 +366,7 @@ class TestEndToEndGradient:
         # steps and the one-column-per-spelling layout are exercised
         corpus = corpus_from("Ana/B-PER come/O pan/O pan/O\nel/O rio/B-LOC azul/O\n"
                              "Ana/B-PER come/O\nel/O")
-        batch = make_batches(corpus, 4, tables, np.float64, corpus)[0]
-        a = batch.arrays
+        a = make_batches(corpus, 4, tables, np.float64, corpus)[0]
         # the reference layout: one char column per word slot, in slot
         # order, with padded slots on all-padding columns of length 0
         live = a.mask.reshape(-1).astype(np.int64)
